@@ -38,7 +38,6 @@ from .lanczos import LanczosConfig, LanczosResult, lowest_eigenpair
 from .numtheory import (
     BCoefficients,
     b_coefficients,
-    configure_sieve,
     divisors,
     mertens,
     moebius,
@@ -110,7 +109,6 @@ __all__ = [
     "band_fourier_coefficients",
     "build_hamiltonian",
     "classify",
-    "configure_sieve",
     "convergence_curve",
     "criterion_check",
     "divisors",

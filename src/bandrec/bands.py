@@ -2,7 +2,7 @@
 
 A band is any object with ``evaluate(k)`` (vectorized, 2pi-periodic, even
 about k=0) and ``mean()``.  `FourierBand` stores the mean value explicitly;
-closed forms compute it analytically or by quadrature.
+closed forms compute it analytically.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
-from .core import ValidationError
+from .core import Twist, ValidationError
 
 #: number of uniform grid points used for positivity checks and projections
 GRID_SIZE = 4096
@@ -41,6 +40,22 @@ def cosine_series(c0: float, coeffs: np.ndarray, k) -> np.ndarray | float:
         n = np.arange(1, coeffs.size + 1)
         out = c0 + np.cos(np.multiply.outer(k_arr, n)) @ coeffs
     return float(out) if np.isscalar(k) or k_arr.ndim == 0 else out
+
+
+def cosine_series_on_grid(c0: float, coeffs: np.ndarray, L: int, twist: Twist) -> np.ndarray:
+    """Evaluate c0 + sum_n coeffs[n-1] * cos(n*k) on the L twisted momenta (2*pi*j + theta)/L.
+
+    With n = l*L + r, cos(n*k_j) = Re q^l e^{i*theta*r/L} e^{2*pi*i*r*j/L}: the
+    coefficients fold mod L with sign q^l, take the phase of their residue,
+    and one FFT does the rest, so the cost is O(M + L log L).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    rows = -(-(coeffs.size + 1) // L)
+    padded = np.zeros(rows * L)
+    padded[1 : coeffs.size + 1] = coeffs
+    folded = (float(twist.q) ** np.arange(rows)) @ padded.reshape(rows, L)
+    phased = folded * np.exp(1j * twist.theta / L * np.arange(L))
+    return c0 + np.fft.fft(phased.conj()).real
 
 
 class FourierBand:
@@ -104,17 +119,20 @@ class MassiveSineBand:
         return self.J * np.sqrt(np.sin(k / 2.0) ** 2 + self.m**2)
 
     def mean(self) -> float:
+        """(2J/pi) * sqrt(1+m^2) * E(1/(1+m^2)), with E by the AGM (A&S 17.6)."""
         if self.m == 0.0:
             return 2.0 * self.J / math.pi
-        value, _ = integrate.quad(
-            lambda x: math.sqrt(math.sin(x / 2.0) ** 2 + self.m**2),
-            0.0,
-            2.0 * math.pi,
-            epsabs=1e-14,
-            epsrel=1e-13,
-            limit=200,
-        )
-        return self.J * value / (2.0 * math.pi)
+        param = 1.0 / (1.0 + self.m**2)
+        a, b, c = 1.0, math.sqrt(1.0 - param), math.sqrt(param)
+        weighted = 0.5 * param  # sum of 2^(n-1) c_n^2
+        for n in range(1, 64):
+            # c_{n+1} = c_n^2 / (4 a_{n+1}) equals (a_n - b_n)/2 without the cancellation
+            a, b, c = 0.5 * (a + b), math.sqrt(a * b), c * c / (2.0 * (a + b))
+            weighted += 2.0 ** (n - 1) * c * c
+            if c <= 1e-17 * a:
+                break
+        # E = K * (1 - weighted) with K = pi / (2 a_N); the factor 2/pi cancels
+        return self.J * math.sqrt(1.0 + self.m**2) * (1.0 - weighted) / a
 
 
 @dataclass(frozen=True)

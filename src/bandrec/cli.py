@@ -14,7 +14,6 @@ import json
 import sys
 from contextlib import contextmanager
 
-
 from . import __version__
 from .bands import MassiveSineBand
 from .core import (
@@ -27,7 +26,7 @@ from .core import (
 )
 from .inversion import convergence_curve, size_set_for
 from .lanczos import LanczosConfig
-from .numtheory import b_coefficients, mertens, moebius
+from .numtheory import b_coefficients, moebius_table
 from .reconstruct import classify, criterion_check, reconstruct_band
 from .riemann import synth_energy_series
 from .seriesio import (
@@ -170,14 +169,13 @@ def cmd_convergence(args) -> int:
 
 def cmd_kernel(args) -> int:
     M = args.max
-    b_pbc = b_coefficients(Twist.PBC, M)
-    b_abc = b_coefficients(Twist.ABC, M)
+    b_pbc = b_coefficients(Twist.PBC, M).values
+    b_abc = b_coefficients(Twist.ABC, M).values
+    mu, mertens = moebius_table(M)
+    rows = zip(range(1, M + 1), mu.tolist(), mertens.tolist(), b_pbc, b_abc)
     with _open_out(args.out) as fh:
         fh.write("n,moebius,mertens,b_pbc,b_abc\n")
-        for n in range(1, M + 1):
-            fh.write(
-                f"{n},{moebius(n)},{mertens(n)},{b_pbc.value(n)},{b_abc.value(n)}\n"
-            )
+        fh.writelines(f"{n},{m},{s},{p},{a}\n" for n, m, s, p, a in rows)
     return EXIT_OK
 
 

@@ -4,6 +4,8 @@ Full reorthogonalization is on by default: desk-scale Krylov bases are
 small enough that keeping them exactly orthogonal is cheap, and ghost
 copies of converged eigenvalues would corrupt the degeneracy warning.
 The start vector is drawn from a seeded generator so runs are reproducible.
+SciPy's tridiagonal eigensolvers are imported on first use, so importing
+this module (and the package) needs only numpy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .core import NumericalError, ValidationError
 
@@ -49,6 +50,8 @@ def lowest_eigenpair(
     Raises NumericalError (with `best_estimate` attached) if the Ritz value
     has not settled within `max_iter` iterations.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     config = config or LanczosConfig()
     if dim < 1:
         raise ValidationError("operator dimension must be >= 1")
@@ -132,5 +135,7 @@ def lowest_eigenpair(
 
 
 def _ground_ritz_pair(alphas: list[float], betas: list[float]) -> tuple[float, np.ndarray]:
+    from scipy.linalg import eigh_tridiagonal
+
     vals, vecs = eigh_tridiagonal(np.array(alphas), np.array(betas))
     return float(vals[0]), vecs[:, 0]

@@ -5,71 +5,75 @@ twist-dependent inversion weights b(n) that solve the divisor-sum identity
 
     sum_{m | j} q^(j/m) b(m) = delta_{1,j},    q = +1 (pbc) or -1 (abc).
 
-For pbc the weights coincide with the Moebius function.  All values are
-exact Python integers; the smallest-prime-factor sieve is built once and
-shared read-only, so every function here is safe to call concurrently.
+The weights have a closed form in the Moebius function: b_pbc = mu, and
+b_abc(n) = -mu(n) for odd n, b_abc(2^k m) = -2^(k-1) mu(m) for odd m, k >= 1.
+mu(1..M) comes from one numpy sieve and Mertens from its cumulative sum.  The
+tables grow geometrically and each new pair replaces the old one in a single
+assignment, so concurrent readers always see a complete table without a lock.
+`moebius` reads the table when it already covers n and otherwise, like
+`divisors`, factors by trial division: a single large argument builds no sieve.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import Twist, ValidationError
 
-DEFAULT_SIEVE_BOUND = 10**6
+def _sieve(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only mu(0..n) and its cumulative sum, by an Eratosthenes sieve over primes."""
+    is_prime = np.ones(n + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in np.flatnonzero(is_prime).tolist():
+        mu[::p] *= -1
+        mu[:: p * p] = 0
+    mertens = np.cumsum(mu)
+    mu.setflags(write=False)
+    mertens.setflags(write=False)
+    return mu, mertens
 
-_lock = threading.RLock()
-_spf: list[int] = []  # _spf[n] = smallest prime factor of n, for n < len(_spf)
-_mu_prefix: list[int] = [0]  # _mu_prefix[x] = sum of mu(1..x)
-_b_cache: dict[Twist, list[int]] = {Twist.PBC: [0], Twist.ABC: [0]}
+
+# (mu, mertens) with mu[n] = mu(n) and mertens[n] = M(n) for n < len(mu); index 0 unused
+_tables = _sieve(1)
 
 
-def configure_sieve(bound: int) -> None:
-    """Pre-build the smallest-prime-factor sieve up to `bound`."""
-    _ensure_sieve(bound)
+def _tables_upto(M: int) -> tuple[np.ndarray, np.ndarray]:
+    global _tables
+    tables = _tables
+    if len(tables[0]) <= M:
+        tables = _sieve(max(M, 2 * len(tables[0]), 1024))
+        _tables = tables
+    return tables
 
 
-def _ensure_sieve(bound: int) -> None:
-    global _spf
-    if len(_spf) > bound:
-        return
-    with _lock:
-        if len(_spf) > bound:
-            return
-        n = max(bound, 1)
-        spf = list(range(n + 1))
-        for p in range(2, math.isqrt(n) + 1):
-            if spf[p] == p:  # p prime
-                for multiple in range(p * p, n + 1, p):
-                    if spf[multiple] == multiple:
-                        spf[multiple] = p
-        _spf = spf
+def moebius_table(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 arrays mu(1..M) and mertens(1..M)."""
+    if M < 1:
+        raise ValidationError(f"moebius_table requires M >= 1, got {M}")
+    mu, mertens = _tables_upto(M)
+    return mu[1 : M + 1], mertens[1 : M + 1]
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization as (prime, exponent) pairs, ascending."""
-    if n <= DEFAULT_SIEVE_BOUND:
-        _ensure_sieve(min(max(n, 1024), DEFAULT_SIEVE_BOUND))
+    """Prime factorization as (prime, exponent) pairs, ascending, by trial division."""
     factors: list[tuple[int, int]] = []
-    if n < len(_spf):
-        while n > 1:
-            p = _spf[n]
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            factors.append((p, k))
-        return factors
-    # above the sieve: trial division
-    for p in range(2, math.isqrt(n) + 1):
+    p = 2
+    while p * p <= n:
         if n % p == 0:
             k = 0
             while n % p == 0:
                 n //= p
                 k += 1
             factors.append((p, k))
+        p += 1 if p == 2 else 2
     if n > 1:
         factors.append((n, 1))
     return factors
@@ -79,56 +83,18 @@ def moebius(n: int) -> int:
     """Moebius function: (-1)^r for squarefree n with r prime factors, else 0."""
     if n < 1:
         raise ValidationError(f"moebius requires n >= 1, got {n}")
-    if n == 1:
-        return 1
-    result = 1
-    for _, k in _factorize(n):
-        if k > 1:
-            return 0
-        result = -result
-    return result
+    mu = _tables[0]
+    if n < len(mu):
+        return int(mu[n])
+    factors = _factorize(n)
+    return 0 if any(k > 1 for _, k in factors) else (-1) ** len(factors)
 
 
 def mertens(x: int) -> int:
     """Partial sum of the Moebius function over 1..x."""
     if x < 1:
         raise ValidationError(f"mertens requires x >= 1, got {x}")
-    _ensure_mu_prefix(x)
-    return _mu_prefix[x]
-
-
-def _ensure_mu_prefix(x: int) -> None:
-    global _mu_prefix
-    if len(_mu_prefix) > x:
-        return
-    with _lock:
-        if len(_mu_prefix) > x:
-            return
-        n = max(x, 2 * len(_mu_prefix), 1024)
-        # linear sieve for mu(1..n)
-        mu = [0] * (n + 1)
-        mu[1] = 1
-        primes: list[int] = []
-        is_comp = [False] * (n + 1)
-        for i in range(2, n + 1):
-            if not is_comp[i]:
-                primes.append(i)
-                mu[i] = -1
-            for p in primes:
-                ip = i * p
-                if ip > n:
-                    break
-                is_comp[ip] = True
-                if i % p == 0:
-                    mu[ip] = 0
-                    break
-                mu[ip] = -mu[i]
-        prefix = [0] * (n + 1)
-        acc = 0
-        for i in range(1, n + 1):
-            acc += mu[i]
-            prefix[i] = acc
-        _mu_prefix = prefix
+    return int(_tables_upto(x)[1][x])
 
 
 def divisors(n: int) -> list[int]:
@@ -159,30 +125,14 @@ class BCoefficients:
 
 
 def b_coefficients(twist: Twist, M: int) -> BCoefficients:
-    """First M inversion weights for the given twist.
-
-    Defined recursively by b(1) = q and, for j >= 2,
-    b(j) = -q * sum over proper divisors m of j of q^(j/m) b(m),
-    which for q = +1 reduces to the Moebius function.
-    """
+    """First M inversion weights for the given twist, from the closed form in mu."""
     if M < 1:
         raise ValidationError(f"b_coefficients requires M >= 1, got {M}")
-    cache = _b_cache[twist]
-    if len(cache) <= M:
-        with _lock:
-            q = twist.q
-            while len(cache) <= M:
-                j = len(cache)
-                if j == 0:
-                    cache.append(0)  # placeholder so cache[n] = b(n)
-                    continue
-                if j == 1:
-                    cache.append(q)
-                    continue
-                acc = 0
-                for m in divisors(j):
-                    if m == j:
-                        continue
-                    acc += (q ** ((j // m) & 1)) * cache[m]
-                cache.append(-q * acc)
-    return BCoefficients(twist, tuple(cache[1 : M + 1]))
+    mu = _tables_upto(M)[0]
+    if twist is Twist.PBC:
+        b = mu[1 : M + 1]
+    else:
+        n = np.arange(1, M + 1)
+        two_k = n & -n  # largest power of two dividing n
+        b = -mu[n // two_k] * np.maximum(two_k // 2, 1)
+    return BCoefficients(twist, tuple(b.tolist()))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import FourierBand, GRID_SIZE, cosine_series, uniform_grid
+from .bands import FourierBand, GRID_SIZE, cosine_series_on_grid
 from .core import ALL_HYPOTHESES, Hypothesis, Twist, ValidationError
 from .inversion import SizeSet, invert_coefficients
 from .riemann import EnergySeries, riemann_sum
@@ -100,8 +100,7 @@ def reconstruct_band(
     scale = hypothesis.statistics.sign * 2.0 / nu
     omega_coeffs = scale * f_band.coeffs
 
-    k = uniform_grid(GRID_SIZE)
-    shape = np.asarray(cosine_series(0.0, omega_coeffs, k), dtype=float)
+    shape = cosine_series_on_grid(0.0, omega_coeffs, GRID_SIZE, Twist.PBC)
     shape_min = float(shape.min())
     shape_max = float(shape.max())
     spread = shape_max - shape_min
@@ -201,11 +200,17 @@ MODEL_POWER_LAW_2 = "power-law-2"
 
 @dataclass
 class ExtrapolationResult:
-    """Estimated infinite-size energy density with a fit-quality diagnostic."""
+    """Estimated infinite-size energy density with a fit-quality diagnostic.
+
+    `fallback` marks an estimate that is only the last value of the series:
+    the exponential model does so when the series is flat to rounding or
+    its step ratio leaves (0, 1).
+    """
 
     e_inf: float
     fit_residual: float
     model: str
+    fallback: bool = False
 
 
 def extrapolate_e_inf(
@@ -237,12 +242,10 @@ def extrapolate_e_inf(
         h = steps[0]
         d = np.diff(e)
         scale = max(1.0, float(np.max(np.abs(e))))
-        if abs(d[0] + d[1]) < 1e-14 * scale:
-            # series already flat to rounding: the last value is the limit
-            return ExtrapolationResult(float(e[-1]), float(np.max(np.abs(d))), model)
-        r = (d[1] + d[2]) / (d[0] + d[1])
+        flat = abs(d[0] + d[1]) < 1e-14 * scale
+        r = 0.0 if flat else (d[1] + d[2]) / (d[0] + d[1])
         if not (0.0 < r < 1.0):
-            return ExtrapolationResult(float(e[-1]), float(np.max(np.abs(d))), model)
+            return ExtrapolationResult(float(e[-1]), float(np.max(np.abs(d))), model, True)
         rho = r ** (1.0 / h)
         amp = d[0] / (rho ** L[0] * (rho**h - 1.0))
         e_inf = float(np.mean(e - amp * rho**L))

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bands import Band, FourierBand
+from .bands import Band, FourierBand, cosine_series_on_grid
 from .core import Statistics, Twist, ValidationError
 
 SOURCE_SYNTHETIC = "synthetic"
@@ -124,7 +124,10 @@ def synth_energy_series(
     if not sizes:
         raise ValidationError("no sizes requested")
     for L in sizes:
-        samples = np.asarray(dispersion.evaluate(momenta(L, twist)), dtype=float)
+        if isinstance(dispersion, FourierBand):
+            samples = cosine_series_on_grid(dispersion.c0, dispersion.coeffs, L, twist)
+        else:
+            samples = np.asarray(dispersion.evaluate(momenta(L, twist)), dtype=float)
         scale = max(1.0, float(np.max(np.abs(samples))))
         if samples.min() < -1e-12 * scale:
             raise ValidationError(

@@ -8,10 +8,13 @@ from bandrec import (
     FourierBand,
     MassiveSineBand,
     SampledBand,
+    Twist,
     ValidationError,
     band_fourier_coefficients,
+    momenta,
     uniform_grid,
 )
+from bandrec.bands import cosine_series, cosine_series_on_grid
 
 
 def test_fourier_band_is_even():
@@ -52,6 +55,36 @@ def test_massive_sine_mean_quadrature():
     # large-m limit: sqrt(sin^2(k/2) + m^2) ~ m + sin^2(k/2)/(2m) has mean m + 1/(4m)
     m = 50.0
     assert MassiveSineBand(1.0, m).mean() == pytest.approx(m + 1 / (4 * m), rel=1e-6)
+
+
+@pytest.mark.parametrize("m", np.geomspace(1e-3, 10.0, 25))
+def test_massive_sine_mean_agm_matches_quadrature(m):
+    integrate = pytest.importorskip("scipy.integrate")
+    value, _ = integrate.quad(
+        lambda x: math.sqrt(math.sin(x / 2.0) ** 2 + m**2),
+        0.0,
+        2.0 * math.pi,
+        epsabs=1e-14,
+        epsrel=1e-13,
+        limit=200,
+    )
+    assert MassiveSineBand(1.0, m).mean() == pytest.approx(value / (2.0 * math.pi), rel=1e-13)
+
+
+def test_massive_sine_mean_massless_is_two_over_pi():
+    assert MassiveSineBand(1.5, 0.0).mean() == 3.0 / math.pi
+
+
+@pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
+@pytest.mark.parametrize("L", [1, 2, 7, 64])
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2 * 64 + 3])
+def test_grid_evaluator_matches_direct_series(twist, L, extra):
+    degree = max(L + extra, 0)
+    coeffs = np.random.default_rng(L * 1000 + degree).standard_normal(degree)
+    direct = cosine_series(0.25, coeffs, momenta(L, twist))
+    fast = cosine_series_on_grid(0.25, coeffs, L, twist)
+    assert fast.shape == (L,)
+    assert np.allclose(fast, direct, rtol=0.0, atol=1e-13 * (1.0 + np.abs(coeffs).sum()))
 
 
 def test_abs_sine():

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from bandrec import BCoefficients, Twist, ValidationError, b_coefficients, divisors, mertens, moebius
+from bandrec import numtheory
 
 
 def brute_moebius(n: int) -> int:
@@ -42,6 +46,17 @@ class TestMoebius:
         assert moebius(n * 2) == 1
         assert moebius(4 * (10**6 + 1)) == 0
 
+    def test_large_argument_allocates_no_sieve(self, monkeypatch):
+        def no_sieve(n):
+            raise AssertionError(f"sieve of size {n} requested")
+
+        monkeypatch.setattr(numtheory, "_sieve", no_sieve)
+        n = 4 * (10**6 + 1)  # 2^2 * 101 * 9901
+        assert moebius(n) == 0
+        assert moebius(10**6 + 3) == -1
+        assert divisors(n) == [1, 2, 4, 101, 202, 404, 9901, 19802, 39604,
+                               1000001, 2000002, 4000004]
+
     def test_divisor_identity(self):
         # sum of mu over divisors vanishes except at n = 1
         N = 10**4
@@ -65,6 +80,13 @@ class TestMertens:
     def test_domain_error(self):
         with pytest.raises(ValidationError):
             mertens(0)
+
+
+    def test_table_is_cumsum_of_moebius(self):
+        mu, mert = numtheory.moebius_table(5000)
+        assert mu.tolist() == [brute_moebius(n) for n in range(1, 5001)]
+        assert (mert == np.cumsum(mu)).all()
+        assert not mu.flags.writeable and not mert.flags.writeable
 
 
 class TestDivisors:
@@ -144,3 +166,65 @@ class TestBCoefficients:
     def test_domain_error(self):
         with pytest.raises(ValidationError):
             b_coefficients(Twist.PBC, 0)
+
+
+def recursive_weights(twist: Twist, M: int) -> list[int]:
+    """Reference: b(1) = q, b(j) = -q * sum over proper divisors m of j of q^(j/m) b(m)."""
+    q = twist.q
+    b = [0, q]
+    for j in range(2, M + 1):
+        acc = sum(q ** ((j // m) & 1) * b[m] for m in range(1, j // 2 + 1) if j % m == 0)
+        b.append(-q * acc)
+    return b[1:]
+
+
+class TestClosedFormWeights:
+    @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
+    def test_equals_recursive_definition(self, twist):
+        assert list(b_coefficients(twist, 2000).values) == recursive_weights(twist, 2000)
+
+    @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
+    def test_inverse_identity_at_ten_thousand(self, twist):
+        # sum_{m | j} q^(j/m) b(m) = delta_{1j} for every j <= M, in exact integers
+        M = 10**4
+        b = b_coefficients(twist, M).values
+        acc = np.zeros(M + 1, dtype=np.int64)
+        for m in range(1, M + 1):
+            l = np.arange(1, M // m + 1)
+            acc[m * l] += np.where(l % 2 == 1, twist.q, 1) * b[m - 1]
+        assert acc[1] == 1
+        assert not acc[2:].any()
+
+    def test_abc_powers_of_two(self):
+        b = b_coefficients(Twist.ABC, 1024)
+        for k in range(1, 11):
+            assert b.value(2**k) == -(2 ** (k - 1)) * moebius(1)
+        assert b.value(3 * 8) == -4 * moebius(3)
+
+
+def test_concurrent_growth_serves_complete_tables(monkeypatch):
+    # readers racing the geometric regrowth must always see a whole, correct table
+    monkeypatch.setattr(numtheory, "_tables", numtheory._sieve(1))
+    expected_mu = [brute_moebius(n) for n in range(1, 6001)]
+    expected_mertens = np.cumsum(expected_mu).tolist()
+    failures = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        for M in rng.integers(1, 6001, 40).tolist():
+            b = b_coefficients(Twist.PBC, M).values
+            if list(b) != expected_mu[:M] or mertens(M) != expected_mertens[M - 1]:
+                failures.append(M)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []

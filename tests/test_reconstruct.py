@@ -207,6 +207,18 @@ class TestExtrapolation:
             series.add(L, Twist.PBC, (e_inf + A * math.exp(-L / xi)) * L)
         result = extrapolate_e_inf(series, MODEL_EXPONENTIAL)
         assert result.e_inf == pytest.approx(e_inf, abs=1e-10)
+        assert not result.fallback
+
+    def test_exponential_fallback_is_flagged(self):
+        flat, growing = EnergySeries(), EnergySeries()
+        for L, e in zip((2, 4, 6, 8), (0.0, 1.0, 3.0, 7.0)):
+            flat.add(L, Twist.PBC, -0.25 * L)
+            growing.add(L, Twist.PBC, e * L)  # step ratio 2, outside (0, 1)
+        for series, last in ((flat, -0.25), (growing, 7.0)):
+            result = extrapolate_e_inf(series, MODEL_EXPONENTIAL)
+            assert result.fallback
+            assert result.e_inf == pytest.approx(last, abs=1e-12)
+        assert not extrapolate_e_inf(growing, MODEL_POWER_LAW_2).fallback
 
     def test_synthetic_massive_band(self):
         band = MassiveSineBand(1.0, 0.3)

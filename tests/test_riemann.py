@@ -169,6 +169,29 @@ class TestSynthEnergySeries:
         with pytest.raises(ValidationError):
             synth_energy_series(band, Statistics.BOSON, 1.0, Twist.PBC, [4])
 
+    def test_band_negative_on_one_grid_only_rejected(self):
+        # 1/2 + cos k is negative only at k = pi: on the L=2 grid of {1, 2, 3}
+        band = FourierBand(0.5, [1.0])
+        synth_energy_series(band, Statistics.BOSON, 1.0, Twist.PBC, [1, 3])
+        with pytest.raises(ValidationError, match="L=2 grid"):
+            synth_energy_series(band, Statistics.BOSON, 1.0, Twist.PBC, [1, 2, 3])
+
+    @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
+    def test_positivity_check_agrees_with_direct_evaluation(self, twist):
+        rng = np.random.default_rng(11)
+        sizes = range(1, 25)
+        for _ in range(40):
+            coeffs = rng.standard_normal(rng.integers(1, 40)) / 4
+            band = FourierBand(0.0, coeffs)
+            lowest = min(band.evaluate(momenta(L, twist)).min() for L in sizes)
+            band = band.with_mean(-lowest + rng.choice([-1e-3, 1e-3]))
+            direct = min(band.evaluate(momenta(L, twist)).min() for L in sizes)
+            if direct < 0:
+                with pytest.raises(ValidationError):
+                    synth_energy_series(band, Statistics.BOSON, 1.0, twist, sizes)
+            else:
+                synth_energy_series(band, Statistics.BOSON, 1.0, twist, sizes)
+
     def test_nonpositive_filling_rejected(self):
         with pytest.raises(ValidationError):
             synth_energy_series(FourierBand(1.0), Statistics.BOSON, 0.0, Twist.PBC, [2])
