@@ -119,20 +119,30 @@ class MassiveSineBand:
         return self.J * np.sqrt(np.sin(k / 2.0) ** 2 + self.m**2)
 
     def mean(self) -> float:
-        """(2J/pi) * sqrt(1+m^2) * E(1/(1+m^2)), with E by the AGM (A&S 17.6)."""
+        """(2J/pi) * sqrt(1+m^2) * E(k), k^2 = 1/(1+m^2), with E from two AGMs (A&S 17.6).
+
+        Legendre's relation gives E(k) = M(1, k) + K(k) * (K' - E')/K', a sum of
+        positive terms, so no digits cancel as m -> 0 where K(k) diverges.
+        """
         if self.m == 0.0:
             return 2.0 * self.J / math.pi
-        param = 1.0 / (1.0 + self.m**2)
-        a, b, c = 1.0, math.sqrt(1.0 - param), math.sqrt(param)
-        weighted = 0.5 * param  # sum of 2^(n-1) c_n^2
-        for n in range(1, 64):
-            # c_{n+1} = c_n^2 / (4 a_{n+1}) equals (a_n - b_n)/2 without the cancellation
-            a, b, c = 0.5 * (a + b), math.sqrt(a * b), c * c / (2.0 * (a + b))
-            weighted += 2.0 ** (n - 1) * c * c
-            if c <= 1e-17 * a:
-                break
-        # E = K * (1 - weighted) with K = pi / (2 a_N); the factor 2/pi cancels
-        return self.J * math.sqrt(1.0 + self.m**2) * (1.0 - weighted) / a
+        s = math.hypot(1.0, self.m)
+        k, k_comp = 1.0 / s, abs(self.m) / s
+        agm_k_comp, _ = _agm(k_comp, k)  # K(k) = pi / (2 agm_k_comp)
+        agm_k, deficit = _agm(k, k_comp)  # (K' - E')/K' = deficit
+        return self.J * s * (2.0 * agm_k / math.pi + deficit / agm_k_comp)
+
+
+def _agm(b: float, c: float) -> tuple[float, float]:
+    """M(1, b) and sum_{n>=0} 2^(n-1) c_n^2 for c = c_0 = sqrt(1 - b^2)."""
+    a, weighted = 1.0, 0.5 * c * c
+    for n in range(1, 64):
+        # c_{n+1} = c_n^2 / (4 a_{n+1}) equals (a_n - b_n)/2 without the cancellation
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), c * c / (2.0 * (a + b))
+        weighted += 2.0 ** (n - 1) * c * c
+        if c <= 1e-17 * a:
+            break
+    return a, weighted
 
 
 @dataclass(frozen=True)

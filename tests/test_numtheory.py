@@ -81,7 +81,6 @@ class TestMertens:
         with pytest.raises(ValidationError):
             mertens(0)
 
-
     def test_table_is_cumsum_of_moebius(self):
         mu, mert = numtheory.moebius_table(5000)
         assert mu.tolist() == [brute_moebius(n) for n in range(1, 5001)]
@@ -194,12 +193,6 @@ class TestClosedFormWeights:
             acc[m * l] += np.where(l % 2 == 1, twist.q, 1) * b[m - 1]
         assert acc[1] == 1
         assert not acc[2:].any()
-
-    def test_abc_powers_of_two(self):
-        b = b_coefficients(Twist.ABC, 1024)
-        for k in range(1, 11):
-            assert b.value(2**k) == -(2 ** (k - 1)) * moebius(1)
-        assert b.value(3 * 8) == -4 * moebius(3)
 
 
 def test_concurrent_growth_serves_complete_tables(monkeypatch):
