@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .bands import (
     AbsSineBand,
     FourierBand,
-    GRID_SIZE,
     MassiveSineBand,
     SampledBand,
     band_fourier_coefficients,
@@ -34,7 +33,7 @@ from .inversion import (
     reconstruct_function,
     size_set_for,
 )
-from .lanczos import LanczosConfig, LanczosResult, lowest_eigenpair
+from .lanczos import LanczosConfig, lowest_eigenpair
 from .numtheory import (
     BCoefficients,
     b_coefficients,
@@ -43,11 +42,8 @@ from .numtheory import (
     moebius,
 )
 from .reconstruct import (
-    CriterionReport,
-    ExtrapolationResult,
     MODEL_EXPONENTIAL,
     MODEL_POWER_LAW_2,
-    ReconstructionResult,
     classify,
     criterion_check,
     e_inf_sensitivity,
@@ -63,10 +59,8 @@ from .riemann import (
 )
 from .spinchain import (
     DimerizedModel,
-    GroundStateResult,
     HeisenbergModel,
     SectorBasis,
-    SectorHamiltonian,
     SingleIonModel,
     SpinModelSpec,
     build_hamiltonian,
@@ -79,27 +73,20 @@ __all__ = [
     "AbsSineBand",
     "AllFrom1",
     "BCoefficients",
-    "CriterionReport",
     "DimerizedModel",
     "EnergySeries",
     "EvenOnly",
-    "ExtrapolationResult",
     "FourierBand",
     "From2",
-    "GRID_SIZE",
-    "GroundStateResult",
     "HeisenbergModel",
     "Hypothesis",
     "LanczosConfig",
-    "LanczosResult",
     "MODEL_EXPONENTIAL",
     "MODEL_POWER_LAW_2",
     "MassiveSineBand",
     "NumericalError",
-    "ReconstructionResult",
     "SampledBand",
     "SectorBasis",
-    "SectorHamiltonian",
     "SingleIonModel",
     "SpinModelSpec",
     "Statistics",

@@ -18,6 +18,11 @@ import numpy as np
 from .core import NumericalError, ValidationError
 
 
+#: Krylov rows are stored in blocks of this many, each reserved when the
+#: iterations reach it: never max_iter * dim up front, and no row is copied.
+KRYLOV_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class LanczosConfig:
     tol_energy: float = 1e-12
@@ -65,10 +70,15 @@ def lowest_eigenpair(
     v /= np.linalg.norm(v)
 
     max_steps = min(config.max_iter, dim)
-    Q = np.empty((max_steps, dim))
+    block = min(max_steps, KRYLOV_BLOCK)
+    blocks = [np.empty((block, dim))]
+
+    def row(i: int) -> np.ndarray:
+        return blocks[i // block][i % block]
+
     alphas: list[float] = []
     betas: list[float] = []
-    Q[0] = v
+    row(0)[:] = v
     prev_theta = np.inf
     stable = 0
     converged = False
@@ -76,16 +86,17 @@ def lowest_eigenpair(
     exhausted = False
 
     for j in range(max_steps):
-        w = matvec(Q[j])
-        alpha = float(Q[j] @ w)
+        w = matvec(row(j))
+        alpha = float(row(j) @ w)
         alphas.append(alpha)
-        w -= alpha * Q[j]
+        w -= alpha * row(j)
         if j > 0:
-            w -= betas[-1] * Q[j - 1]
+            w -= betas[-1] * row(j - 1)
         if config.reorthogonalize:
-            basis = Q[: j + 1]
-            w -= basis.T @ (basis @ w)
-            w -= basis.T @ (basis @ w)
+            for _ in range(2):
+                for k, blk in enumerate(blocks):
+                    basis = blk[: j + 1 - k * block]
+                    w -= basis.T @ (basis @ w)
         beta = float(np.linalg.norm(w))
         steps = j + 1
 
@@ -110,14 +121,17 @@ def lowest_eigenpair(
                 converged = True
                 break
         if j + 1 < max_steps:
-            Q[j + 1] = w / beta
+            if (j + 1) % block == 0:
+                blocks.append(np.empty((block, dim)))
+            row(j + 1)[:] = w / beta
             betas.append(beta)
 
     if steps == dim and not exhausted:
         converged = True  # full Krylov basis reached
 
     theta, y = _ground_ritz_pair(alphas, betas[: steps - 1])
-    vector = y @ Q[:steps]
+    parts = np.split(y, range(block, steps, block))  # one part of y per block
+    vector = sum(part @ blk[: len(part)] for part, blk in zip(parts, blocks))
     vector /= np.linalg.norm(vector)
     residual = float(np.linalg.norm(matvec(vector) - theta * vector))
 

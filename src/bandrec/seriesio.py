@@ -15,7 +15,7 @@ from typing import TextIO
 import numpy as np
 
 from .bands import AbsSineBand, Band, FourierBand, MassiveSineBand, uniform_grid
-from .core import Hypothesis, Twist, ValidationError
+from .core import Twist, ValidationError
 from .reconstruct import ReconstructionResult
 from .riemann import SOURCE_FILE, EnergySeries
 
@@ -137,13 +137,6 @@ def band_from_dict(entry: dict) -> FourierBand:
         np.asarray(entry["coeffs"], dtype=float),
         bool(entry.get("undetermined_a1", False)),
     )
-
-
-def hypothesis_from_dict(entry: dict) -> Hypothesis | None:
-    hyp = entry.get("hypothesis")
-    if not hyp:
-        return None
-    return Hypothesis.parse(f"{hyp['statistics']}-{hyp['twist']}")
 
 
 def write_band_samples_csv(band: FourierBand, stream: TextIO, n_samples: int = 512) -> None:

@@ -2,10 +2,11 @@
 
 Models: the spin-1/2 exchange ring, its bond-alternating variant, and the
 spin-1 ring with a single-ion (S^z)^2 term.  All conserve total S^z, so the
-Hamiltonian acts inside one magnetization sector enumerated over base-d
-digit codes.  The operator is applied matrix-free through precomputed
-scatter tables (one injective index map per bond and hop direction), which
-keeps memory linear in the sector dimension.
+Hamiltonian acts inside one magnetization sector.  Its configurations are
+base-d digit codes with a fixed digit sum, built in ascending order digit by
+digit without visiting the other d^L codes.  The sector Hamiltonian is one
+`scipy.sparse` CSR matrix with int32 indices; SciPy is imported only when a
+Hamiltonian is built.
 
 Antiperiodic boundary conditions flip the sign of the transverse part of
 the boundary bond (S+_L S-_1 terms) and leave S^z_L S^z_1 unchanged.
@@ -94,6 +95,24 @@ class SpinModelSpec:
     boundary_twist: Twist = Twist.PBC
 
 
+def _codes_with_digit_sum(L: int, d: int, total: int) -> np.ndarray:
+    """Ascending L-digit base-d codes whose digits sum to `total`.
+
+    The n+1-digit codes of sum s are, for top digit t = 0 .. d-1 in turn,
+    t*d^n + (n-digit codes of sum s-t); each part is ascending and lies
+    below the next, so their concatenation is sorted.  Only the sums
+    from which `total` is still reachable are kept at each length.
+    """
+    by_sum = {0: np.zeros(1, dtype=np.int64)}
+    for n in range(L):
+        lowest = total - (L - n - 1) * (d - 1)
+        by_sum = {
+            s: np.concatenate([t * d**n + by_sum[s - t] for t in range(d) if s - t in by_sum])
+            for s in range(max(lowest, 0), min(total, (n + 1) * (d - 1)) + 1)
+        }
+    return by_sum.get(total, np.empty(0, dtype=np.int64))
+
+
 @dataclass(frozen=True)
 class SectorBasis:
     """Ranked enumeration of the configurations with fixed total S^z.
@@ -114,23 +133,13 @@ class SectorBasis:
             raise ValidationError("chain length must be >= 1")
         if local_dim not in (2, 3):
             raise ValidationError("local dimension must be 2 (spin-1/2) or 3 (spin-1)")
-        target = sz2_total + L * (local_dim - 1)
+        target = sz2_total + L * (local_dim - 1)  # twice the digit sum
         if target % 2:
             states = np.empty(0, dtype=np.int64)
         else:
-            codes = np.arange(local_dim**L, dtype=np.int64)
-            digit_sum = np.zeros_like(codes)
-            tmp = codes.copy()
-            for _ in range(L):
-                digit_sum += tmp % local_dim
-                tmp //= local_dim
-            states = codes[2 * digit_sum == target]
+            states = _codes_with_digit_sum(L, local_dim, target // 2)
         states.setflags(write=False)
         return cls(L=L, local_dim=local_dim, sz2_total=sz2_total, states=states)
-
-    @property
-    def sz_total(self) -> float:
-        return self.sz2_total / 2.0
 
     @property
     def dim(self) -> int:
@@ -150,38 +159,16 @@ class SectorBasis:
         return (self.states // self.local_dim**site) % self.local_dim
 
 
-class SectorHamiltonian:
-    """Matrix-free action of a spin Hamiltonian on one S^z sector."""
-
-    def __init__(self, basis: SectorBasis, diag: np.ndarray, hops):
-        self.basis = basis
-        self.dim = basis.dim
-        self._diag = diag
-        self._hops = hops  # list of (dst_idx, src_idx, values) with unique dst per entry
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self._diag * x
-        for dst, src, val in self._hops:
-            y[dst] += val * x[src]
-        return y
-
-    __call__ = matvec
-
-    def dense(self) -> np.ndarray:
-        """Materialized matrix; intended for oracle checks on small sectors."""
-        H = np.diag(self._diag)
-        for dst, src, val in self._hops:
-            H[dst, src] += val
-        return H
-
-
 def build_hamiltonian(
     spec: SpinModelSpec,
     L: int,
     sector: SectorBasis | None = None,
     twist_bond: int | None = None,
-) -> SectorHamiltonian:
-    """Assemble the sector-restricted Hamiltonian of one model.
+) -> "scipy.sparse.csr_matrix":
+    """The sector-restricted Hamiltonian of one model as a CSR matrix.
+
+    Entries that several bonds put at one position are summed (the L=2 ring
+    couples its two sites through both of its bonds).
 
     `twist_bond` selects which bond carries the antiperiodic sign (default:
     the boundary bond L-1); moving it is a gauge choice used only by tests.
@@ -205,8 +192,9 @@ def build_hamiltonian(
     if spec.boundary_twist is Twist.ABC:
         transverse_sign[twist_bond] = -1.0
 
-    digits = [sector.digits(i) for i in range(L)]
-    m_vals = [(dig - s2 / 2.0) for dig in digits]  # S^z eigenvalue per site
+    digits = [sector.digits(i).astype(np.int8) for i in range(L)]
+    spin = s2 / 2.0
+    m_vals = [dig - spin for dig in digits]  # S^z eigenvalue per site
 
     diag = np.zeros(sector.dim)
     for b in range(L):
@@ -214,28 +202,46 @@ def build_hamiltonian(
     if model.onsite_anisotropy:
         for i in range(L):
             diag += model.onsite_anisotropy * m_vals[i] ** 2
+    del m_vals  # L dense arrays, freed before the matrix is allocated
 
     # ladder amplitudes: <level+1|S+|level> indexed by the source level
-    spin = s2 / 2.0
     raise_amp = np.array(
         [math.sqrt(spin * (spin + 1) - (lvl - spin) * (lvl - spin + 1)) for lvl in range(d - 1)]
     )
 
-    hops = []
+    from scipy.sparse import csr_matrix
+
     powers = [d**i for i in range(L)]
+    hops = []  # (raised site, lowered site, amplitude, mask of the source states)
     for b in range(L):
         i, j = b, (b + 1) % L
         amp = 0.5 * couplings[b] * transverse_sign[b]
         for up_site, down_site in ((i, j), (j, i)):
             mask = (digits[up_site] < d - 1) & (digits[down_site] > 0)
-            if not mask.any():
-                continue
-            src = np.nonzero(mask)[0]
-            dst_codes = sector.states[src] + powers[up_site] - powers[down_site]
-            dst = np.searchsorted(sector.states, dst_codes)
-            val = amp * raise_amp[digits[up_site][src]] * raise_amp[digits[down_site][src] - 1]
-            hops.append((dst.astype(np.intp), src.astype(np.intp), val))
-    return SectorHamiltonian(sector, diag, hops)
+            hops.append((up_site, down_site, amp, mask))
+
+    # H is real symmetric, so a hop's entry <dst|H|src> is stored in row src;
+    # the row lengths are then known before any destination is looked up
+    row_nnz = np.ones(sector.dim, dtype=np.int64)
+    for *_, mask in hops:
+        row_nnz += mask
+    indptr = np.concatenate(([0], np.cumsum(row_nnz)))
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    slot = indptr[:-1].copy()  # next free position of every row
+    indices[slot] = np.arange(sector.dim)
+    data[slot] = diag
+    slot += 1
+    for up_site, down_site, amp, mask in hops:
+        src = np.flatnonzero(mask)
+        at = slot[src]
+        dst_codes = sector.states[src] + powers[up_site] - powers[down_site]
+        indices[at] = np.searchsorted(sector.states, dst_codes)
+        data[at] = amp * raise_amp[digits[up_site][src]] * raise_amp[digits[down_site][src] - 1]
+        slot[src] += 1
+    ham = csr_matrix((data, indices, indptr), shape=(sector.dim, sector.dim))
+    ham.sum_duplicates()
+    return ham
 
 
 @dataclass
@@ -271,7 +277,7 @@ def ground_energy(
     if basis.dim < 1:
         raise ValidationError(f"empty S^z=0 sector for L={L}")
     ham = build_hamiltonian(spec, L, basis)
-    lanczos_result, _ = lowest_eigenpair(ham.matvec, ham.dim, config)
+    lanczos_result, _ = lowest_eigenpair(ham.dot, ham.shape[0], config)
     result = GroundStateResult(
         E0=lanczos_result.energy,
         residual_norm=lanczos_result.residual_norm,

@@ -350,7 +350,7 @@ def test_criterion_10_ed_unit_anchors():
                 break
             for twist in (Twist.PBC, Twist.ABC):
                 spec = SpinModelSpec(model, twist)
-                dense_min = float(np.linalg.eigvalsh(build_hamiltonian(spec, L).dense())[0])
+                dense_min = float(np.linalg.eigvalsh(build_hamiltonian(spec, L).toarray())[0])
                 lanczos_min = ground_energy(spec, L).E0
                 worst = max(worst, abs(dense_min - lanczos_min))
                 checked += 1

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bandrec import lanczos
 from bandrec import (
     DimerizedModel,
     HeisenbergModel,
@@ -70,7 +73,7 @@ def dense_kron_hamiltonian(model, L, twist):
 
 def dense_sector(model, L, twist):
     spec = SpinModelSpec(model, twist)
-    return build_hamiltonian(spec, L).dense()
+    return build_hamiltonian(spec, L).toarray()
 
 
 ALL_MODELS = [
@@ -98,6 +101,28 @@ class TestSectorBasis:
             digits = [basis.digits(site)[i] for site in range(5)]
             assert sum(d - 1 for d in digits) == 1  # total S^z = +1
 
+    @pytest.mark.parametrize(
+        "d, L", [(2, L) for L in range(1, 13)] + [(3, L) for L in range(1, 10)]
+    )
+    def test_matches_filtered_full_space(self, d, L):
+        codes = np.arange(d**L)
+        digit_sum = sum((codes // d**site) % d for site in range(L))
+        top = L * (d - 1)  # largest |2 S^z|
+        for sz2 in range(-top - 3, top + 4):  # odd parity and out of range give empty sectors
+            states = SectorBasis.build(L, d, sz2_total=sz2).states
+            assert states.dtype == np.int64
+            assert np.array_equal(states, codes[2 * digit_sum - top == sz2]), sz2
+
+    def test_build_does_not_allocate_the_full_space(self):
+        tracemalloc.start()
+        try:
+            basis = SectorBasis.build(13, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.dim == 212_941  # central trinomial coefficient of 13
+        assert peak < 8 * 3**13
+
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):
             SectorBasis.build(0, 2)
@@ -117,10 +142,13 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
-    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_kron_oracle_on_sector(self, model, twist, L):
+        # entry by entry; at L=2 both bonds couple the same pair of sites
         if model.local_dim == 2 and L % 2:
             pytest.skip("odd spin-1/2 sector is empty")
+        if model.local_dim == 3 and L > 6:
+            pytest.skip("keep dense sizes small")
         basis = SectorBasis.build(L, model.local_dim)
         H_sector = dense_sector(model, L, twist)
         H_full = dense_kron_hamiltonian(model, L, twist)
@@ -138,6 +166,14 @@ class TestHamiltonian:
         sub = H_full[np.ix_(full_indices, full_indices)]
         assert np.max(np.abs(H_sector - sub)) < 1e-12
 
+    @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
+    def test_doubled_bond_is_one_summed_entry(self, twist):
+        # both bonds of the L=2 ring couple sites 0 and 1
+        ham = build_hamiltonian(SpinModelSpec(HeisenbergModel(1.0), twist), 2)
+        assert ham.indices.dtype == np.int32 and ham.indptr.dtype == np.int32
+        assert ham.has_canonical_format
+        assert ham.nnz == 4
+
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_hermiticity_on_random_vectors(self, model):
         for L in (4, 6, 8, 10):
@@ -146,10 +182,10 @@ class TestHamiltonian:
             ham = build_hamiltonian(SpinModelSpec(model, Twist.ABC), L)
             rng = np.random.default_rng(L)
             for _ in range(3):
-                u = rng.standard_normal(ham.dim)
-                v = rng.standard_normal(ham.dim)
-                lhs = u @ ham.matvec(v)
-                rhs = ham.matvec(u) @ v
+                u = rng.standard_normal(ham.shape[0])
+                v = rng.standard_normal(ham.shape[0])
+                lhs = u @ (ham @ v)
+                rhs = (ham @ u) @ v
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     @pytest.mark.parametrize("L", [4, 6, 8])
@@ -185,7 +221,7 @@ class TestHamiltonian:
         spec = SpinModelSpec(model, Twist.ABC)
         spectra = []
         for bond in (0, 1, L - 1):
-            H = build_hamiltonian(spec, L, twist_bond=bond).dense()
+            H = build_hamiltonian(spec, L, twist_bond=bond).toarray()
             spectra.append(np.linalg.eigvalsh(H))
         assert np.allclose(spectra[0], spectra[1], atol=1e-10)
         assert np.allclose(spectra[0], spectra[2], atol=1e-10)
@@ -270,6 +306,34 @@ class TestLanczosSolver:
     def test_dimension_one(self):
         result, vec = lowest_eigenpair(lambda x: 2.5 * x, 1)
         assert result.energy == pytest.approx(2.5)
+
+    def test_krylov_storage_grows_with_the_iterations(self):
+        # a wide gap settles in a few steps; max_iter * dim rows would be 400 MB
+        dim = 100_000
+        diag = np.linspace(0.0, 1.0, dim)
+        diag[0] = -10.0
+        config = LanczosConfig()
+        tracemalloc.start()
+        try:
+            result, _ = lowest_eigenpair(lambda x: diag * x, dim, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.energy == pytest.approx(-10.0, abs=1e-10)
+        assert peak < config.max_iter * dim * 8 / 4
+        assert result.iterations < lanczos.KRYLOV_BLOCK
+
+    def test_krylov_blocks_keep_the_result(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((300, 300))
+        A = A + A.T
+        r1, v1 = lowest_eigenpair(lambda x: A @ x, 300)
+        monkeypatch.setattr(lanczos, "KRYLOV_BLOCK", 7)
+        r2, v2 = lowest_eigenpair(lambda x: A @ x, 300)
+        assert r1.iterations == r2.iterations > 7
+        assert r2.energy == pytest.approx(r1.energy, rel=1e-13)
+        assert r2.energy == pytest.approx(np.linalg.eigvalsh(A)[0], rel=1e-10)
+        assert np.allclose(v1, v2, atol=1e-10)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(1)
