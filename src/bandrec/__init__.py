@@ -8,6 +8,18 @@ statistics/boundary readings of the same data.
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# The BLAS products of the ED path (Lanczos dot products and projections) are
+# memory-bound: a second thread costs far more CPU time than it saves in wall
+# time, and the summation order it brings makes the energies depend on the
+# core count. The pool size is fixed when numpy loads, so the default can only
+# be set before that; a value the user exported is kept.
+if "numpy" not in _sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, "1")
+
 from .bands import (
     AbsSineBand,
     FourierBand,

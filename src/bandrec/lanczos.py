@@ -3,6 +3,11 @@
 Full reorthogonalization is on by default: desk-scale Krylov bases are
 small enough that keeping them exactly orthogonal is cheap, and ghost
 copies of converged eigenvalues would corrupt the degeneracy warning.
+Each new vector gets one block-wise classical Gram-Schmidt pass against
+the stored basis, and a second one only when the DGKS test asks for it:
+when the first pass shrank the vector below 1/sqrt(2) of its norm, so
+that cancellation may have left it with a visible component along the
+basis (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772, 1976).
 The start vector is drawn from a seeded generator so runs are reproducible.
 SciPy's tridiagonal eigensolvers are imported on first use, so importing
 this module (and the package) needs only numpy.
@@ -21,6 +26,10 @@ from .core import NumericalError, ValidationError
 #: Krylov rows are stored in blocks of this many, each reserved when the
 #: iterations reach it: never max_iter * dim up front, and no row is copied.
 KRYLOV_BLOCK = 64
+
+#: DGKS test: a reorthogonalization pass that keeps at least this share of
+#: the norm of w needs no second pass
+DGKS_RATIO = 0.5**0.5
 
 
 @dataclass(frozen=True)
@@ -92,12 +101,16 @@ def lowest_eigenpair(
         w -= alpha * row(j)
         if j > 0:
             w -= betas[-1] * row(j - 1)
+        beta = float(np.linalg.norm(w))
         if config.reorthogonalize:
             for _ in range(2):
+                before = beta
                 for k, blk in enumerate(blocks):
                     basis = blk[: j + 1 - k * block]
                     w -= basis.T @ (basis @ w)
-        beta = float(np.linalg.norm(w))
+                beta = float(np.linalg.norm(w))
+                if beta >= DGKS_RATIO * before:
+                    break
         steps = j + 1
 
         ritz_vals = eigvalsh_tridiagonal(np.array(alphas), np.array(betas[:j]))

@@ -240,7 +240,8 @@ def build_hamiltonian(
         data[at] = amp * raise_amp[digits[up_site][src]] * raise_amp[digits[down_site][src] - 1]
         slot[src] += 1
     ham = csr_matrix((data, indices, indptr), shape=(sector.dim, sector.dim))
-    ham.sum_duplicates()
+    if L == 2:
+        ham.sum_duplicates()  # from L=3 on, no two bonds reach the same state
     return ham
 
 

@@ -1,4 +1,9 @@
-"""The command line starts on numpy alone; SciPy loads only when ED needs it."""
+"""The command line starts on numpy alone; SciPy loads only when ED needs it.
+
+Importing bandrec before numpy also fixes the BLAS pool at one thread unless
+the user chose otherwise. These checks run in fresh interpreters, because
+pytest may have imported numpy before bandrec.
+"""
 
 import os
 import subprocess
@@ -22,8 +27,18 @@ print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def run_python(code: str, *args: str) -> str:
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+CLI = "import sys; from bandrec.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_python(code: str, *args: str, env_update: dict | None = None) -> str:
+    """Run code in a fresh interpreter; a None value in env_update unsets that variable."""
     env = dict(os.environ)
+    for name, value in (env_update or {}).items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     src = str(Path(bandrec.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -39,8 +54,27 @@ def test_import_and_number_commands_load_no_scipy():
 
 def test_ed_loads_scipy_lazily(tmp_path):
     out = tmp_path / "ed.csv"
-    code = "import sys; from bandrec.cli import main; sys.exit(main(sys.argv[1:]))"
-    run_python(code, "ed", "--model", "heisenberg", "--sizes", "4", "--out", str(out))
+    run_python(CLI, "ed", "--model", "heisenberg", "--sizes", "4", "--out", str(out))
     rows = out.read_text().splitlines()
     assert rows[-1].startswith("4,pbc,")
     assert abs(float(rows[-1].split(",")[2]) + 2.0) < 1e-12  # 4-site ring: E0 = -2J
+
+
+def test_ed_bytes_do_not_depend_on_the_thread_variables(tmp_path):
+    # at L=11 (dim 25,653) a multi-threaded BLAS sums the Lanczos products in
+    # another order, which moved the last digits of E0 on a 2-core machine
+    args = ["ed", "--model", "single-ion", "--D", "7.4", "--sizes", "11", "--twist", "both", "--seed", "5"]
+    unset, one = tmp_path / "unset.csv", tmp_path / "one.csv"
+    run_python(CLI, *args, "--out", str(unset), env_update=dict.fromkeys(THREAD_VARS))
+    run_python(CLI, *args, "--out", str(one), env_update={"OPENBLAS_NUM_THREADS": "1"})
+    assert unset.read_bytes() == one.read_bytes()
+
+
+def test_thread_default_keeps_the_user_value_and_a_loaded_numpy():
+    show = f"import os; print(','.join(os.environ.get(v, '-') for v in {THREAD_VARS}))"
+    unset = dict.fromkeys(THREAD_VARS)
+    assert run_python("import bandrec; " + show, env_update=unset) == "1,1,1"
+    user = {**unset, "OPENBLAS_NUM_THREADS": "2"}
+    assert run_python("import bandrec; " + show, env_update=user) == "2,1,1"
+    late = "import os, numpy; before = dict(os.environ); import bandrec; print(os.environ == before)"
+    assert run_python(late, env_update=unset) == "True"

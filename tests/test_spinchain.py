@@ -174,6 +174,18 @@ class TestHamiltonian:
         assert ham.has_canonical_format
         assert ham.nnz == 4
 
+    @pytest.mark.parametrize("model", [HeisenbergModel(1.0), SingleIonModel(1.0, 7.4)])
+    @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
+    def test_no_position_repeats_from_three_sites(self, model, twist):
+        # duplicates are summed only at L=2, so from L=3 on none may occur
+        for L in range(3, 9):
+            sector = SectorBasis.build(L, model.local_dim, sz2_total=L * (model.local_dim - 1) % 2)
+            ham = build_hamiltonian(SpinModelSpec(model, twist), L, sector)
+            summed = ham.copy()
+            summed.sum_duplicates()
+            assert sector.dim > 0
+            assert ham.nnz == summed.nnz, (model.kind, twist, L)
+
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_hermiticity_on_random_vectors(self, model):
         for L in (4, 6, 8, 10):
@@ -292,6 +304,27 @@ class TestLanczosSolver:
     def test_no_warning_on_separated_spectrum(self):
         diag = np.linspace(0.0, 4.0, 50)
         result, _ = lowest_eigenpair(lambda x: diag * x, diag.size)
+        assert not result.degeneracy_warning
+
+    def test_dgks_second_pass_removes_a_large_component_in_the_krylov_span(self):
+        # every product carries 1e5 times a multiple of the start vector, which
+        # the three-term recurrence leaves in w; one Gram-Schmidt pass leaves a
+        # rounding residue of it that corrupts the next alphas, so the DGKS test
+        # must see w shrink and run the second pass. In exact arithmetic the
+        # term lies in the Krylov span and the Ritz values are those of diag.
+        dim = 200
+        diag = np.concatenate(([-1.0], np.linspace(0.0, 1.0, dim - 1)))
+        g = np.random.default_rng(1).standard_normal(dim)
+        start = []
+
+        def matvec(x):
+            if not start:
+                start.append(x.copy())
+                g[:] -= (g @ x) * x  # alpha_0 stays v0 . diag v0
+            return diag * x + 1e5 * (g @ x) * start[0]
+
+        result, _ = lowest_eigenpair(matvec, dim)
+        assert result.energy == pytest.approx(np.linalg.eigvalsh(np.diag(diag))[0], abs=1e-10)
         assert not result.degeneracy_warning
 
     def test_nonconvergence_carries_best_estimate(self):
