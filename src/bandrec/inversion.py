@@ -6,11 +6,16 @@ exactly through the integer weights of `numtheory.b_coefficients`:
 
     a_k = sum_{n=1..floor(M/k)} b(n) R_{n*k}.
 
+Every layout, and every cutoff of `convergence_curve`, applies this integer
+linear map through one function, `_apply_weights`: a single `bincount` over
+the pairs (n, k) with n*k <= M that sums each a_k in ascending n.
+
 Three size layouts are supported.  `AllFrom1` uses sizes 1..M directly.
 `EvenOnly` handles pi-periodic bands from even sizes: relabeling m = L/2
 maps the problem onto the same inversion for the half-period coefficients.
 `From2` omits size 1, which only ever enters a_1, so everything except the
-cos(k) coefficient is still determined.
+cos(k) coefficient is still determined: it applies the same map with R_1 = 0
+and drops a_1.
 """
 
 from __future__ import annotations
@@ -106,17 +111,20 @@ def _checked_residual_vector(
     return vec
 
 
-def _triangular_invert(R: np.ndarray, twist: Twist) -> np.ndarray:
-    """Apply a_k = sum_n b(n) R_{nk} on sizes 1..M (R is 0-indexed by size-1)."""
+def _apply_weights(R: np.ndarray, twist: Twist) -> np.ndarray:
+    """Apply a_k = sum_n b(n) R_{nk} on sizes 1..M (R is 0-indexed by size-1).
+
+    The pairs (n, k) with n*k <= M are listed n-major, so `bincount` adds the
+    terms of each a_k in ascending n onto +0.0, exactly as a scalar loop over
+    n would.  A per-k `cumsum` would turn some zero sums into -0.0, and a
+    BLAS dot product may reorder the terms; both would change output bytes.
+    """
     M = R.size
-    b = b_coefficients(twist, M).values
-    a = np.zeros(M)
-    for k in range(1, M + 1):
-        acc = 0.0
-        for n in range(1, M // k + 1):
-            acc += b[n - 1] * R[n * k - 1]
-        a[k - 1] = acc
-    return a
+    b = np.array(b_coefficients(twist, M).values, dtype=float)
+    counts = M // np.arange(1, M + 1)
+    n = np.repeat(np.arange(1, M + 1), counts)
+    k = np.arange(n.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    return np.bincount(k - 1, weights=b[n - 1] * R[n * k - 1], minlength=M)
 
 
 def invert_coefficients(
@@ -130,26 +138,17 @@ def invert_coefficients(
     """
     if isinstance(size_set, AllFrom1):
         R = _checked_residual_vector(residuals, size_set.sizes())
-        return FourierBand(0.0, _triangular_invert(R, twist))
+        return FourierBand(0.0, _apply_weights(R, twist))
     if isinstance(size_set, EvenOnly):
         R_half = _checked_residual_vector(residuals, size_set.sizes())
-        a_half = _triangular_invert(R_half, twist)
+        a_half = _apply_weights(R_half, twist)
         coeffs = np.zeros(2 * size_set.M_even)
         coeffs[1::2] = a_half
         return FourierBand(0.0, coeffs)
     if isinstance(size_set, From2):
-        sizes = size_set.sizes()
-        R = np.zeros(size_set.M)
-        R[1:] = _checked_residual_vector(residuals, sizes)
-        M = size_set.M
-        b = b_coefficients(twist, M).values
-        coeffs = np.zeros(M)
-        for k in range(2, M + 1):
-            acc = 0.0
-            for n in range(1, M // k + 1):
-                acc += b[n - 1] * R[n * k - 1]
-            coeffs[k - 1] = acc
-        return FourierBand(0.0, coeffs, undetermined_a1=True)
+        R = np.zeros(size_set.M)  # R_1 only ever enters a_1, which is dropped
+        R[1:] = _checked_residual_vector(residuals, size_set.sizes())
+        return FourierBand(0.0, _apply_weights(R, twist), undetermined_a1=True)
     raise ValidationError(f"unsupported size set {size_set!r}")
 
 
@@ -172,22 +171,21 @@ def convergence_curve(
     """Squared L2([0,2pi]) reconstruction error versus inversion cutoff.
 
     For each cutoff L the residuals of sizes 1..L are inverted and the
-    reconstructed function compared to the band on a uniform grid.
+    reconstructed function compared to the band on a uniform grid.  The
+    residuals are checked once; each cutoff applies the weights to a prefix.
     """
     cutoffs = sorted(set(int(L) for L in cutoffs))
     if not cutoffs or cutoffs[0] < 1:
         raise ValidationError("cutoffs must be positive sizes")
-    max_L = cutoffs[-1]
-    residuals = residual_series(band, range(1, max_L + 1), twist)
+    sizes = tuple(range(1, cutoffs[-1] + 1))
+    R = _checked_residual_vector(residual_series(band, sizes, twist), sizes)
     c0 = band.mean()
     k = uniform_grid(grid_size)
     f_exact = np.asarray(band.evaluate(k), dtype=float)
-    cos_table = np.cos(np.multiply.outer(np.arange(1, max_L + 1), k))
+    cos_table = np.cos(np.multiply.outer(np.arange(1, sizes[-1] + 1), k))
     dk = 2.0 * np.pi / grid_size
     out = []
     for L in cutoffs:
-        approx = reconstruct_function(residuals, c0, twist, AllFrom1(L))
-        f_approx = c0 + approx.coeffs @ cos_table[:L]
-        err_sq = float(np.sum((f_approx - f_exact) ** 2) * dk)
-        out.append((L, err_sq))
+        f_approx = c0 + _apply_weights(R[:L], twist) @ cos_table[:L]
+        out.append((L, float(np.sum((f_approx - f_exact) ** 2) * dk)))
     return out

@@ -15,7 +15,6 @@ the boundary bond (S+_L S-_1 terms) and leave S^z_L S^z_1 unchanged.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -252,17 +251,13 @@ class GroundStateResult:
     degeneracy_warning: bool
 
 
-_cache_lock = threading.Lock()
-_ground_cache: dict = {}
-
-
 def ground_energy(
     spec: SpinModelSpec, L: int, config: LanczosConfig | None = None
 ) -> GroundStateResult:
     """Lowest energy in the S^z = 0 sector (spin-1/2: even L only).
 
-    Results are memoized per (model, twist, L, config); the Lanczos start
-    vector is seeded, so repeated calls are bit-identical.
+    Nothing is cached: every call builds and solves the sector anew.  The
+    Lanczos start vector is seeded, so repeated calls are bit-identical.
     """
     config = config or LanczosConfig()
     model = spec.model
@@ -270,23 +265,16 @@ def ground_energy(
         raise ValidationError(
             f"odd sizes are excluded for spin-1/2 models (degenerate doublet), got L={L}"
         )
-    key = (spec, L, config)
-    with _cache_lock:
-        if key in _ground_cache:
-            return _ground_cache[key]
     basis = SectorBasis.build(L, model.local_dim)
     if basis.dim < 1:
         raise ValidationError(f"empty S^z=0 sector for L={L}")
     ham = build_hamiltonian(spec, L, basis)
     lanczos_result, _ = lowest_eigenpair(ham.dot, ham.shape[0], config)
-    result = GroundStateResult(
+    return GroundStateResult(
         E0=lanczos_result.energy,
         residual_norm=lanczos_result.residual_norm,
         degeneracy_warning=lanczos_result.degeneracy_warning,
     )
-    with _cache_lock:
-        _ground_cache[key] = result
-    return result
 
 
 def energy_series(

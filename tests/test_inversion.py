@@ -9,6 +9,7 @@ from bandrec import (
     MassiveSineBand,
     Twist,
     ValidationError,
+    b_coefficients,
     convergence_curve,
     invert_coefficients,
     reconstruct_function,
@@ -124,6 +125,59 @@ class TestInvertCoefficients:
         assert rec.undetermined_a1
         assert rec.coeffs[0] == 0.0
         assert np.max(np.abs(rec.coeffs[1:] - band.coeffs[1:])) <= 1e-12
+
+
+def scalar_loop_coefficients(residuals, twist, size_set):
+    """Reference inversion: a_k = sum_n b(n) R_{nk} as a scalar double loop."""
+
+    def loop(R, k_first):
+        M = R.size
+        b = b_coefficients(twist, M).values
+        a = np.zeros(M)
+        for k in range(k_first, M + 1):
+            acc = 0.0
+            for n in range(1, M // k + 1):
+                acc += b[n - 1] * R[n * k - 1]
+            a[k - 1] = acc
+        return a
+
+    R = np.array([residuals[L] for L in size_set.sizes()], dtype=float)
+    if isinstance(size_set, AllFrom1):
+        return loop(R, 1)
+    if isinstance(size_set, EvenOnly):
+        coeffs = np.zeros(2 * size_set.M_even)
+        coeffs[1::2] = loop(R, 1)
+        return coeffs
+    return loop(np.concatenate(([0.0], R)), 2)  # From2: a_1 stays +0.0
+
+
+class TestInversionBytes:
+    """The vectorized map must reproduce the scalar loop bit for bit.
+
+    Signed zeros reach the written coefficient files, so `array_equal` (which
+    treats 0.0 == -0.0) is not enough on its own.
+    """
+
+    @staticmethod
+    def residual_kinds(size_set, twist, seed):
+        sizes = size_set.sizes()
+        # a degree-5 series has exactly zero residuals at every size above 5;
+        # with abc, b(1) = -1 then starts each higher a_k with a -0.0 term
+        finite = FourierBand(0.25, [0.5, -1.0, 0.0, 0.75, -0.125])
+        yield residual_series(finite, sizes, twist)
+        rng = np.random.default_rng(seed)
+        yield {L: rng.normal() for L in sizes}
+
+    @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
+    @pytest.mark.parametrize("layout", [AllFrom1, EvenOnly, From2])
+    @pytest.mark.parametrize("M", [1, 2, 3, 7, 64, 300])
+    def test_matches_scalar_loop_bit_for_bit(self, twist, layout, M):
+        size_set = layout(M)
+        for residuals in self.residual_kinds(size_set, twist, seed=M):
+            expected = scalar_loop_coefficients(residuals, twist, size_set)
+            got = invert_coefficients(residuals, twist, size_set).coeffs
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestReconstructFunction:

@@ -132,6 +132,22 @@ class TestCli:
         assert code == 2
         assert "even" in capsys.readouterr().err
 
+    def test_ed_maps_an_unconverged_solve_to_exit_3(self, monkeypatch, capsys):
+        # every sector is replaced by a spectrum that stops the Lanczos
+        # iteration early at a wrong energy; the solver must refuse it
+        from bandrec import lanczos, spinchain
+
+        diag = np.concatenate(([-1.0], np.linspace(0.0, 1.0, 298), [1e14]))
+        monkeypatch.setattr(
+            spinchain,
+            "lowest_eigenpair",
+            lambda matvec, dim, config: lanczos.lowest_eigenpair(
+                lambda x: diag * x, diag.size, config
+            ),
+        )
+        assert main(["ed", "--model", "heisenberg", "--sizes", "4"]) == 3
+        assert "did not converge" in capsys.readouterr().err
+
     def test_ed_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["ed", "--model", "dimerized", "--delta", "0.2", "--sizes", "2:8:2", "--twist", "both"]

@@ -336,6 +336,14 @@ class TestLanczosSolver:
             lowest_eigenpair(lambda x: A @ x, 400, config)
         assert hasattr(excinfo.value, "best_estimate")
 
+    def test_early_stop_on_a_wide_spectrum_is_not_accepted(self):
+        # beta is judged against the widest Ritz value (1e14), so the solve
+        # stops after 3 steps at 0.2298 with residual 0.19; exact E0 is -1
+        diag = np.concatenate(([-1.0], np.linspace(0.0, 1.0, 298), [1e14]))
+        with pytest.raises(NumericalError) as excinfo:
+            lowest_eigenpair(lambda x: diag * x, diag.size)
+        assert excinfo.value.best_estimate == pytest.approx(0.2298, abs=1e-4)
+
     def test_dimension_one(self):
         result, vec = lowest_eigenpair(lambda x: 2.5 * x, 1)
         assert result.energy == pytest.approx(2.5)
