@@ -27,7 +27,7 @@ import numpy as np
 
 from .bands import FourierBand, GRID_SIZE, uniform_grid
 from .core import Twist, ValidationError
-from .numtheory import b_coefficients
+from .numtheory import _b_weights
 from .riemann import residual_series
 
 
@@ -118,13 +118,20 @@ def _apply_weights(R: np.ndarray, twist: Twist) -> np.ndarray:
     terms of each a_k in ascending n onto +0.0, exactly as a scalar loop over
     n would.  A per-k `cumsum` would turn some zero sums into -0.0, and a
     BLAS dot product may reorder the terms; both would change output bytes.
+    The pair indices are int32 and the terms are weighted in place, so the
+    transient arrays hold about 26 bytes per pair (50 with int64 indices).
     """
     M = R.size
-    b = np.array(b_coefficients(twist, M).values, dtype=float)
-    counts = M // np.arange(1, M + 1)
-    n = np.repeat(np.arange(1, M + 1), counts)
-    k = np.arange(n.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-    return np.bincount(k - 1, weights=b[n - 1] * R[n * k - 1], minlength=M)
+    b = _b_weights(twist, M).astype(float)
+    counts = M // np.arange(1, M + 1, dtype=np.int32)
+    if counts.sum() >= 2**31:  # about M ln M pairs: M beyond 10^8
+        raise ValidationError(f"{M} sizes are too many to invert")
+    n0 = np.repeat(np.arange(M, dtype=np.int32), counts)  # n - 1
+    k0 = np.arange(n0.size, dtype=np.int32)  # k - 1
+    k0 -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
+    terms = R[(n0 + 1) * (k0 + 1) - 1]
+    terms *= b[n0]  # b(n) * R_{nk}: the product commutes bit for bit
+    return np.bincount(k0, weights=terms, minlength=M)
 
 
 def invert_coefficients(

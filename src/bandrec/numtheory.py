@@ -124,15 +124,18 @@ class BCoefficients:
         return len(self.values)
 
 
-def b_coefficients(twist: Twist, M: int) -> BCoefficients:
-    """First M inversion weights for the given twist, from the closed form in mu."""
+def _b_weights(twist: Twist, M: int) -> np.ndarray:
+    """b(1..M) as an int64 array (read-only for pbc), from the closed form in mu."""
     if M < 1:
         raise ValidationError(f"b_coefficients requires M >= 1, got {M}")
     mu = _tables_upto(M)[0]
     if twist is Twist.PBC:
-        b = mu[1 : M + 1]
-    else:
-        n = np.arange(1, M + 1)
-        two_k = n & -n  # largest power of two dividing n
-        b = -mu[n // two_k] * np.maximum(two_k // 2, 1)
-    return BCoefficients(twist, tuple(b.tolist()))
+        return mu[1 : M + 1]
+    n = np.arange(1, M + 1)
+    two_k = n & -n  # largest power of two dividing n
+    return -mu[n // two_k] * np.maximum(two_k // 2, 1)
+
+
+def b_coefficients(twist: Twist, M: int) -> BCoefficients:
+    """First M inversion weights for the given twist, from the closed form in mu."""
+    return BCoefficients(twist, tuple(_b_weights(twist, M).tolist()))

@@ -9,7 +9,10 @@ digit without visiting the other d^L codes.  The sector Hamiltonian is one
 Hamiltonian is built.
 
 Antiperiodic boundary conditions flip the sign of the transverse part of
-the boundary bond (S+_L S-_1 terms) and leave S^z_L S^z_1 unchanged.
+the boundary bond (S+_L S-_1 terms) and leave S^z_L S^z_1 unchanged.  So
+`energy_series` builds one basis and one matrix per size, solves the first
+twist on it, and reaches the other by negating the boundary-bond hops in
+place: an exact flip, with no second matrix.
 """
 
 from __future__ import annotations
@@ -203,15 +206,16 @@ def build_hamiltonian(
             diag += model.onsite_anisotropy * m_vals[i] ** 2
     del m_vals  # L dense arrays, freed before the matrix is allocated
 
-    # ladder amplitudes: <level+1|S+|level> indexed by the source level
-    raise_amp = np.array(
-        [math.sqrt(spin * (spin + 1) - (lvl - spin) * (lvl - spin + 1)) for lvl in range(d - 1)]
-    )
+    # <m+1|S+|m> = sqrt(s(s+1) - m(m+1)) is sqrt(2s) for every m of spin 1/2
+    # and of spin 1, so each hop has one amplitude (amp * r) * r
+    raise_amp = math.sqrt(s2)
 
     from scipy.sparse import csr_matrix
 
     powers = [d**i for i in range(L)]
-    hops = []  # (raised site, lowered site, amplitude, mask of the source states)
+    # (raised site, lowered site, amplitude, mask of the source states), in
+    # bond order: `_negate_twist_bond` finds bond L-1's hops last in each row
+    hops = []
     for b in range(L):
         i, j = b, (b + 1) % L
         amp = 0.5 * couplings[b] * transverse_sign[b]
@@ -236,12 +240,31 @@ def build_hamiltonian(
         at = slot[src]
         dst_codes = sector.states[src] + powers[up_site] - powers[down_site]
         indices[at] = np.searchsorted(sector.states, dst_codes)
-        data[at] = amp * raise_amp[digits[up_site][src]] * raise_amp[digits[down_site][src] - 1]
+        data[at] = amp * raise_amp * raise_amp
         slot[src] += 1
     ham = csr_matrix((data, indices, indptr), shape=(sector.dim, sector.dim))
     if L == 2:
         ham.sum_duplicates()  # from L=3 on, no two bonds reach the same state
     return ham
+
+
+def _negate_twist_bond(ham: "scipy.sparse.csr_matrix", sector: SectorBasis) -> None:
+    """Turn the pbc matrix of `build_hamiltonian` into the abc one, or back, in place.
+
+    Only the hops of the twist bond L-1 (sites L-1 and 0) change sign.  The
+    fill loop stores every row's hops in bond order, and bond L-1's two hops
+    (raise L-1, lower 0) then (raise 0, lower L-1) last, so they are the last
+    one or two entries of their row.  Negation is exact, so the result equals
+    the matrix built with the other twist, signed zeros included.  For L >= 3
+    only: the L=2 ring sums its two bonds into one entry.
+    """
+    d = sector.local_dim
+    first, last = sector.digits(0), sector.digits(sector.L - 1)
+    raise_last = (last < d - 1) & (first > 0)
+    raise_first = (first < d - 1) & (last > 0)
+    end = ham.indptr[1:]
+    for at in (end[raise_first] - 1, end[raise_last] - 1 - raise_first[raise_last]):
+        ham.data[at] = -ham.data[at]
 
 
 @dataclass
@@ -284,11 +307,20 @@ def energy_series(
     config: LanczosConfig | None = None,
     nu: float | None = None,
 ) -> EnergySeries:
-    """Ground-state energy series of one model over sizes and twists."""
+    """Ground-state energy series of one model over sizes and twists.
+
+    Each size's sector basis and Hamiltonian are built once, with the first
+    twist; every further twist negates the twist-bond hops in place
+    (`_negate_twist_bond`), so both twists share one matrix and the energies
+    equal those of `ground_energy` bit for bit.  The two-site ring, whose
+    bonds share their entries, is built once per twist.
+    """
     sizes = sorted(set(int(s) for s in sizes))
     twists = tuple(twists)
     if not sizes:
         raise ValidationError("no sizes requested")
+    if len(set(twists)) < len(twists):
+        raise ValidationError(f"duplicate twists {[str(t) for t in twists]}")
     for L in sizes:
         if L < 2:
             raise ValidationError(f"sizes must be >= 2, got {L}")
@@ -301,8 +333,14 @@ def energy_series(
         source=SOURCE_EXACT_DIAG,
         model=model.kind,
     )
-    for twist in twists:
-        spec = SpinModelSpec(model, twist)
-        for L in sizes:
-            series.add(L, twist, ground_energy(spec, L, config).E0)
+    for L in sizes:
+        basis = SectorBasis.build(L, model.local_dim)
+        ham = None
+        for twist in twists:
+            if ham is None or L == 2:
+                ham = build_hamiltonian(SpinModelSpec(model, twist), L, basis)
+            else:
+                _negate_twist_bond(ham, basis)
+            series.add(L, twist, lowest_eigenpair(ham.dot, ham.shape[0], config)[0].energy)
+        del ham, basis  # freed before the next size is built
     return series

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,22 @@ class TestInversionBytes:
             got = invert_coefficients(residuals, twist, size_set).coeffs
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+class TestInversionMemory:
+    def test_pair_arrays_stay_small(self):
+        # the map walks every pair (n, k) with n*k <= M, 1.17 M of them at
+        # M = 10^5; int64 pair indices peaked at 50 bytes per pair
+        M = 100_000
+        pairs = int(np.sum(M // np.arange(1, M + 1)))
+        residuals = dict(zip(range(1, M + 1), np.random.default_rng(1).normal(size=M).tolist()))
+        tracemalloc.start()
+        try:
+            invert_coefficients(residuals, Twist.ABC, AllFrom1(M))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * pairs, peak / pairs
 
 
 class TestReconstructFunction:

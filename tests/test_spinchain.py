@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bandrec import lanczos
+from bandrec import lanczos, spinchain
 from bandrec import (
     DimerizedModel,
     HeisenbergModel,
@@ -409,3 +409,71 @@ class TestEnergySeries:
     def test_nu_hints(self):
         assert energy_series(DimerizedModel(1.0, 0.1), [2, 4]).nu == 3.0
         assert energy_series(SingleIonModel(1.0, 5.0), [2, 3]).nu == 2.0
+
+
+def _sizes(model):
+    return range(2, 11, 2) if model.local_dim == 2 else range(2, 11)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# both orders, so the in-place sign flip is exercised from either twist
+TWIST_ORDERS = [(Twist.PBC, Twist.ABC), (Twist.ABC, Twist.PBC), (Twist.ABC,), (Twist.PBC,)]
+
+
+class TestSharedAssembly:
+    """energy_series builds one matrix per size and flips the twist-bond signs."""
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    @pytest.mark.parametrize("twists", TWIST_ORDERS)
+    def test_energies_equal_per_twist_ground_energies(self, model, twists):
+        series = energy_series(model, _sizes(model), twists)
+        for twist in twists:
+            spec = SpinModelSpec(model, twist)
+            for L in _sizes(model):
+                assert series.E(L, twist) == ground_energy(spec, L).E0, (twist, L)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    @pytest.mark.parametrize("twists", TWIST_ORDERS)
+    def test_solved_matrices_equal_per_twist_builds(self, model, twists, monkeypatch):
+        # the dimerized twist bond couples J(1 + delta); L=2 sums two bonds per entry
+        solved = []
+
+        def record(matvec, dim, config=None):
+            ham = matvec.__self__
+            solved.append((ham.indptr.copy(), ham.indices.copy(), ham.data.copy()))
+            return lanczos.LanczosResult(0.0, 0.0, False, 1), None
+
+        monkeypatch.setattr(spinchain, "lowest_eigenpair", record)
+        energy_series(model, _sizes(model), twists)
+        # solved size by size, each size in the order of `twists`
+        expected = [
+            build_hamiltonian(SpinModelSpec(model, twist), L)
+            for L in _sizes(model)
+            for twist in twists
+        ]
+        assert len(solved) == len(expected)
+        for (indptr, indices, data), ham in zip(solved, expected):
+            assert np.array_equal(indptr, ham.indptr)
+            assert np.array_equal(indices, ham.indices)
+            assert np.array_equal(data, ham.data)
+            assert np.array_equal(np.signbit(data), np.signbit(ham.data))
+
+    def test_duplicate_twists_rejected(self):
+        with pytest.raises(ValidationError):
+            energy_series(HeisenbergModel(1.0), [4], (Twist.PBC, Twist.PBC))
+
+    def test_both_twists_peak_no_more_memory_than_one_solve(self):
+        # a second copy of the matrix data kept through the abc solve adds ~10%
+        model = SingleIonModel(1.0, 7.4)
+        ground_energy(SpinModelSpec(model, Twist.PBC), 4)  # SciPy imported before tracing
+        single = _traced_peak(lambda: ground_energy(SpinModelSpec(model, Twist.PBC), 11))
+        both = _traced_peak(lambda: energy_series(model, [11], (Twist.PBC, Twist.ABC)))
+        assert both <= 1.05 * single, (both, single)
