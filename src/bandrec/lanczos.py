@@ -1,16 +1,23 @@
 """Lanczos iteration for the lowest eigenvalue of a symmetric operator.
 
-Every new Lanczos vector is fully reorthogonalized: desk-scale Krylov
-bases are small enough that keeping them exactly orthogonal is cheap, and
-ghost copies of converged eigenvalues would corrupt the degeneracy warning.
-Each new vector gets one block-wise classical Gram-Schmidt pass against
-the stored basis, and a second one only when the DGKS test asks for it:
+The Krylov basis is kept semi-orthogonal rather than fully orthogonal:
+Simon (Math. Comp. 42, 115, 1984) shows that while every overlap between
+Lanczos vectors stays below sqrt(eps), the tridiagonal matrix is the
+projection of the operator onto an orthonormal basis of the Krylov space
+to working precision, so no ghost copies of converged eigenvalues appear
+(they would corrupt the degeneracy warning).  The overlaps are measured,
+not estimated: a two-row Gaussian sketch U = C Q of the stored basis Q is
+updated with each new row, and U w estimates the overlaps Q^T w of the
+new vector w without reading Q.  Only when the sketch puts them above
+sqrt(eps) |w| does w get a block-wise classical Gram-Schmidt pass against
+the stored basis, with a second pass only when the DGKS test asks for it:
 when the first pass shrank the vector below 1/sqrt(2) of its norm, so
 that cancellation may have left it with a visible component along the
 basis (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772, 1976).
-The start vector is drawn from a seeded generator so runs are reproducible.
-SciPy's tridiagonal eigensolvers are imported on first use, so importing
-this module (and the package) needs only numpy.
+The start vector and the sketch are drawn from separate seeded streams,
+so runs are reproducible.  SciPy's tridiagonal eigensolvers and BLAS are
+imported on first use, so importing this module (and the package) needs
+only numpy.
 """
 
 from __future__ import annotations
@@ -30,6 +37,13 @@ KRYLOV_BLOCK = 64
 #: DGKS test: a reorthogonalization pass that keeps at least this share of
 #: the norm of w needs no second pass
 DGKS_RATIO = 0.5**0.5
+
+#: semi-orthogonality level: a new vector whose sketched overlaps with the
+#: stored basis stay below sqrt(eps) of its norm skips Gram-Schmidt
+SEMI_ORTHOGONAL = np.finfo(float).eps ** 0.5
+
+#: rows of the Gaussian sketch of the stored basis
+SKETCH_ROWS = 2
 
 
 @dataclass(frozen=True)
@@ -51,6 +65,7 @@ class LanczosResult:
     residual_norm: float
     degeneracy_warning: bool
     iterations: int
+    reorth_steps: int  # steps that ran a Gram-Schmidt pass
 
 
 def lowest_eigenpair(
@@ -65,6 +80,7 @@ def lowest_eigenpair(
     became invariant without the Ritz pair passing the residual bound.
     """
     from scipy.linalg import eigvalsh_tridiagonal
+    from scipy.linalg.blas import dger
 
     config = config or LanczosConfig()
     if dim < 1:
@@ -72,7 +88,7 @@ def lowest_eigenpair(
     if dim == 1:
         v = np.ones(1)
         energy = float(matvec(v)[0])
-        return LanczosResult(energy, 0.0, False, 1), v
+        return LanczosResult(energy, 0.0, False, 1, 0), v
 
     rng = np.random.default_rng(config.seed)
     v = rng.standard_normal(dim)
@@ -85,31 +101,47 @@ def lowest_eigenpair(
     def row(i: int) -> np.ndarray:
         return blocks[i // block][i % block]
 
+    # the sketch U = C Q of the stored rows, with C Gaussian from a stream of
+    # the seed that leaves the start vector's draws untouched; it is held as
+    # the Fortran-ordered U^T, which the rank-one update dger changes in place
+    sketch_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    coeffs = sketch_rng.standard_normal((max_steps, SKETCH_ROWS))
+    sketch_t = np.zeros((dim, SKETCH_ROWS), order="F")
+    work = np.empty(dim)
+
+    def store(i: int) -> None:
+        dger(1.0, row(i), coeffs[i], a=sketch_t, overwrite_a=True)
+
     alphas: list[float] = []
     betas: list[float] = []
     row(0)[:] = v
+    store(0)
     prev_theta = np.inf
     stable = 0
     converged = False
     steps = 0
+    reorth_steps = 0
     exhausted = False
+    pair = None  # the ground Ritz pair the loop accepted
 
     for j in range(max_steps):
         w = matvec(row(j))
         alpha = float(row(j) @ w)
         alphas.append(alpha)
-        w -= alpha * row(j)
+        w -= np.multiply(row(j), alpha, out=work)
         if j > 0:
-            w -= betas[-1] * row(j - 1)
+            w -= np.multiply(row(j - 1), betas[-1], out=work)
         beta = float(np.linalg.norm(w))
-        for _ in range(2):
-            before = beta
-            for k, blk in enumerate(blocks):
-                basis = blk[: j + 1 - k * block]
-                w -= basis.T @ (basis @ w)
-            beta = float(np.linalg.norm(w))
-            if beta >= DGKS_RATIO * before:
-                break
+        if np.abs(sketch_t.T @ w).max() > SEMI_ORTHOGONAL * beta:
+            reorth_steps += 1
+            for _ in range(2):
+                before = beta
+                for k, blk in enumerate(blocks):
+                    basis = blk[: j + 1 - k * block]
+                    w -= basis.T @ (basis @ w)
+                beta = float(np.linalg.norm(w))
+                if beta >= DGKS_RATIO * before:
+                    break
         steps = j + 1
 
         ritz_vals = eigvalsh_tridiagonal(np.array(alphas), np.array(betas[:j]))
@@ -127,20 +159,22 @@ def lowest_eigenpair(
         if stable >= 2 and steps >= 3:
             # the Ritz value has settled; accept once the residual bound
             # |beta * y_last| guarantees the eigenpair itself is converged
-            _, y = _ground_ritz_pair(alphas, betas[:j])
-            if beta * abs(y[-1]) <= 0.5e-8 * norm_est:
+            candidate = _ground_ritz_pair(alphas, betas[:j])
+            if beta * abs(candidate[1][-1]) <= 0.5e-8 * norm_est:
+                pair = candidate
                 converged = True
                 break
         if j + 1 < max_steps:
             if (j + 1) % block == 0:
                 blocks.append(np.empty((block, dim)))
-            row(j + 1)[:] = w / beta
+            np.divide(w, beta, out=row(j + 1))  # beta > 0: the exhaustion stop came first
+            store(j + 1)
             betas.append(beta)
 
     if steps == dim and not exhausted:
         converged = True  # full Krylov basis reached
 
-    theta, y = _ground_ritz_pair(alphas, betas[: steps - 1])
+    theta, y = pair or _ground_ritz_pair(alphas, betas[: steps - 1])
     parts = np.split(y, range(block, steps, block))  # one part of y per block
     vector = sum(part @ blk[: len(part)] for part, blk in zip(parts, blocks))
     vector /= np.linalg.norm(vector)
@@ -158,9 +192,10 @@ def lowest_eigenpair(
         err.best_estimate = theta
         raise err
 
-    ritz = eigvalsh_tridiagonal(np.array(alphas), np.array(betas[: steps - 1]))
-    degenerate = bool(len(ritz) >= 2 and ritz[1] - ritz[0] <= 1e-10)
-    return LanczosResult(float(theta), residual, degenerate, steps), vector
+    # the last step's Ritz values are those of the final tridiagonal matrix
+    degenerate = bool(len(ritz_vals) >= 2 and ritz_vals[1] - ritz_vals[0] <= 1e-10)
+    result = LanczosResult(float(theta), residual, degenerate, steps, reorth_steps)
+    return result, vector
 
 
 def _ground_ritz_pair(alphas: list[float], betas: list[float]) -> tuple[float, np.ndarray]:

@@ -272,6 +272,8 @@ class GroundStateResult:
     E0: float
     residual_norm: float
     degeneracy_warning: bool
+    iterations: int
+    reorth_steps: int  # Lanczos steps that ran a Gram-Schmidt pass
 
 
 def ground_energy(
@@ -297,6 +299,8 @@ def ground_energy(
         E0=lanczos_result.energy,
         residual_norm=lanczos_result.residual_norm,
         degeneracy_warning=lanczos_result.degeneracy_warning,
+        iterations=lanczos_result.iterations,
+        reorth_steps=lanczos_result.reorth_steps,
     )
 
 

@@ -289,6 +289,8 @@ class TestGroundEnergy:
         for L in (8, 12):
             r = ground_energy(SpinModelSpec(HeisenbergModel(1.0)), L)
             assert r.residual_norm <= 1e-8 * (abs(r.E0) + 1.0)
+            assert 0 <= r.reorth_steps <= r.iterations
+            assert r.iterations >= 3
 
 
 class TestLanczosSolver:
@@ -324,6 +326,19 @@ class TestLanczosSolver:
             return diag * x + 1e5 * (g @ x) * start[0]
 
         result, _ = lowest_eigenpair(matvec, dim)
+        assert result.energy == pytest.approx(np.linalg.eigvalsh(np.diag(diag))[0], abs=1e-10)
+        assert not result.degeneracy_warning
+        # the sketch sees the large overlap with the start vector on every step
+        assert result.reorth_steps == result.iterations - 1
+
+    def test_sketch_reorthogonalizes_once_an_outlier_has_converged(self):
+        # the isolated top eigenvalue converges within a few steps, and later
+        # vectors regain a component along its Ritz vector; the ground state
+        # at the edge of the dense part needs well over 150 steps
+        diag = np.concatenate((np.linspace(0.0, 1.0, 999), [10.0]))
+        result, _ = lowest_eigenpair(lambda x: diag * x, diag.size)
+        assert result.iterations > 150
+        assert result.reorth_steps >= 1
         assert result.energy == pytest.approx(np.linalg.eigvalsh(np.diag(diag))[0], abs=1e-10)
         assert not result.degeneracy_warning
 
@@ -375,6 +390,9 @@ class TestLanczosSolver:
         assert r2.energy == pytest.approx(r1.energy, rel=1e-13)
         assert r2.energy == pytest.approx(np.linalg.eigvalsh(A)[0], rel=1e-10)
         assert np.allclose(v1, v2, atol=1e-10)
+        # a semi-orthogonal basis needs Gram-Schmidt on few steps
+        assert r1.energy == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
+        assert r1.reorth_steps <= r1.iterations / 4
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(1)
@@ -449,7 +467,7 @@ class TestSharedAssembly:
         def record(matvec, dim, config=None):
             ham = matvec.__self__
             solved.append((ham.indptr.copy(), ham.indices.copy(), ham.data.copy()))
-            return lanczos.LanczosResult(0.0, 0.0, False, 1), None
+            return lanczos.LanczosResult(0.0, 0.0, False, 1, 0), None
 
         monkeypatch.setattr(spinchain, "lowest_eigenpair", record)
         energy_series(model, _sizes(model), twists)
