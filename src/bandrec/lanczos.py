@@ -15,9 +15,11 @@ when the first pass shrank the vector below 1/sqrt(2) of its norm, so
 that cancellation may have left it with a visible component along the
 basis (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772, 1976).
 The start vector and the sketch are drawn from separate seeded streams,
-so runs are reproducible.  SciPy's tridiagonal eigensolvers and BLAS are
-imported on first use, so importing this module (and the package) needs
-only numpy.
+so runs are reproducible.  The Ritz values of every step come from LAPACK
+dsterf, called directly; it is the routine SciPy's eigvalsh_tridiagonal
+reaches through dstevd, so the values are the same.  SciPy's LAPACK and
+BLAS wrappers are imported on first use, so importing this module (and the
+package) needs only numpy.
 """
 
 from __future__ import annotations
@@ -77,10 +79,11 @@ def lowest_eigenpair(
 
     Raises NumericalError (with `best_estimate` attached) if the Ritz value
     has not settled within `max_iter` iterations, or if the Krylov space
-    became invariant without the Ritz pair passing the residual bound.
+    became invariant without the Ritz pair passing the residual bound; and
+    (without it) if dsterf reports a failure.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
     from scipy.linalg.blas import dger
+    from scipy.linalg.lapack import dsterf
 
     config = config or LanczosConfig()
     if dim < 1:
@@ -144,7 +147,13 @@ def lowest_eigenpair(
                     break
         steps = j + 1
 
-        ritz_vals = eigvalsh_tridiagonal(np.array(alphas), np.array(betas[:j]))
+        # T is 1x1 on the first step, and dsterf's wrapper rejects its empty off-diagonal
+        if j == 0:
+            ritz_vals = np.array(alphas)
+        else:
+            ritz_vals, info = dsterf(np.array(alphas), np.array(betas[:j]))
+            if info:
+                raise NumericalError(f"dsterf failed on the {j + 1}-step tridiagonal (info={info})")
         theta = float(ritz_vals[0])
         norm_est = max(1.0, abs(ritz_vals[0]), abs(ritz_vals[-1]))
         if abs(theta - prev_theta) <= config.tol_energy * max(1.0, abs(theta)):

@@ -4,15 +4,18 @@ Models: the spin-1/2 exchange ring, its bond-alternating variant, and the
 spin-1 ring with a single-ion (S^z)^2 term.  All conserve total S^z, so the
 Hamiltonian acts inside one magnetization sector.  Its configurations are
 base-d digit codes with a fixed digit sum, built in ascending order digit by
-digit without visiting the other d^L codes.  The sector Hamiltonian is one
-`scipy.sparse` CSR matrix with int32 indices; SciPy is imported only when a
+digit without visiting the other d^L codes.  The sector Hamiltonian is real
+symmetric and is held once, as H = D + A + A^T: its diagonal D and one
+`scipy.sparse` CSR matrix A (int32 indices) of its strictly lower triangle,
+one stored hop per bond and state (the sector ED of Sandvik, AIP Conf.
+Proc. 1297, 135, 2010, arXiv:1101.3281).  SciPy is imported only when a
 Hamiltonian is built.
 
 Antiperiodic boundary conditions flip the sign of the transverse part of
 the boundary bond (S+_L S-_1 terms) and leave S^z_L S^z_1 unchanged.  So
 `energy_series` builds one basis and one matrix per size, solves the first
-twist on it, and reaches the other by negating the boundary-bond hops in
-place: an exact flip, with no second matrix.
+twist on it, and reaches the other by negating the boundary-bond hops of A
+in place: an exact flip, with no second matrix.
 """
 
 from __future__ import annotations
@@ -161,16 +164,50 @@ class SectorBasis:
         return (self.states // self.local_dim**site) % self.local_dim
 
 
+@dataclass(frozen=True)
+class SectorHamiltonian:
+    """A real symmetric sector Hamiltonian H = D + A + A^T.
+
+    `diag` holds D; `A` is a CSR matrix (int32 indices) of the strictly
+    lower triangle, so each off-diagonal pair is stored once.  Each row
+    holds its entries in bond order, and the L=2 ring keeps one entry per
+    bond at the same position; both products below sum them.
+    """
+
+    diag: np.ndarray
+    A: "scipy.sparse.csr_matrix"
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """H v as one new array: D v, then A v and A^T v added into it."""
+        # the kernels behind SciPy's own sparse products (private module);
+        # both add into `out`, so no temporary per product
+        from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+
+        out = self.diag * v
+        n, A = self.diag.size, self.A
+        csr_matvec(n, n, A.indptr, A.indices, A.data, v, out)
+        # A's arrays read as compressed columns are A^T
+        csc_matvec(n, n, A.indptr, A.indices, A.data, v, out)
+        return out
+
+    def toarray(self) -> np.ndarray:
+        lower = self.A.toarray()
+        return np.diag(self.diag) + lower + lower.T
+
+
 def build_hamiltonian(
     spec: SpinModelSpec,
     L: int,
     sector: SectorBasis | None = None,
     twist_bond: int | None = None,
-) -> "scipy.sparse.csr_matrix":
-    """The sector-restricted Hamiltonian of one model as a CSR matrix.
+) -> SectorHamiltonian:
+    """The sector-restricted Hamiltonian of one model, as D + A + A^T.
 
-    Entries that several bonds put at one position are summed (the L=2 ring
-    couples its two sites through both of its bonds).
+    Each bond stores one hop: the one that raises its less significant site
+    and lowers the other.  That hop lowers the code, so its entry lies below
+    the diagonal, in the row of the source state.  The hops are filled in
+    bond order, so bond L-1's (raise site 0, lower site L-1) is the last
+    entry of its row.
 
     `twist_bond` selects which bond carries the antiperiodic sign (default:
     the boundary bond L-1); moving it is a gauge choice used only by tests.
@@ -195,16 +232,17 @@ def build_hamiltonian(
         transverse_sign[twist_bond] = -1.0
 
     digits = [sector.digits(i).astype(np.int8) for i in range(L)]
-    spin = s2 / 2.0
-    m_vals = [dig - spin for dig in digits]  # S^z eigenvalue per site
+    # S^z eigenvalue of each level, looked up bond by bond: float64 whatever
+    # numpy's promotion of int8 arrays with Python floats, with no per-site
+    # arrays kept
+    m_of_level = np.arange(d) - s2 / 2.0
 
     diag = np.zeros(sector.dim)
     for b in range(L):
-        diag += couplings[b] * m_vals[b] * m_vals[(b + 1) % L]
+        diag += couplings[b] * m_of_level[digits[b]] * m_of_level[digits[(b + 1) % L]]
     if model.onsite_anisotropy:
         for i in range(L):
-            diag += model.onsite_anisotropy * m_vals[i] ** 2
-    del m_vals  # L dense arrays, freed before the matrix is allocated
+            diag += model.onsite_anisotropy * m_of_level[digits[i]] ** 2
 
     # <m+1|S+|m> = sqrt(s(s+1) - m(m+1)) is sqrt(2s) for every m of spin 1/2
     # and of spin 1, so each hop has one amplitude (amp * r) * r
@@ -213,28 +251,25 @@ def build_hamiltonian(
     from scipy.sparse import csr_matrix
 
     powers = [d**i for i in range(L)]
-    # (raised site, lowered site, amplitude, mask of the source states), in
-    # bond order: `_negate_twist_bond` finds bond L-1's hops last in each row
+    # (raised site, lowered site, amplitude, mask of the source states) in
+    # bond order; the raised site is the less significant one of the bond
     hops = []
     for b in range(L):
-        i, j = b, (b + 1) % L
+        up_site, down_site = (b, b + 1) if b < L - 1 else (0, L - 1)
         amp = 0.5 * couplings[b] * transverse_sign[b]
-        for up_site, down_site in ((i, j), (j, i)):
-            mask = (digits[up_site] < d - 1) & (digits[down_site] > 0)
-            hops.append((up_site, down_site, amp, mask))
+        mask = (digits[up_site] < d - 1) & (digits[down_site] > 0)
+        hops.append((up_site, down_site, amp, mask))
+    del digits  # L arrays, freed before the matrix is allocated
 
-    # H is real symmetric, so a hop's entry <dst|H|src> is stored in row src;
-    # the row lengths are then known before any destination is looked up
-    row_nnz = np.ones(sector.dim, dtype=np.int64)
+    # the row lengths are known before any destination is looked up
+    row_nnz = np.zeros(sector.dim, dtype=np.int64)
     for *_, mask in hops:
         row_nnz += mask
     indptr = np.concatenate(([0], np.cumsum(row_nnz)))
+    del row_nnz
     indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty(indptr[-1])
     slot = indptr[:-1].copy()  # next free position of every row
-    indices[slot] = np.arange(sector.dim)
-    data[slot] = diag
-    slot += 1
     for up_site, down_site, amp, mask in hops:
         src = np.flatnonzero(mask)
         at = slot[src]
@@ -242,29 +277,22 @@ def build_hamiltonian(
         indices[at] = np.searchsorted(sector.states, dst_codes)
         data[at] = amp * raise_amp * raise_amp
         slot[src] += 1
-    ham = csr_matrix((data, indices, indptr), shape=(sector.dim, sector.dim))
-    if L == 2:
-        ham.sum_duplicates()  # from L=3 on, no two bonds reach the same state
-    return ham
+    lower = csr_matrix((data, indices, indptr), shape=(sector.dim, sector.dim))
+    return SectorHamiltonian(diag, lower)
 
 
-def _negate_twist_bond(ham: "scipy.sparse.csr_matrix", sector: SectorBasis) -> None:
+def _negate_twist_bond(ham: SectorHamiltonian, sector: SectorBasis) -> None:
     """Turn the pbc matrix of `build_hamiltonian` into the abc one, or back, in place.
 
-    Only the hops of the twist bond L-1 (sites L-1 and 0) change sign.  The
-    fill loop stores every row's hops in bond order, and bond L-1's two hops
-    (raise L-1, lower 0) then (raise 0, lower L-1) last, so they are the last
-    one or two entries of their row.  Negation is exact, so the result equals
-    the matrix built with the other twist, signed zeros included.  For L >= 3
-    only: the L=2 ring sums its two bonds into one entry.
+    Only the hops of the twist bond L-1 change sign.  Its one stored hop
+    (raise site 0, lower site L-1) is the last entry of every row whose
+    state allows it, for every L >= 2.  Negation is exact, so the result
+    equals the matrix built with the other twist, signed zeros included.
     """
     d = sector.local_dim
-    first, last = sector.digits(0), sector.digits(sector.L - 1)
-    raise_last = (last < d - 1) & (first > 0)
-    raise_first = (first < d - 1) & (last > 0)
-    end = ham.indptr[1:]
-    for at in (end[raise_first] - 1, end[raise_last] - 1 - raise_first[raise_last]):
-        ham.data[at] = -ham.data[at]
+    rows = (sector.digits(0) < d - 1) & (sector.digits(sector.L - 1) > 0)
+    at = ham.A.indptr[1:][rows] - 1
+    ham.A.data[at] = -ham.A.data[at]
 
 
 @dataclass
@@ -294,7 +322,7 @@ def ground_energy(
     if basis.dim < 1:
         raise ValidationError(f"empty S^z=0 sector for L={L}")
     ham = build_hamiltonian(spec, L, basis)
-    lanczos_result, _ = lowest_eigenpair(ham.dot, ham.shape[0], config)
+    lanczos_result, _ = lowest_eigenpair(ham.matvec, ham.diag.size, config)
     return GroundStateResult(
         E0=lanczos_result.energy,
         residual_norm=lanczos_result.residual_norm,
@@ -315,9 +343,8 @@ def energy_series(
 
     Each size's sector basis and Hamiltonian are built once, with the first
     twist; every further twist negates the twist-bond hops in place
-    (`_negate_twist_bond`), so both twists share one matrix and the energies
-    equal those of `ground_energy` bit for bit.  The two-site ring, whose
-    bonds share their entries, is built once per twist.
+    (`_negate_twist_bond`, for every L >= 2), so both twists share one
+    matrix and the energies equal those of `ground_energy` bit for bit.
     """
     sizes = sorted(set(int(s) for s in sizes))
     twists = tuple(twists)
@@ -341,10 +368,10 @@ def energy_series(
         basis = SectorBasis.build(L, model.local_dim)
         ham = None
         for twist in twists:
-            if ham is None or L == 2:
+            if ham is None:
                 ham = build_hamiltonian(SpinModelSpec(model, twist), L, basis)
             else:
                 _negate_twist_bond(ham, basis)
-            series.add(L, twist, lowest_eigenpair(ham.dot, ham.shape[0], config)[0].energy)
+            series.add(L, twist, lowest_eigenpair(ham.matvec, ham.diag.size, config)[0].energy)
         del ham, basis  # freed before the next size is built
     return series

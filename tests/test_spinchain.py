@@ -168,23 +168,33 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
     def test_doubled_bond_is_one_summed_entry(self, twist):
-        # both bonds of the L=2 ring couple sites 0 and 1
+        # both bonds of the L=2 ring couple sites 0 and 1: A keeps one entry
+        # per bond at the one position below the diagonal, and both products
+        # read them as one entry, J (pbc) or 0 (abc)
         ham = build_hamiltonian(SpinModelSpec(HeisenbergModel(1.0), twist), 2)
-        assert ham.indices.dtype == np.int32 and ham.indptr.dtype == np.int32
-        assert ham.has_canonical_format
-        assert ham.nnz == 4
+        assert ham.A.indices.dtype == np.int32 and ham.A.indptr.dtype == np.int32
+        assert ham.A.nnz == 2
+        assert np.array_equal(ham.A.indices, [0, 0]) and np.array_equal(ham.A.indptr, [0, 0, 2])
+        expected = 1.0 if twist is Twist.PBC else 0.0
+        assert np.array_equal(ham.toarray(), [[-0.5, expected], [expected, -0.5]])
+        assert np.array_equal(ham.matvec(np.array([1.0, 0.0])), [-0.5, expected])
+        assert np.array_equal(ham.matvec(np.array([0.0, 1.0])), [expected, -0.5])
 
     @pytest.mark.parametrize("model", [HeisenbergModel(1.0), SingleIonModel(1.0, 7.4)])
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
     def test_no_position_repeats_from_three_sites(self, model, twist):
-        # duplicates are summed only at L=2, so from L=3 on none may occur
+        # A is strictly lower triangular, int32-indexed and, from L=3 on,
+        # holds each position once
         for L in range(3, 9):
             sector = SectorBasis.build(L, model.local_dim, sz2_total=L * (model.local_dim - 1) % 2)
-            ham = build_hamiltonian(SpinModelSpec(model, twist), L, sector)
-            summed = ham.copy()
+            A = build_hamiltonian(SpinModelSpec(model, twist), L, sector).A
+            assert sector.dim > 0 and A.nnz > 0
+            assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
+            rows = np.repeat(np.arange(sector.dim), np.diff(A.indptr))
+            assert np.all(A.indices < rows), (model.kind, twist, L)
+            summed = A.copy()
             summed.sum_duplicates()
-            assert sector.dim > 0
-            assert ham.nnz == summed.nnz, (model.kind, twist, L)
+            assert A.nnz == summed.nnz, (model.kind, twist, L)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_hermiticity_on_random_vectors(self, model):
@@ -194,11 +204,60 @@ class TestHamiltonian:
             ham = build_hamiltonian(SpinModelSpec(model, Twist.ABC), L)
             rng = np.random.default_rng(L)
             for _ in range(3):
-                u = rng.standard_normal(ham.shape[0])
-                v = rng.standard_normal(ham.shape[0])
-                lhs = u @ (ham @ v)
-                rhs = (ham @ u) @ v
+                u = rng.standard_normal(ham.diag.size)
+                v = rng.standard_normal(ham.diag.size)
+                lhs = u @ ham.matvec(v)
+                rhs = ham.matvec(u) @ v
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
+    def test_matvec_equals_dense_product(self, model, twist):
+        for L in range(2, 11 if model.local_dim == 2 else 8):
+            if model.local_dim == 2 and L % 2:
+                continue
+            ham = build_hamiltonian(SpinModelSpec(model, twist), L)
+            H = ham.toarray()
+            v = np.random.default_rng(L).standard_normal(ham.diag.size)
+            out = ham.matvec(v)
+            assert out is not v and out.shape == v.shape
+            assert np.max(np.abs(out - H @ v)) <= 1e-13 * max(1.0, np.max(np.abs(H @ v))), L
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_diagonal_keeps_the_per_site_arithmetic(self, model):
+        # the bond-by-bond sum over per-site S^z arrays, in the same order
+        for L in range(2, 11 if model.local_dim == 2 else 9):
+            basis = SectorBasis.build(L, model.local_dim, sz2_total=L * (model.local_dim - 1) % 2)
+            d = model.local_dim
+            m = [(basis.states // d**i) % d - (d - 1) / 2.0 for i in range(L)]
+            couplings = model.bond_couplings(L)
+            expected = np.zeros(basis.dim)
+            for b in range(L):
+                expected += couplings[b] * m[b] * m[(b + 1) % L]
+            if model.onsite_anisotropy:
+                for i in range(L):
+                    expected += model.onsite_anisotropy * m[i] ** 2
+            diag = build_hamiltonian(SpinModelSpec(model, Twist.ABC), L, basis).diag
+            assert diag.dtype == np.float64
+            assert np.array_equal(diag, expected) and np.array_equal(np.signbit(diag), np.signbit(expected))
+
+    def test_each_offdiagonal_pair_is_stored_once(self):
+        # diag (8 bytes a state), A's data and indices (12 bytes a pair) and
+        # its int32 row pointers; the pairs are counted combinatorially
+        L, d = 11, 3
+        count = np.zeros((L + 1, L * (d - 1) + 1), dtype=np.int64)  # digit strings by sum
+        count[0, 0] = 1
+        for n in range(1, L + 1):
+            for digit in range(d):
+                count[n, digit:] += count[n - 1, : count.shape[1] - digit]
+        half = L * (d - 1) // 2
+        dim = int(count[L, half])
+        # a pair per bond and state whose raised site is below d-1 and lowered site above 0
+        pairs = L * int(sum(count[L - 2, half - a - b] for a in range(d - 1) for b in range(1, d)))
+        ham = build_hamiltonian(SpinModelSpec(SingleIonModel(1.0, 7.4)), L)
+        assert ham.diag.size == dim and ham.A.nnz == pairs
+        stored = ham.diag.nbytes + ham.A.data.nbytes + ham.A.indices.nbytes + ham.A.indptr.nbytes
+        assert stored <= 8 * dim + 12 * pairs + 4 * (dim + 1), (stored, dim, pairs)
 
     @pytest.mark.parametrize("L", [4, 6, 8])
     def test_sector_contains_full_space_minimum(self, L):
@@ -351,6 +410,14 @@ class TestLanczosSolver:
             lowest_eigenpair(lambda x: A @ x, 400, config)
         assert hasattr(excinfo.value, "best_estimate")
 
+    def test_tridiagonal_failure_is_a_numerical_error(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", lambda d, e: (np.sort(d), 1))
+        A = np.diag(np.arange(10.0))
+        with pytest.raises(NumericalError):
+            lowest_eigenpair(lambda x: A @ x, 10)
+
     def test_early_stop_on_a_wide_spectrum_is_not_accepted(self):
         # beta is judged against the widest Ritz value (1e14), so the solve
         # stops after 3 steps at 0.2298 with residual 0.19; exact E0 is -1
@@ -461,12 +528,16 @@ class TestSharedAssembly:
     @pytest.mark.parametrize("model", ALL_MODELS)
     @pytest.mark.parametrize("twists", TWIST_ORDERS)
     def test_solved_matrices_equal_per_twist_builds(self, model, twists, monkeypatch):
-        # the dimerized twist bond couples J(1 + delta); L=2 sums two bonds per entry
+        # the dimerized twist bond couples J(1 + delta); at L=2 the flipped
+        # entry shares its position with bond 0's
         solved = []
 
         def record(matvec, dim, config=None):
             ham = matvec.__self__
-            solved.append((ham.indptr.copy(), ham.indices.copy(), ham.data.copy()))
+            assert dim == ham.diag.size
+            solved.append(
+                (ham.diag.copy(), ham.A.indptr.copy(), ham.A.indices.copy(), ham.A.data.copy())
+            )
             return lanczos.LanczosResult(0.0, 0.0, False, 1, 0), None
 
         monkeypatch.setattr(spinchain, "lowest_eigenpair", record)
@@ -478,11 +549,13 @@ class TestSharedAssembly:
             for twist in twists
         ]
         assert len(solved) == len(expected)
-        for (indptr, indices, data), ham in zip(solved, expected):
-            assert np.array_equal(indptr, ham.indptr)
-            assert np.array_equal(indices, ham.indices)
-            assert np.array_equal(data, ham.data)
-            assert np.array_equal(np.signbit(data), np.signbit(ham.data))
+        for (diag, indptr, indices, data), ham in zip(solved, expected):
+            assert np.array_equal(diag, ham.diag)
+            assert np.array_equal(np.signbit(diag), np.signbit(ham.diag))
+            assert np.array_equal(indptr, ham.A.indptr)
+            assert np.array_equal(indices, ham.A.indices)
+            assert np.array_equal(data, ham.A.data)
+            assert np.array_equal(np.signbit(data), np.signbit(ham.A.data))
 
     def test_duplicate_twists_rejected(self):
         with pytest.raises(ValidationError):
