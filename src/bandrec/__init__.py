@@ -70,10 +70,8 @@ from .riemann import (
     synth_energy_series,
 )
 from .spinchain import (
-    DimerizedModel,
-    HeisenbergModel,
     SectorBasis,
-    SingleIonModel,
+    SpinChain,
     SpinModelSpec,
     build_hamiltonian,
     energy_series,
@@ -85,12 +83,10 @@ __all__ = [
     "AbsSineBand",
     "AllFrom1",
     "BCoefficients",
-    "DimerizedModel",
     "EnergySeries",
     "EvenOnly",
     "FourierBand",
     "From2",
-    "HeisenbergModel",
     "Hypothesis",
     "LanczosConfig",
     "MODEL_EXPONENTIAL",
@@ -99,7 +95,7 @@ __all__ = [
     "NumericalError",
     "SampledBand",
     "SectorBasis",
-    "SingleIonModel",
+    "SpinChain",
     "SpinModelSpec",
     "Statistics",
     "Twist",

@@ -38,7 +38,7 @@ from .seriesio import (
     write_band_samples_csv,
     write_energy_csv,
 )
-from .spinchain import DimerizedModel, HeisenbergModel, SingleIonModel, energy_series
+from .spinchain import SpinChain, energy_series
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -61,18 +61,11 @@ def _twists(text: str) -> tuple[Twist, ...]:
 
 
 def _build_model(args):
-    name = args.model.lower()
-    if name == "heisenberg":
-        return HeisenbergModel(J=args.J)
-    if name == "dimerized":
-        if args.delta is None:
-            raise ValidationError("--delta is required for the dimerized model")
-        return DimerizedModel(J=args.J, delta=args.delta)
-    if name == "single-ion":
-        if args.D is None:
-            raise ValidationError("--D is required for the single-ion model")
-        return SingleIonModel(J=args.J, D=args.D)
-    raise ValidationError(f"unknown model {args.model!r}")
+    if args.model == "dimerized" and args.delta is None:
+        raise ValidationError("--delta is required for the dimerized model")
+    if args.model == "single-ion" and args.D is None:
+        raise ValidationError("--D is required for the single-ion model")
+    return SpinChain(args.model, args.J, args.delta or 0.0, args.D or 0.0)
 
 
 def cmd_ed(args) -> int:

@@ -1,10 +1,12 @@
 """Sector-restricted exact diagonalization of three 1D spin chains.
 
 Models: the spin-1/2 exchange ring, its bond-alternating variant, and the
-spin-1 ring with a single-ion (S^z)^2 term.  All conserve total S^z, so the
-Hamiltonian acts inside one magnetization sector.  Its configurations are
-base-d digit codes with a fixed digit sum, built in ascending order digit by
-digit without visiting the other d^L codes.  The sector Hamiltonian is real
+spin-1 ring with a single-ion (S^z)^2 term.  They differ only in local
+dimension, bond couplings and the on-site term, so one spec, `SpinChain`,
+holds all three.  All conserve total S^z, so the Hamiltonian acts inside
+one magnetization sector.  Its configurations are base-d digit codes with
+a fixed digit sum, built in ascending order digit by digit without visiting
+the other d^L codes.  The sector Hamiltonian is real
 symmetric and is held once, as H = D + A + A^T: its diagonal D and one
 `scipy.sparse` CSR matrix A (int32 indices) of its strictly lower triangle,
 one stored hop per bond and state (the sector ED of Sandvik, AIP Conf.
@@ -27,76 +29,56 @@ from typing import Iterable
 import numpy as np
 
 from .core import Twist, ValidationError
-from .lanczos import LanczosConfig, lowest_eigenpair
+from .lanczos import LanczosConfig, LanczosResult, lowest_eigenpair
 from .riemann import SOURCE_EXACT_DIAG, EnergySeries
 
 
-@dataclass(frozen=True)
-class HeisenbergModel:
-    """Uniform nearest-neighbour exchange ring of spin-1/2 sites."""
-
-    J: float = 1.0
-
-    kind = "heisenberg"
-    local_dim = 2
-    nu_hint = 1.0
-
-    def bond_couplings(self, L: int) -> np.ndarray:
-        return np.full(L, self.J)
-
-    onsite_anisotropy = 0.0
+# local dimension and filling hint of each model, by its CLI and CSV name
+_MODELS = {"heisenberg": (2, 1.0), "dimerized": (2, 3.0), "single-ion": (3, 2.0)}
 
 
 @dataclass(frozen=True)
-class DimerizedModel:
-    """Spin-1/2 exchange ring with alternating bond strengths J*(1 -+ delta)."""
+class SpinChain:
+    """One of the three exchange rings, named by `kind`.
 
+    Bond b couples sites (b, b+1) with J*(1 -+ delta), alternating from
+    1 - delta on bond 0; only `dimerized` takes delta.  Only `single-ion`
+    (spin 1) takes D, which adds J*D*(S^z)^2 on every site.
+    """
+
+    kind: str
     J: float = 1.0
     delta: float = 0.0
-
-    kind = "dimerized"
-    local_dim = 2
-    nu_hint = 3.0
+    D: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in _MODELS:
+            raise ValidationError(f"unknown model {self.kind!r}")
+        if self.delta and self.kind != "dimerized":
+            raise ValidationError(f"the {self.kind} model takes no delta")
+        if self.D and self.kind != "single-ion":
+            raise ValidationError(f"the {self.kind} model takes no D")
         if not abs(self.delta) < 1:
             raise ValidationError(f"|delta| must be < 1, got {self.delta}")
 
-    def bond_couplings(self, L: int) -> np.ndarray:
-        # bond b couples sites (b, b+1); alternation starts with 1 - delta
-        signs = np.where(np.arange(L) % 2 == 0, -1.0, 1.0)
-        return self.J * (1.0 + self.delta * signs)
-
-    onsite_anisotropy = 0.0
-
-
-@dataclass(frozen=True)
-class SingleIonModel:
-    """Spin-1 exchange ring with single-ion anisotropy J*D*(S^z)^2 per site."""
-
-    J: float = 1.0
-    D: float = 0.0
-
-    kind = "single-ion"
-    local_dim = 3
-    nu_hint = 2.0
-
-    def bond_couplings(self, L: int) -> np.ndarray:
-        return np.full(L, self.J)
+    @property
+    def local_dim(self) -> int:
+        return _MODELS[self.kind][0]
 
     @property
-    def onsite_anisotropy(self) -> float:
-        return self.J * self.D
+    def nu_hint(self) -> float:
+        return _MODELS[self.kind][1]
 
-
-SpinModel = HeisenbergModel | DimerizedModel | SingleIonModel
+    def bond_couplings(self, L: int) -> np.ndarray:
+        signs = np.where(np.arange(L) % 2 == 0, -1.0, 1.0)
+        return self.J * (1.0 + self.delta * signs)
 
 
 @dataclass(frozen=True)
 class SpinModelSpec:
     """A spin model together with its physical boundary twist."""
 
-    model: SpinModel
+    model: SpinChain
     boundary_twist: Twist = Twist.PBC
 
 
@@ -196,10 +178,7 @@ class SectorHamiltonian:
 
 
 def build_hamiltonian(
-    spec: SpinModelSpec,
-    L: int,
-    sector: SectorBasis | None = None,
-    twist_bond: int | None = None,
+    spec: SpinModelSpec, L: int, sector: SectorBasis | None = None
 ) -> SectorHamiltonian:
     """The sector-restricted Hamiltonian of one model, as D + A + A^T.
 
@@ -207,10 +186,8 @@ def build_hamiltonian(
     and lowers the other.  That hop lowers the code, so its entry lies below
     the diagonal, in the row of the source state.  The hops are filled in
     bond order, so bond L-1's (raise site 0, lower site L-1) is the last
-    entry of its row.
-
-    `twist_bond` selects which bond carries the antiperiodic sign (default:
-    the boundary bond L-1); moving it is a gauge choice used only by tests.
+    entry of its row.  With the abc twist, that boundary bond carries the
+    antiperiodic sign.
     """
     model = spec.model
     if L < 2:
@@ -225,11 +202,9 @@ def build_hamiltonian(
     d = model.local_dim
     s2 = d - 1  # twice the site spin
     couplings = model.bond_couplings(L)
-    if twist_bond is None:
-        twist_bond = L - 1
     transverse_sign = np.ones(L)
     if spec.boundary_twist is Twist.ABC:
-        transverse_sign[twist_bond] = -1.0
+        transverse_sign[L - 1] = -1.0
 
     digits = [sector.digits(i).astype(np.int8) for i in range(L)]
     # S^z eigenvalue of each level, looked up bond by bond: float64 whatever
@@ -240,9 +215,10 @@ def build_hamiltonian(
     diag = np.zeros(sector.dim)
     for b in range(L):
         diag += couplings[b] * m_of_level[digits[b]] * m_of_level[digits[(b + 1) % L]]
-    if model.onsite_anisotropy:
+    onsite = model.J * model.D
+    if onsite:
         for i in range(L):
-            diag += model.onsite_anisotropy * m_of_level[digits[i]] ** 2
+            diag += onsite * m_of_level[digits[i]] ** 2
 
     # <m+1|S+|m> = sqrt(s(s+1) - m(m+1)) is sqrt(2s) for every m of spin 1/2
     # and of spin 1, so each hop has one amplitude (amp * r) * r
@@ -295,45 +271,30 @@ def _negate_twist_bond(ham: SectorHamiltonian, sector: SectorBasis) -> None:
     ham.A.data[at] = -ham.A.data[at]
 
 
-@dataclass
-class GroundStateResult:
-    E0: float
-    residual_norm: float
-    degeneracy_warning: bool
-    iterations: int
-    reorth_steps: int  # Lanczos steps that ran a Gram-Schmidt pass
+def _check_size(model: SpinChain, L: int) -> None:
+    if L < 2:
+        raise ValidationError(f"sizes must be >= 2, got {L}")
+    if model.local_dim == 2 and L % 2:
+        raise ValidationError(
+            f"spin-1/2 sizes must be even (odd L has no S^z=0 sector), got L={L}"
+        )
 
 
 def ground_energy(
     spec: SpinModelSpec, L: int, config: LanczosConfig | None = None
-) -> GroundStateResult:
+) -> LanczosResult:
     """Lowest energy in the S^z = 0 sector (spin-1/2: even L only).
 
     Nothing is cached: every call builds and solves the sector anew.  The
     Lanczos start vector is seeded, so repeated calls are bit-identical.
     """
-    config = config or LanczosConfig()
-    model = spec.model
-    if model.local_dim == 2 and L % 2:
-        raise ValidationError(
-            f"odd sizes are excluded for spin-1/2 models (degenerate doublet), got L={L}"
-        )
-    basis = SectorBasis.build(L, model.local_dim)
-    if basis.dim < 1:
-        raise ValidationError(f"empty S^z=0 sector for L={L}")
-    ham = build_hamiltonian(spec, L, basis)
-    lanczos_result, _ = lowest_eigenpair(ham.matvec, ham.diag.size, config)
-    return GroundStateResult(
-        E0=lanczos_result.energy,
-        residual_norm=lanczos_result.residual_norm,
-        degeneracy_warning=lanczos_result.degeneracy_warning,
-        iterations=lanczos_result.iterations,
-        reorth_steps=lanczos_result.reorth_steps,
-    )
+    _check_size(spec.model, L)
+    ham = build_hamiltonian(spec, L)
+    return lowest_eigenpair(ham.matvec, ham.diag.size, config)[0]
 
 
 def energy_series(
-    model: SpinModel,
+    model: SpinChain,
     sizes: Iterable[int],
     twists: Iterable[Twist] = (Twist.PBC,),
     config: LanczosConfig | None = None,
@@ -353,12 +314,7 @@ def energy_series(
     if len(set(twists)) < len(twists):
         raise ValidationError(f"duplicate twists {[str(t) for t in twists]}")
     for L in sizes:
-        if L < 2:
-            raise ValidationError(f"sizes must be >= 2, got {L}")
-        if model.local_dim == 2 and L % 2:
-            raise ValidationError(
-                f"spin-1/2 series are restricted to even sizes, got {L}"
-            )
+        _check_size(model, L)
     series = EnergySeries(
         nu=model.nu_hint if nu is None else nu,
         source=SOURCE_EXACT_DIAG,

@@ -12,16 +12,14 @@ import pytest
 from bandrec import (
     AbsSineBand,
     AllFrom1,
-    DimerizedModel,
     EnergySeries,
     EvenOnly,
     FourierBand,
     From2,
-    HeisenbergModel,
     Hypothesis,
     MassiveSineBand,
     SectorBasis,
-    SingleIonModel,
+    SpinChain,
     SpinModelSpec,
     Statistics,
     Twist,
@@ -65,22 +63,22 @@ def rel_l2_distance(values, target, mean_removed=False):
 
 @pytest.fixture(scope="session")
 def heisenberg_even_series():
-    return energy_series(HeisenbergModel(1.0), range(2, 17, 2), (Twist.PBC,))
+    return energy_series(SpinChain("heisenberg", 1.0), range(2, 17, 2), (Twist.PBC,))
 
 
 @pytest.fixture(scope="session")
 def heisenberg_criterion_series():
-    return energy_series(HeisenbergModel(1.0), [2, 4, 8, 16], (Twist.PBC, Twist.ABC))
+    return energy_series(SpinChain("heisenberg", 1.0), [2, 4, 8, 16], (Twist.PBC, Twist.ABC))
 
 
 @pytest.fixture(scope="session")
 def single_ion_series():
-    return energy_series(SingleIonModel(1.0, 7.4), range(2, 13), (Twist.PBC,))
+    return energy_series(SpinChain("single-ion", 1.0, D=7.4), range(2, 13), (Twist.PBC,))
 
 
 @pytest.fixture(scope="session")
 def dimerized_series():
-    return energy_series(DimerizedModel(1.0, 0.048), range(2, 13, 2), (Twist.PBC,))
+    return energy_series(SpinChain("dimerized", 1.0, delta=0.048), range(2, 13, 2), (Twist.PBC,))
 
 
 def materialize_g(twist, size):
@@ -337,13 +335,17 @@ def test_criterion_9_dimerized_chain(dimerized_series):
 
 def test_criterion_10_ed_unit_anchors():
     """Ground-state anchors and Lanczos-vs-dense agreement on small sectors."""
-    r2 = ground_energy(SpinModelSpec(HeisenbergModel(1.0)), 2)
-    r4 = ground_energy(SpinModelSpec(HeisenbergModel(1.0)), 4)
-    ok_anchors = abs(r2.E0 + 1.5) <= 1e-10 and abs(r4.E0 + 2.0) <= 1e-10
+    r2 = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0)), 2)
+    r4 = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0)), 4)
+    ok_anchors = abs(r2.energy + 1.5) <= 1e-10 and abs(r4.energy + 2.0) <= 1e-10
 
     worst = 0.0
     checked = 0
-    for model in (HeisenbergModel(1.0), DimerizedModel(1.0, 0.048), SingleIonModel(1.0, 7.4)):
+    for model in (
+        SpinChain("heisenberg", 1.0),
+        SpinChain("dimerized", 1.0, delta=0.048),
+        SpinChain("single-ion", 1.0, D=7.4),
+    ):
         step = 2 if model.local_dim == 2 else 1
         for L in range(2, 32, step):
             if SectorBasis.build(L, model.local_dim).dim > 4096:
@@ -351,14 +353,14 @@ def test_criterion_10_ed_unit_anchors():
             for twist in (Twist.PBC, Twist.ABC):
                 spec = SpinModelSpec(model, twist)
                 dense_min = float(np.linalg.eigvalsh(build_hamiltonian(spec, L).toarray())[0])
-                lanczos_min = ground_energy(spec, L).E0
+                lanczos_min = ground_energy(spec, L).energy
                 worst = max(worst, abs(dense_min - lanczos_min))
                 checked += 1
     ok_dense = worst <= 1e-10
     verdict(
         10,
         ok_anchors and ok_dense,
-        f"anchors E0(2)={r2.E0:.12f}, E0(4)={r4.E0:.12f}; "
+        f"anchors E0(2)={r2.energy:.12f}, E0(4)={r4.energy:.12f}; "
         f"{checked} Lanczos-vs-dense sectors, worst gap {worst:.1e}",
     )
     assert ok_anchors

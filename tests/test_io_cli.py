@@ -132,6 +132,39 @@ class TestCli:
         assert code == 2
         assert "even" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model, nu",
+        [
+            (["heisenberg"], "1"),
+            (["dimerized", "--delta", "0.048"], "3"),
+            (["single-ion", "--D", "7.4"], "2"),
+        ],
+    )
+    def test_ed_writes_model_and_nu_header(self, model, nu, capsys):
+        assert main(["ed", "--model", *model, "--sizes", "2:4:2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"# model={model[0]}" in lines
+        assert f"# nu={nu}" in lines
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--model", "heisenberg", "--delta", "0.3"],
+            ["--model", "heisenberg", "--D", "5"],
+            ["--model", "single-ion", "--D", "5", "--delta", "0.3"],
+            ["--model", "dimerized", "--delta", "0.3", "--D", "5"],
+        ],
+    )
+    def test_ed_rejects_a_parameter_the_model_does_not_take(self, args, capsys):
+        assert main(["ed", *args, "--sizes", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "takes no" in captured.err
+
+    @pytest.mark.parametrize("model, flag", [("dimerized", "--delta"), ("single-ion", "--D")])
+    def test_ed_requires_the_model_parameter(self, model, flag, capsys):
+        assert main(["ed", "--model", model, "--sizes", "4"]) == 2
+        assert f"{flag} is required" in capsys.readouterr().err
+
     def test_ed_maps_an_unconverged_solve_to_exit_3(self, monkeypatch, capsys):
         # every sector is replaced by a spectrum that stops the Lanczos
         # iteration early at a wrong energy; the solver must refuse it

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,12 +6,10 @@ import pytest
 
 from bandrec import lanczos, spinchain
 from bandrec import (
-    DimerizedModel,
-    HeisenbergModel,
     LanczosConfig,
     NumericalError,
     SectorBasis,
-    SingleIonModel,
+    SpinChain,
     SpinModelSpec,
     Twist,
     ValidationError,
@@ -46,14 +45,15 @@ def site_operator(op, site, L, local_dim):
     return out
 
 
-def dense_kron_hamiltonian(model, L, twist):
+def dense_kron_hamiltonian(model, L, twist, sign_bond=-1):
+    # with the abc twist, bond `sign_bond` (default: the last) carries the sign
     d = model.local_dim
     sz, sp, sm = spin_matrices(d)
     couplings = model.bond_couplings(L)
     H = np.zeros((d**L, d**L))
     for b in range(L):
         i, j = b, (b + 1) % L
-        sign = -1.0 if (twist is Twist.ABC and b == L - 1) else 1.0
+        sign = -1.0 if (twist is Twist.ABC and b == sign_bond % L) else 1.0
         H += couplings[b] * site_operator(sz, i, L, d) @ site_operator(sz, j, L, d)
         H += (
             0.5
@@ -64,11 +64,29 @@ def dense_kron_hamiltonian(model, L, twist):
                 + site_operator(sm, i, L, d) @ site_operator(sp, j, L, d)
             )
         )
-    if model.onsite_anisotropy:
+    if model.D:
         for i in range(L):
             szi = site_operator(sz, i, L, d)
-            H += model.onsite_anisotropy * szi @ szi
+            H += model.J * model.D * szi @ szi
     return H
+
+
+def projected_kron_oracle(model, L, twist, sign_bond=-1):
+    """The Kronecker oracle restricted to the S^z = 0 sector, in sector order.
+
+    Kron order puts site 0 leftmost with m descending; the sector codes put
+    site 0 in the lowest digit with m ascending.
+    """
+    d = model.local_dim
+    full_indices = []
+    for code in SectorBasis.build(L, d).states:
+        idx = 0
+        for site in range(L):
+            level = (code // d**site) % d
+            idx += (d - 1 - level) * d ** (L - 1 - site)
+        full_indices.append(idx)
+    H_full = dense_kron_hamiltonian(model, L, twist, sign_bond)
+    return H_full[np.ix_(full_indices, full_indices)]
 
 
 def dense_sector(model, L, twist):
@@ -77,10 +95,57 @@ def dense_sector(model, L, twist):
 
 
 ALL_MODELS = [
-    HeisenbergModel(1.0),
-    DimerizedModel(1.0, 0.3),
-    SingleIonModel(1.0, 2.5),
+    SpinChain("heisenberg", 1.0),
+    SpinChain("dimerized", 1.0, delta=0.3),
+    SpinChain("single-ion", 1.0, D=2.5),
 ]
+
+
+# edge values of the parameters: signed zeros, negative couplings, delta = 0
+LITERAL_MODELS = [
+    SpinChain("heisenberg", -0.0),
+    SpinChain("heisenberg", -2.5),
+    SpinChain("dimerized", 0.7, delta=0.0),
+    SpinChain("dimerized", -1.3, delta=-0.048),
+    SpinChain("single-ion", 1.7, D=-7.4),
+]
+
+
+def literal_couplings(model, L):
+    """Bond couplings written out per model: uniform J, or J(1 -+ delta) from bond 0."""
+    if model.kind == "dimerized":
+        J, delta = model.J, model.delta
+        return np.where(np.arange(L) % 2 == 0, J * (1 - delta), J * (1 + delta))
+    return np.full(L, model.J)
+
+
+class TestSpinChain:
+    def test_table(self):
+        assert [(m.kind, m.local_dim, m.nu_hint) for m in ALL_MODELS] == [
+            ("heisenberg", 2, 1.0),
+            ("dimerized", 2, 3.0),
+            ("single-ion", 3, 2.0),
+        ]
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("heisenberg", {"delta": 0.3}),
+            ("heisenberg", {"D": 5.0}),
+            ("single-ion", {"delta": 0.1, "D": 2.0}),
+            ("dimerized", {"delta": 0.1, "D": 2.0}),
+            ("dimerized", {"delta": 1.0}),
+            ("dimerized", {"delta": float("nan")}),
+            ("xxz", {}),
+        ],
+    )
+    def test_rejects_parameters_its_model_does_not_take(self, kind, params):
+        with pytest.raises(ValidationError):
+            SpinChain(kind, 1.0, **params)
+
+    def test_zero_parameters_are_accepted_on_every_model(self):
+        for kind in ("heisenberg", "dimerized", "single-ion"):
+            assert SpinChain(kind, 1.0, delta=0.0, D=0.0).kind == kind
 
 
 class TestSectorBasis:
@@ -133,12 +198,12 @@ class TestSectorBasis:
 class TestHamiltonian:
     def test_minimum_chain_length(self):
         with pytest.raises(ValidationError):
-            build_hamiltonian(SpinModelSpec(HeisenbergModel()), 1)
+            build_hamiltonian(SpinModelSpec(SpinChain("heisenberg")), 1)
 
     def test_sector_mismatch(self):
         basis = SectorBasis.build(4, 3)
         with pytest.raises(ValidationError):
-            build_hamiltonian(SpinModelSpec(HeisenbergModel()), 4, basis)
+            build_hamiltonian(SpinModelSpec(SpinChain("heisenberg")), 4, basis)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
@@ -149,29 +214,15 @@ class TestHamiltonian:
             pytest.skip("odd spin-1/2 sector is empty")
         if model.local_dim == 3 and L > 6:
             pytest.skip("keep dense sizes small")
-        basis = SectorBasis.build(L, model.local_dim)
         H_sector = dense_sector(model, L, twist)
-        H_full = dense_kron_hamiltonian(model, L, twist)
-        # project the full matrix onto the sector configurations; kron order
-        # puts site 0 leftmost with m descending, our codes put site 0 in the
-        # lowest digit with m ascending
-        d = model.local_dim
-        full_indices = []
-        for code in basis.states:
-            idx = 0
-            for site in range(L):
-                level = (code // d**site) % d
-                idx += (d - 1 - level) * d ** (L - 1 - site)
-            full_indices.append(idx)
-        sub = H_full[np.ix_(full_indices, full_indices)]
-        assert np.max(np.abs(H_sector - sub)) < 1e-12
+        assert np.max(np.abs(H_sector - projected_kron_oracle(model, L, twist))) < 1e-12
 
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
     def test_doubled_bond_is_one_summed_entry(self, twist):
         # both bonds of the L=2 ring couple sites 0 and 1: A keeps one entry
         # per bond at the one position below the diagonal, and both products
         # read them as one entry, J (pbc) or 0 (abc)
-        ham = build_hamiltonian(SpinModelSpec(HeisenbergModel(1.0), twist), 2)
+        ham = build_hamiltonian(SpinModelSpec(SpinChain("heisenberg", 1.0), twist), 2)
         assert ham.A.indices.dtype == np.int32 and ham.A.indptr.dtype == np.int32
         assert ham.A.nnz == 2
         assert np.array_equal(ham.A.indices, [0, 0]) and np.array_equal(ham.A.indptr, [0, 0, 2])
@@ -180,7 +231,7 @@ class TestHamiltonian:
         assert np.array_equal(ham.matvec(np.array([1.0, 0.0])), [-0.5, expected])
         assert np.array_equal(ham.matvec(np.array([0.0, 1.0])), [expected, -0.5])
 
-    @pytest.mark.parametrize("model", [HeisenbergModel(1.0), SingleIonModel(1.0, 7.4)])
+    @pytest.mark.parametrize("model", [SpinChain("heisenberg", 1.0), SpinChain("single-ion", 1.0, D=7.4)])
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
     def test_no_position_repeats_from_three_sites(self, model, twist):
         # A is strictly lower triangular, int32-indexed and, from L=3 on,
@@ -223,20 +274,30 @@ class TestHamiltonian:
             assert out is not v and out.shape == v.shape
             assert np.max(np.abs(out - H @ v)) <= 1e-13 * max(1.0, np.max(np.abs(H @ v))), L
 
-    @pytest.mark.parametrize("model", ALL_MODELS)
+    @pytest.mark.parametrize("model", ALL_MODELS + LITERAL_MODELS)
+    def test_bond_couplings_keep_the_literal_formulas(self, model):
+        for L in range(2, 12):
+            couplings = model.bond_couplings(L)
+            expected = literal_couplings(model, L)
+            assert couplings.dtype == np.float64 and couplings.shape == (L,)
+            assert np.array_equal(couplings, expected)
+            assert np.array_equal(np.signbit(couplings), np.signbit(expected))
+
+    @pytest.mark.parametrize("model", ALL_MODELS + LITERAL_MODELS)
     def test_diagonal_keeps_the_per_site_arithmetic(self, model):
-        # the bond-by-bond sum over per-site S^z arrays, in the same order
+        # the bond-by-bond sum over per-site S^z arrays, in the same order,
+        # with the on-site term on spin 1 only
         for L in range(2, 11 if model.local_dim == 2 else 9):
             basis = SectorBasis.build(L, model.local_dim, sz2_total=L * (model.local_dim - 1) % 2)
             d = model.local_dim
             m = [(basis.states // d**i) % d - (d - 1) / 2.0 for i in range(L)]
-            couplings = model.bond_couplings(L)
+            couplings = literal_couplings(model, L)
             expected = np.zeros(basis.dim)
             for b in range(L):
                 expected += couplings[b] * m[b] * m[(b + 1) % L]
-            if model.onsite_anisotropy:
+            if model.kind == "single-ion":
                 for i in range(L):
-                    expected += model.onsite_anisotropy * m[i] ** 2
+                    expected += model.J * model.D * m[i] ** 2
             diag = build_hamiltonian(SpinModelSpec(model, Twist.ABC), L, basis).diag
             assert diag.dtype == np.float64
             assert np.array_equal(diag, expected) and np.array_equal(np.signbit(diag), np.signbit(expected))
@@ -254,14 +315,14 @@ class TestHamiltonian:
         dim = int(count[L, half])
         # a pair per bond and state whose raised site is below d-1 and lowered site above 0
         pairs = L * int(sum(count[L - 2, half - a - b] for a in range(d - 1) for b in range(1, d)))
-        ham = build_hamiltonian(SpinModelSpec(SingleIonModel(1.0, 7.4)), L)
+        ham = build_hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4)), L)
         assert ham.diag.size == dim and ham.A.nnz == pairs
         stored = ham.diag.nbytes + ham.A.data.nbytes + ham.A.indices.nbytes + ham.A.indptr.nbytes
         assert stored <= 8 * dim + 12 * pairs + 4 * (dim + 1), (stored, dim, pairs)
 
     @pytest.mark.parametrize("L", [4, 6, 8])
     def test_sector_contains_full_space_minimum(self, L):
-        model = HeisenbergModel(1.0)
+        model = SpinChain("heisenberg", 1.0)
         sector_min = np.linalg.eigvalsh(dense_sector(model, L, Twist.PBC))[0]
         full_min = np.linalg.eigvalsh(dense_kron_hamiltonian(model, L, Twist.PBC))[0]
         assert sector_min == pytest.approx(full_min, abs=1e-10)
@@ -276,8 +337,8 @@ class TestHamiltonian:
         d = model.local_dim
         rotated_codes = (basis.states // d) + (basis.states % d) * d ** (L - 1)
         perm = np.searchsorted(basis.states, rotated_codes)
-        if isinstance(model, DimerizedModel):
-            H_rot = dense_sector(DimerizedModel(model.J, -model.delta), L, Twist.PBC)
+        if model.kind == "dimerized":
+            H_rot = dense_sector(dataclasses.replace(model, delta=-model.delta), L, Twist.PBC)
         else:
             H_rot = H
         assert np.allclose(
@@ -287,53 +348,51 @@ class TestHamiltonian:
     @pytest.mark.parametrize("model", ALL_MODELS)
     @pytest.mark.parametrize("L", [4, 6, 8])
     def test_twist_position_is_gauge(self, model, L):
+        # the abc sign on any one bond gives the spectrum of the sign on bond L-1
         if model.local_dim == 3 and L == 8:
             pytest.skip("keep dense sizes small")
-        spec = SpinModelSpec(model, Twist.ABC)
-        spectra = []
+        built = np.linalg.eigvalsh(dense_sector(model, L, Twist.ABC))
         for bond in (0, 1, L - 1):
-            H = build_hamiltonian(spec, L, twist_bond=bond).toarray()
-            spectra.append(np.linalg.eigvalsh(H))
-        assert np.allclose(spectra[0], spectra[1], atol=1e-10)
-        assert np.allclose(spectra[0], spectra[2], atol=1e-10)
+            oracle = np.linalg.eigvalsh(projected_kron_oracle(model, L, Twist.ABC, bond))
+            assert np.allclose(built, oracle, atol=1e-10), bond
 
 
 class TestGroundEnergy:
     def test_two_site_singlet(self):
-        r = ground_energy(SpinModelSpec(HeisenbergModel(1.0)), 2)
-        assert r.E0 == pytest.approx(-1.5, abs=1e-12)
+        r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0)), 2)
+        assert r.energy == pytest.approx(-1.5, abs=1e-12)
 
     def test_four_site_value(self):
-        r = ground_energy(SpinModelSpec(HeisenbergModel(1.0)), 4)
-        assert r.E0 == pytest.approx(-2.0, abs=1e-10)
+        r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0)), 4)
+        assert r.energy == pytest.approx(-2.0, abs=1e-10)
 
     def test_couplings_scale(self):
-        r = ground_energy(SpinModelSpec(HeisenbergModel(2.5)), 4)
-        assert r.E0 == pytest.approx(-5.0, abs=1e-9)
+        r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 2.5)), 4)
+        assert r.energy == pytest.approx(-5.0, abs=1e-9)
 
     def test_twelve_site_density_near_thermodynamic_value(self):
-        r = ground_energy(SpinModelSpec(HeisenbergModel(1.0)), 12)
+        r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0)), 12)
         e_inf = 0.25 - np.log(2.0)
-        assert abs(r.E0 / 12 - e_inf) <= 0.03 * abs(e_inf)
+        assert abs(r.energy / 12 - e_inf) <= 0.03 * abs(e_inf)
 
     def test_dimerized_delta_zero_equals_heisenberg(self):
         for L in (4, 6, 8):
-            e_dim = ground_energy(SpinModelSpec(DimerizedModel(1.0, 0.0)), L).E0
-            e_heis = ground_energy(SpinModelSpec(HeisenbergModel(1.0)), L).E0
+            e_dim = ground_energy(SpinModelSpec(SpinChain("dimerized", 1.0, delta=0.0)), L).energy
+            e_heis = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0)), L).energy
             assert e_dim == pytest.approx(e_heis, abs=1e-10)
 
     def test_single_ion_large_anisotropy_perturbative(self):
         D = 1000.0
-        r = ground_energy(SpinModelSpec(SingleIonModel(1.0, D)), 2)
+        r = ground_energy(SpinModelSpec(SpinChain("single-ion", 1.0, D=D)), 2)
         # two-site dense oracle
-        dense = dense_sector(SingleIonModel(1.0, D), 2, Twist.PBC)
-        assert r.E0 == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
+        dense = dense_sector(SpinChain("single-ion", 1.0, D=D), 2, Twist.PBC)
+        assert r.energy == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
         # leading order of the level repulsion from the doubly occupied states
-        assert r.E0 == pytest.approx(-4.0 / D, abs=10.0 / D**2)
+        assert r.energy == pytest.approx(-4.0 / D, abs=10.0 / D**2)
 
     def test_odd_spin_half_rejected(self):
-        with pytest.raises(ValidationError):
-            ground_energy(SpinModelSpec(HeisenbergModel()), 5)
+        with pytest.raises(ValidationError, match="even"):
+            ground_energy(SpinModelSpec(SpinChain("heisenberg")), 5)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
@@ -342,12 +401,12 @@ class TestGroundEnergy:
         for L in sizes:
             dense_min = np.linalg.eigvalsh(dense_sector(model, L, twist))[0]
             r = ground_energy(SpinModelSpec(model, twist), L)
-            assert r.E0 == pytest.approx(dense_min, abs=1e-10), (model.kind, twist, L)
+            assert r.energy == pytest.approx(dense_min, abs=1e-10), (model.kind, twist, L)
 
     def test_residual_bound(self):
         for L in (8, 12):
-            r = ground_energy(SpinModelSpec(HeisenbergModel(1.0)), L)
-            assert r.residual_norm <= 1e-8 * (abs(r.E0) + 1.0)
+            r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0)), L)
+            assert r.residual_norm <= 1e-8 * (abs(r.energy) + 1.0)
             assert 0 <= r.reorth_steps <= r.iterations
             assert r.iterations >= 3
 
@@ -473,27 +532,27 @@ class TestLanczosSolver:
 
 class TestEnergySeries:
     def test_heisenberg_totals(self):
-        series = energy_series(HeisenbergModel(1.0), [2, 4], (Twist.PBC,))
+        series = energy_series(SpinChain("heisenberg", 1.0), [2, 4], (Twist.PBC,))
         assert series.E(2, Twist.PBC) == pytest.approx(-1.5, abs=1e-12)
         assert series.E(4, Twist.PBC) == pytest.approx(-2.0, abs=1e-10)
         assert series.source == "exact-diag"
         assert series.nu == 1.0
 
     def test_spin_one_includes_odd_sizes(self):
-        series = energy_series(SingleIonModel(1.0, 5.0), [2, 3, 4], (Twist.PBC,))
+        series = energy_series(SpinChain("single-ion", 1.0, D=5.0), [2, 3, 4], (Twist.PBC,))
         assert series.sizes(Twist.PBC) == (2, 3, 4)
 
     def test_spin_half_odd_size_rejected(self):
-        with pytest.raises(ValidationError):
-            energy_series(HeisenbergModel(1.0), [3], (Twist.PBC,))
+        with pytest.raises(ValidationError, match="even"):
+            energy_series(SpinChain("heisenberg", 1.0), [3], (Twist.PBC,))
 
     def test_sizes_below_two_rejected(self):
         with pytest.raises(ValidationError):
-            energy_series(SingleIonModel(1.0, 5.0), [1, 2], (Twist.PBC,))
+            energy_series(SpinChain("single-ion", 1.0, D=5.0), [1, 2], (Twist.PBC,))
 
     def test_nu_hints(self):
-        assert energy_series(DimerizedModel(1.0, 0.1), [2, 4]).nu == 3.0
-        assert energy_series(SingleIonModel(1.0, 5.0), [2, 3]).nu == 2.0
+        assert energy_series(SpinChain("dimerized", 1.0, delta=0.1), [2, 4]).nu == 3.0
+        assert energy_series(SpinChain("single-ion", 1.0, D=5.0), [2, 3]).nu == 2.0
 
 
 def _sizes(model):
@@ -523,7 +582,7 @@ class TestSharedAssembly:
         for twist in twists:
             spec = SpinModelSpec(model, twist)
             for L in _sizes(model):
-                assert series.E(L, twist) == ground_energy(spec, L).E0, (twist, L)
+                assert series.E(L, twist) == ground_energy(spec, L).energy, (twist, L)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     @pytest.mark.parametrize("twists", TWIST_ORDERS)
@@ -559,11 +618,11 @@ class TestSharedAssembly:
 
     def test_duplicate_twists_rejected(self):
         with pytest.raises(ValidationError):
-            energy_series(HeisenbergModel(1.0), [4], (Twist.PBC, Twist.PBC))
+            energy_series(SpinChain("heisenberg", 1.0), [4], (Twist.PBC, Twist.PBC))
 
     def test_both_twists_peak_no_more_memory_than_one_solve(self):
         # a second copy of the matrix data kept through the abc solve adds ~10%
-        model = SingleIonModel(1.0, 7.4)
+        model = SpinChain("single-ion", 1.0, D=7.4)
         ground_energy(SpinModelSpec(model, Twist.PBC), 4)  # SciPy imported before tracing
         single = _traced_peak(lambda: ground_energy(SpinModelSpec(model, Twist.PBC), 11))
         both = _traced_peak(lambda: energy_series(model, [11], (Twist.PBC, Twist.ABC)))
