@@ -24,8 +24,6 @@ from .bands import (
     AbsSineBand,
     FourierBand,
     MassiveSineBand,
-    SampledBand,
-    band_fourier_coefficients,
     uniform_grid,
 )
 from .core import (
@@ -42,17 +40,10 @@ from .inversion import (
     From2,
     convergence_curve,
     invert_coefficients,
-    reconstruct_function,
     size_set_for,
 )
 from .lanczos import LanczosConfig, lowest_eigenpair
-from .numtheory import (
-    BCoefficients,
-    b_coefficients,
-    divisors,
-    mertens,
-    moebius,
-)
+from .numtheory import b_coefficients, moebius_table
 from .reconstruct import (
     MODEL_EXPONENTIAL,
     MODEL_POWER_LAW_2,
@@ -82,7 +73,6 @@ __all__ = [
     "ALL_HYPOTHESES",
     "AbsSineBand",
     "AllFrom1",
-    "BCoefficients",
     "EnergySeries",
     "EvenOnly",
     "FourierBand",
@@ -93,7 +83,6 @@ __all__ = [
     "MODEL_POWER_LAW_2",
     "MassiveSineBand",
     "NumericalError",
-    "SampledBand",
     "SectorBasis",
     "SpinChain",
     "SpinModelSpec",
@@ -101,23 +90,19 @@ __all__ = [
     "Twist",
     "ValidationError",
     "b_coefficients",
-    "band_fourier_coefficients",
     "build_hamiltonian",
     "classify",
     "convergence_curve",
     "criterion_check",
-    "divisors",
     "e_inf_sensitivity",
     "energy_series",
     "extrapolate_e_inf",
     "ground_energy",
     "invert_coefficients",
     "lowest_eigenpair",
-    "mertens",
-    "moebius",
+    "moebius_table",
     "momenta",
     "reconstruct_band",
-    "reconstruct_function",
     "residual_series",
     "riemann_sum",
     "size_set_for",

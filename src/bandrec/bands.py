@@ -8,7 +8,7 @@ closed forms compute it analytically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,46 +158,4 @@ class AbsSineBand:
         return 2.0 * self.amplitude / math.pi
 
 
-@dataclass(frozen=True)
-class SampledBand:
-    """Band given by >= 4096 uniform samples on [0, 2pi), linearly interpolated."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float).reshape(-1)
-        if arr.size < GRID_SIZE:
-            raise ValidationError(
-                f"SampledBand needs at least {GRID_SIZE} samples, got {arr.size}"
-            )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def evaluate(self, k):
-        n = self.values.size
-        x = np.mod(np.asarray(k, dtype=float), 2.0 * np.pi) * (n / (2.0 * np.pi))
-        xp = np.arange(n + 1, dtype=float)
-        fp = np.concatenate([self.values, self.values[:1]])  # periodic wrap
-        return np.interp(x, xp, fp)
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-
-Band = FourierBand | MassiveSineBand | AbsSineBand | SampledBand
-
-
-def band_fourier_coefficients(band, n_max: int, grid_size: int = GRID_SIZE) -> FourierBand:
-    """Project a band onto a cosine series by uniform-grid quadrature.
-
-    Exact (to rounding) for trigonometric polynomials of degree below
-    grid_size/2; for smooth closed forms the error is below 1e-6 at the
-    default grid.
-    """
-    k = uniform_grid(grid_size)
-    f = np.asarray(band.evaluate(k), dtype=float)
-    c0 = f.mean()
-    n = np.arange(1, n_max + 1)
-    coeffs = 2.0 / grid_size * (np.cos(np.multiply.outer(n, k)) @ f)
-    return FourierBand(c0, coeffs)
+Band = FourierBand | MassiveSineBand | AbsSineBand

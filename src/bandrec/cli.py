@@ -27,7 +27,7 @@ from .core import (
 from .inversion import convergence_curve, size_set_for
 from .lanczos import LanczosConfig
 from .numtheory import b_coefficients, moebius_table
-from .reconstruct import classify, criterion_check, reconstruct_band
+from .reconstruct import _data_twist, classify, criterion_check, reconstruct_band
 from .riemann import synth_energy_series
 from .seriesio import (
     format_float,
@@ -101,11 +101,7 @@ def cmd_reconstruct(args) -> int:
     if nu is None:
         raise ValidationError("no --nu given and none recorded in the CSV")
     data_twist = Twist.parse(args.data_twist) if args.data_twist else None
-    twist_for_sizes = data_twist
-    if twist_for_sizes is None:
-        present = series.twists()
-        twist_for_sizes = present[0] if len(present) == 1 else Twist.PBC
-    size_set = size_set_for(series.sizes(twist_for_sizes), args.size_set)
+    size_set = size_set_for(series.sizes(_data_twist(series, data_twist)), args.size_set)
 
     if args.hypothesis == "auto":
         results = classify(series, e_inf, nu, size_set, data_twist)
@@ -162,8 +158,8 @@ def cmd_convergence(args) -> int:
 
 def cmd_kernel(args) -> int:
     M = args.max
-    b_pbc = b_coefficients(Twist.PBC, M).values
-    b_abc = b_coefficients(Twist.ABC, M).values
+    b_pbc = b_coefficients(Twist.PBC, M).tolist()
+    b_abc = b_coefficients(Twist.ABC, M).tolist()
     mu, mertens = moebius_table(M)
     rows = zip(range(1, M + 1), mu.tolist(), mertens.tolist(), b_pbc, b_abc)
     with _open_out(args.out) as fh:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bands import FourierBand, GRID_SIZE, uniform_grid
 from .core import Twist, ValidationError
-from .numtheory import _b_weights
+from .numtheory import b_coefficients
 from .riemann import residual_series
 
 
@@ -111,8 +111,8 @@ def _checked_residual_vector(
     return vec
 
 
-def _apply_weights(R: np.ndarray, twist: Twist) -> np.ndarray:
-    """Apply a_k = sum_n b(n) R_{nk} on sizes 1..M (R is 0-indexed by size-1).
+def _apply_weights(R: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Apply a_k = sum_n b(n) R_{nk} on sizes 1..M (R and b are 0-indexed by size-1).
 
     The pairs (n, k) with n*k <= M are listed n-major, so `bincount` adds the
     terms of each a_k in ascending n onto +0.0, exactly as a scalar loop over
@@ -122,7 +122,6 @@ def _apply_weights(R: np.ndarray, twist: Twist) -> np.ndarray:
     transient arrays hold about 26 bytes per pair (50 with int64 indices).
     """
     M = R.size
-    b = _b_weights(twist, M).astype(float)
     counts = M // np.arange(1, M + 1, dtype=np.int32)
     if counts.sum() >= 2**31:  # about M ln M pairs: M beyond 10^8
         raise ValidationError(f"{M} sizes are too many to invert")
@@ -130,7 +129,7 @@ def _apply_weights(R: np.ndarray, twist: Twist) -> np.ndarray:
     k0 = np.arange(n0.size, dtype=np.int32)  # k - 1
     k0 -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
     terms = R[(n0 + 1) * (k0 + 1) - 1]
-    terms *= b[n0]  # b(n) * R_{nk}: the product commutes bit for bit
+    terms *= b[n0]  # b(n) * R_{nk}: exact integers as floats, so bit for bit
     return np.bincount(k0, weights=terms, minlength=M)
 
 
@@ -145,28 +144,20 @@ def invert_coefficients(
     """
     if isinstance(size_set, AllFrom1):
         R = _checked_residual_vector(residuals, size_set.sizes())
-        return FourierBand(0.0, _apply_weights(R, twist))
+        return FourierBand(0.0, _apply_weights(R, b_coefficients(twist, R.size)))
     if isinstance(size_set, EvenOnly):
         R_half = _checked_residual_vector(residuals, size_set.sizes())
-        a_half = _apply_weights(R_half, twist)
+        a_half = _apply_weights(R_half, b_coefficients(twist, R_half.size))
         coeffs = np.zeros(2 * size_set.M_even)
         coeffs[1::2] = a_half
         return FourierBand(0.0, coeffs)
     if isinstance(size_set, From2):
         R = np.zeros(size_set.M)  # R_1 only ever enters a_1, which is dropped
         R[1:] = _checked_residual_vector(residuals, size_set.sizes())
-        return FourierBand(0.0, _apply_weights(R, twist), undetermined_a1=True)
+        return FourierBand(
+            0.0, _apply_weights(R, b_coefficients(twist, R.size)), undetermined_a1=True
+        )
     raise ValidationError(f"unsupported size set {size_set!r}")
-
-
-def reconstruct_function(
-    residuals: Mapping[int, float], c0: float, twist: Twist, size_set: SizeSet
-) -> FourierBand:
-    """Full reconstructed function: known mean plus inverted coefficients."""
-    if not np.isfinite(c0):
-        raise ValidationError("mean value must be finite")
-    band = invert_coefficients(residuals, twist, size_set)
-    return band.with_mean(float(c0))
 
 
 def convergence_curve(
@@ -179,7 +170,8 @@ def convergence_curve(
 
     For each cutoff L the residuals of sizes 1..L are inverted and the
     reconstructed function compared to the band on a uniform grid.  The
-    residuals are checked once; each cutoff applies the weights to a prefix.
+    residuals are checked and the weights computed once, at the largest cutoff;
+    each cutoff applies a prefix of the weights to a prefix of the residuals.
     """
     cutoffs = sorted(set(int(L) for L in cutoffs))
     if not cutoffs or cutoffs[0] < 1:
@@ -190,9 +182,10 @@ def convergence_curve(
     k = uniform_grid(grid_size)
     f_exact = np.asarray(band.evaluate(k), dtype=float)
     cos_table = np.cos(np.multiply.outer(np.arange(1, sizes[-1] + 1), k))
+    b = b_coefficients(twist, sizes[-1])  # b(n) does not depend on the cutoff
     dk = 2.0 * np.pi / grid_size
     out = []
     for L in cutoffs:
-        f_approx = c0 + _apply_weights(R[:L], twist) @ cos_table[:L]
+        f_approx = c0 + _apply_weights(R[:L], b[:L]) @ cos_table[:L]
         out.append((L, float(np.sum((f_approx - f_exact) ** 2) * dk)))
     return out

@@ -17,11 +17,6 @@ import numpy as np
 from .bands import Band, FourierBand, cosine_series_on_grid
 from .core import Statistics, Twist, ValidationError
 
-SOURCE_SYNTHETIC = "synthetic"
-SOURCE_EXACT_DIAG = "exact-diag"
-SOURCE_FILE = "file"
-
-
 def momenta(L: int, twist: Twist) -> np.ndarray:
     """The L discretized Brillouin-zone points for one twist."""
     return (2.0 * np.pi * np.arange(L) + twist.theta) / L
@@ -61,7 +56,6 @@ class EnergySeries:
     """
 
     nu: float | None = None
-    source: str = SOURCE_FILE
     e_inf: float | None = None
     model: str | None = None
     _entries: dict[tuple[int, Twist], float] = field(default_factory=dict, repr=False)
@@ -135,7 +129,7 @@ def synth_energy_series(
                 "not a physical band"
             )
     factor = statistics.sign * nu / 2.0
-    series = EnergySeries(nu=nu, source=SOURCE_SYNTHETIC, e_inf=factor * dispersion.mean())
+    series = EnergySeries(nu=nu, e_inf=factor * dispersion.mean())
     for L in sizes:
         e_site = factor * riemann_sum(dispersion, L, twist)
         series.add(L, twist, L * e_site)

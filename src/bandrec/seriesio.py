@@ -7,7 +7,6 @@ doubles exactly, so acceptance baselines can be compared as file diffs.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from typing import TextIO
@@ -17,7 +16,7 @@ import numpy as np
 from .bands import AbsSineBand, Band, FourierBand, MassiveSineBand, uniform_grid
 from .core import Twist, ValidationError
 from .reconstruct import ReconstructionResult
-from .riemann import SOURCE_FILE, EnergySeries
+from .riemann import EnergySeries
 
 ENERGY_HEADER = ["L", "twist", "E_total"]
 
@@ -39,14 +38,8 @@ def write_energy_csv(series: EnergySeries, stream: TextIO) -> None:
         writer.writerow([L, twist.value, format_float(E_total)])
 
 
-def energy_csv_text(series: EnergySeries) -> str:
-    buf = io.StringIO()
-    write_energy_csv(series, buf)
-    return buf.getvalue()
-
-
 def read_energy_csv(stream: TextIO) -> EnergySeries:
-    series = EnergySeries(source=SOURCE_FILE)
+    series = EnergySeries()
     rows = []
     for raw in stream:
         line = raw.strip()

@@ -14,10 +14,11 @@ Proc. 1297, 135, 2010, arXiv:1101.3281).  SciPy is imported only when a
 Hamiltonian is built.
 
 Antiperiodic boundary conditions flip the sign of the transverse part of
-the boundary bond (S+_L S-_1 terms) and leave S^z_L S^z_1 unchanged.  So
-`energy_series` builds one basis and one matrix per size, solves the first
-twist on it, and reaches the other by negating the boundary-bond hops of A
-in place: an exact flip, with no second matrix.
+the boundary bond (S+_L S-_1 terms) and leave S^z_L S^z_1 unchanged.  The
+abc matrix is always made one way: build the pbc matrix and negate the
+boundary-bond hops of A in place (`_negate_twist_bond`), an exact flip.  So
+`energy_series` builds one basis and one matrix per size and reaches the
+second twist by the same flip, with no second matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .core import Twist, ValidationError
 from .lanczos import LanczosConfig, LanczosResult, lowest_eigenpair
-from .riemann import SOURCE_EXACT_DIAG, EnergySeries
+from .riemann import EnergySeries
 
 
 # local dimension and filling hint of each model, by its CLI and CSV name
@@ -106,7 +107,7 @@ class SectorBasis:
 
     Configurations are encoded as base-`local_dim` integers whose digit at
     site i is the local level (0 .. d-1, level = m + s).  `states` is sorted
-    ascending, so rank and unrank are mutual inverses via binary search.
+    ascending, so a code's index is found by binary search.
     """
 
     L: int
@@ -131,15 +132,6 @@ class SectorBasis:
     @property
     def dim(self) -> int:
         return self.states.size
-
-    def rank(self, code: int) -> int:
-        idx = int(np.searchsorted(self.states, code))
-        if idx >= self.dim or self.states[idx] != code:
-            raise ValidationError(f"configuration {code} is not in the sector")
-        return idx
-
-    def unrank(self, index: int) -> int:
-        return int(self.states[index])
 
     def digits(self, site: int) -> np.ndarray:
         """Local level of every basis state at one site."""
@@ -186,8 +178,8 @@ def build_hamiltonian(
     and lowers the other.  That hop lowers the code, so its entry lies below
     the diagonal, in the row of the source state.  The hops are filled in
     bond order, so bond L-1's (raise site 0, lower site L-1) is the last
-    entry of its row.  With the abc twist, that boundary bond carries the
-    antiperiodic sign.
+    entry of its row.  With the abc twist, `_negate_twist_bond` then gives
+    that boundary bond the antiperiodic sign.
     """
     model = spec.model
     if L < 2:
@@ -202,9 +194,6 @@ def build_hamiltonian(
     d = model.local_dim
     s2 = d - 1  # twice the site spin
     couplings = model.bond_couplings(L)
-    transverse_sign = np.ones(L)
-    if spec.boundary_twist is Twist.ABC:
-        transverse_sign[L - 1] = -1.0
 
     digits = [sector.digits(i).astype(np.int8) for i in range(L)]
     # S^z eigenvalue of each level, looked up bond by bond: float64 whatever
@@ -232,7 +221,7 @@ def build_hamiltonian(
     hops = []
     for b in range(L):
         up_site, down_site = (b, b + 1) if b < L - 1 else (0, L - 1)
-        amp = 0.5 * couplings[b] * transverse_sign[b]
+        amp = 0.5 * couplings[b]
         mask = (digits[up_site] < d - 1) & (digits[down_site] > 0)
         hops.append((up_site, down_site, amp, mask))
     del digits  # L arrays, freed before the matrix is allocated
@@ -254,11 +243,14 @@ def build_hamiltonian(
         data[at] = amp * raise_amp * raise_amp
         slot[src] += 1
     lower = csr_matrix((data, indices, indptr), shape=(sector.dim, sector.dim))
-    return SectorHamiltonian(diag, lower)
+    ham = SectorHamiltonian(diag, lower)
+    if spec.boundary_twist is Twist.ABC:
+        _negate_twist_bond(ham, sector)
+    return ham
 
 
 def _negate_twist_bond(ham: SectorHamiltonian, sector: SectorBasis) -> None:
-    """Turn the pbc matrix of `build_hamiltonian` into the abc one, or back, in place.
+    """Turn a pbc sector matrix into the abc one, or back, in place.
 
     Only the hops of the twist bond L-1 change sign.  Its one stored hop
     (raise site 0, lower site L-1) is the last entry of every row whose
@@ -304,8 +296,9 @@ def energy_series(
 
     Each size's sector basis and Hamiltonian are built once, with the first
     twist; every further twist negates the twist-bond hops in place
-    (`_negate_twist_bond`, for every L >= 2), so both twists share one
-    matrix and the energies equal those of `ground_energy` bit for bit.
+    (`_negate_twist_bond`, the flip `build_hamiltonian` itself makes for abc),
+    so both twists share one matrix and the energies equal those of
+    `ground_energy` bit for bit.
     """
     sizes = sorted(set(int(s) for s in sizes))
     twists = tuple(twists)
@@ -315,11 +308,7 @@ def energy_series(
         raise ValidationError(f"duplicate twists {[str(t) for t in twists]}")
     for L in sizes:
         _check_size(model, L)
-    series = EnergySeries(
-        nu=model.nu_hint if nu is None else nu,
-        source=SOURCE_EXACT_DIAG,
-        model=model.kind,
-    )
+    series = EnergySeries(nu=model.nu_hint if nu is None else nu, model=model.kind)
     for L in sizes:
         basis = SectorBasis.build(L, model.local_dim)
         ham = None

@@ -7,10 +7,7 @@ from bandrec import (
     AbsSineBand,
     FourierBand,
     MassiveSineBand,
-    SampledBand,
     Twist,
-    ValidationError,
-    band_fourier_coefficients,
     momenta,
     uniform_grid,
 )
@@ -95,39 +92,24 @@ def test_abs_sine():
     assert band.mean() == pytest.approx(1.0)
 
 
-def test_sampled_band_interpolates_closed_form():
-    source = MassiveSineBand(1.0, 0.2)
-    table = source.evaluate(uniform_grid(8192))
-    band = SampledBand(table)
-    k = np.random.default_rng(3).uniform(0, 2 * np.pi, 200)
-    assert np.max(np.abs(band.evaluate(k) - source.evaluate(k))) < 1e-6
-    assert band.mean() == pytest.approx(source.mean(), abs=1e-8)
-
-
-def test_sampled_band_rejects_short_tables():
-    with pytest.raises(ValidationError):
-        SampledBand(np.ones(100))
-
-
-def test_projection_recovers_trig_polynomial_exactly():
-    rng = np.random.default_rng(11)
-    band = FourierBand(rng.normal(), rng.normal(size=20))
-    proj = band_fourier_coefficients(band, 25)
-    assert proj.c0 == pytest.approx(band.c0, abs=1e-13)
-    assert np.allclose(proj.coeffs[:20], band.coeffs, atol=1e-12)
-    assert np.max(np.abs(proj.coeffs[20:])) < 1e-12
+def project(band, n_max, grid_size=4096):
+    """Mean and cosine coefficients a_1..a_n_max by uniform-grid quadrature."""
+    k = uniform_grid(grid_size)
+    f = np.asarray(band.evaluate(k), dtype=float)
+    n = np.arange(1, n_max + 1)
+    return f.mean(), 2.0 / grid_size * (np.cos(np.multiply.outer(n, k)) @ f)
 
 
 def test_projection_matches_known_series():
     # |sin(k/2)| = 2/pi - (4/pi) sum cos(nk)/(4n^2-1)
-    proj = band_fourier_coefficients(MassiveSineBand(1.0, 0.0), 12)
+    c0, coeffs = project(MassiveSineBand(1.0, 0.0), 12)
     n = np.arange(1, 13)
     expected = -(4.0 / np.pi) / (4.0 * n**2 - 1.0)
-    assert proj.c0 == pytest.approx(2.0 / np.pi, abs=1e-7)
-    assert np.allclose(proj.coeffs, expected, atol=1e-6)
+    assert c0 == pytest.approx(2.0 / np.pi, abs=1e-7)
+    assert np.allclose(coeffs, expected, atol=1e-6)
 
 
 def test_abs_sine_has_only_even_coefficients():
-    proj = band_fourier_coefficients(AbsSineBand(1.0), 10)
-    assert np.max(np.abs(proj.coeffs[0::2])) < 1e-12  # odd indices vanish
-    assert proj.coeffs[1] == pytest.approx(-4.0 / (3.0 * np.pi), abs=1e-6)
+    _, coeffs = project(AbsSineBand(1.0), 10)
+    assert np.max(np.abs(coeffs[0::2])) < 1e-12  # odd indices vanish
+    assert coeffs[1] == pytest.approx(-4.0 / (3.0 * np.pi), abs=1e-6)
