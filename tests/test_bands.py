@@ -100,6 +100,17 @@ def project(band, n_max, grid_size=4096):
     return f.mean(), 2.0 / grid_size * (np.cos(np.multiply.outer(n, k)) @ f)
 
 
+def test_projection_recovers_trig_polynomial_exactly():
+    # the grid quadrature is exact for cosines below half the grid size, so
+    # this checks FourierBand.evaluate against its own coefficients
+    rng = np.random.default_rng(11)
+    band = FourierBand(rng.normal(), rng.normal(size=20))
+    c0, coeffs = project(band, 25)
+    assert c0 == pytest.approx(band.c0, abs=1e-13)
+    assert np.allclose(coeffs[:20], band.coeffs, atol=1e-12)
+    assert np.max(np.abs(coeffs[20:])) < 1e-12
+
+
 def test_projection_matches_known_series():
     # |sin(k/2)| = 2/pi - (4/pi) sum cos(nk)/(4n^2-1)
     c0, coeffs = project(MassiveSineBand(1.0, 0.0), 12)

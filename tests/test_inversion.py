@@ -209,6 +209,16 @@ class TestReconstructFunction:
                 riemann_sum(band, L, Twist.PBC), abs=1e-13
             )
 
+    def test_with_mean_replaces_only_the_mean(self):
+        band = MassiveSineBand(1.0, 0.3)
+        residuals = residual_series(band, range(2, 10), Twist.ABC)
+        zero_mean = invert_coefficients(residuals, Twist.ABC, From2(9))
+        approx = zero_mean.with_mean(band.mean())
+        assert zero_mean.c0 == 0.0
+        assert approx.c0 == band.mean()
+        assert approx.undetermined_a1 and zero_mean.undetermined_a1
+        assert np.array_equal(approx.coeffs, zero_mean.coeffs)
+
 
 class TestConvergenceCurve:
     def test_finite_series_is_reconstructed_exactly(self):
@@ -222,6 +232,20 @@ class TestConvergenceCurve:
         curve = convergence_curve(MassiveSineBand(1.0, 0.1), range(6, 30))
         errs = [e for _, e in curve]
         assert all(b < a for a, b in zip(errs, errs[1:]))
+
+    @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
+    def test_each_cutoff_matches_a_fresh_inversion(self, twist):
+        # the curve slices one set of weights; each cutoff inverts on its own here
+        band = MassiveSineBand(1.0, 0.2)
+        grid = 512
+        k = np.arange(grid) * (2.0 * np.pi / grid)
+        exact = band.evaluate(k)
+        curve = convergence_curve(band, [3, 7, 12, 20], twist, grid_size=grid)
+        for L, err in curve:
+            residuals = residual_series(band, range(1, L + 1), twist)
+            approx = invert_coefficients(residuals, twist, AllFrom1(L)).with_mean(band.mean())
+            expected = float(np.sum((approx.evaluate(k) - exact) ** 2) * 2.0 * np.pi / grid)
+            assert err == pytest.approx(expected, rel=1e-9, abs=1e-15), L
 
     def test_bad_cutoffs(self):
         with pytest.raises(ValidationError):

@@ -254,6 +254,30 @@ class TestCli:
         assert len(entries) == 4
         assert all("admissible" in e for e in entries)
 
+    @pytest.mark.parametrize("twist", ["pbc", "abc"])
+    def test_reconstruct_reads_the_single_twist_of_a_series(self, tmp_path, twist):
+        energies = tmp_path / "e.csv"
+        main(
+            [
+                "forward", "--band", "massive-sine:J=1,m=0.3", "--statistics",
+                "fermion", "--nu", "1", "--twist", twist, "--sizes", "1:12",
+                "--out", str(energies),
+            ]
+        )
+        outputs = []
+        for extra in ([], ["--data-twist", twist]):
+            bands = tmp_path / f"bands{len(extra)}.json"
+            code = main(
+                [
+                    "reconstruct", "--energies", str(energies), "--nu", "1",
+                    "--hypothesis", "auto", "--out", str(bands), *extra,
+                ]
+            )
+            assert code == 0
+            outputs.append(bands.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(read_band_json(io.BytesIO(outputs[0]))) == 4
+
     def test_reconstruct_requires_e_inf(self, tmp_path, capsys):
         energies = tmp_path / "e.csv"
         main(["ed", "--model", "heisenberg", "--sizes", "2:4:2", "--out", str(energies)])

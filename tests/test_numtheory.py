@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bandrec import Twist, ValidationError, b_coefficients, moebius_table
+from bandrec import Twist, ValidationError, b_coefficients, moebius_table, numtheory
 from bandrec.cli import main
 
 
@@ -64,6 +64,30 @@ class TestMertens:
         assert (mert == np.cumsum(mu)).all()
         assert mu.dtype == mert.dtype == np.int64
         assert not mu.flags.writeable and not mert.flags.writeable
+
+    def test_domain_error(self):
+        with pytest.raises(ValidationError):
+            moebius_table(-3)
+
+
+def test_module_holds_no_tables_between_calls():
+    # every call sieves afresh: no module-level container, no shared arrays
+    state = [
+        name
+        for name, value in vars(numtheory).items()
+        if not name.startswith("__") and isinstance(value, (np.ndarray, list, dict, set))
+    ]
+    assert state == []
+    public = sorted(
+        name
+        for name, value in vars(numtheory).items()
+        if callable(value) and not name.startswith("_")
+        and getattr(value, "__module__", None) == numtheory.__name__
+    )
+    assert public == ["b_coefficients", "moebius_table"]
+    (mu1, mert1), (mu2, mert2) = moebius_table(50), moebius_table(50)
+    assert not np.shares_memory(mu1, mu2) and not np.shares_memory(mert1, mert2)
+    assert not np.shares_memory(b_coefficients(Twist.PBC, 50), b_coefficients(Twist.PBC, 50))
 
 
 def materialize_g(twist: Twist, size: int) -> np.ndarray:

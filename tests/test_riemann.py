@@ -15,11 +15,29 @@ from bandrec import (
     residual_series,
     riemann_sum,
     synth_energy_series,
+    uniform_grid,
 )
 
 
 def direct_sum(band, L, twist):
     return float(np.mean(band.evaluate(momenta(L, twist))))
+
+
+class SampledBand:
+    """Periodic linear interpolation of a table on the uniform grid."""
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=float)
+
+    def evaluate(self, k):
+        n = self.table.size
+        x = np.mod(np.asarray(k, dtype=float), 2 * np.pi) * (n / (2 * np.pi))
+        i = np.floor(x).astype(np.int64) % n
+        t = x - np.floor(x)
+        return (1 - t) * self.table[i] + t * self.table[(i + 1) % n]
+
+    def mean(self):
+        return float(self.table.mean())
 
 
 class TestRiemannSum:
@@ -65,6 +83,14 @@ class TestRiemannSum:
         # antiperiodic momenta, so the totals add
         for L in (1, 2, 3, 6, 10, 17):
             lhs = L * riemann_sum(band, L, Twist.PBC) + L * riemann_sum(band, L, Twist.ABC)
+            rhs = 2 * L * riemann_sum(band, 2 * L, Twist.PBC)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+    def test_bz_union_for_sampled_band(self):
+        # any band with an evaluate method goes through direct summation
+        band = SampledBand(MassiveSineBand(1.0, 0.4).evaluate(uniform_grid(4096)))
+        for L in (2, 5, 9):
+            lhs = L * (riemann_sum(band, L, Twist.PBC) + riemann_sum(band, L, Twist.ABC))
             rhs = 2 * L * riemann_sum(band, 2 * L, Twist.PBC)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 

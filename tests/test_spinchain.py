@@ -155,6 +155,13 @@ class TestSectorBasis:
         assert SectorBasis.build(4, 3).dim == 19  # central trinomial
         assert SectorBasis.build(3, 2).dim == 0  # odd spin-1/2 chain, Sz=0 empty
 
+    def test_rank_unrank_roundtrip(self):
+        # build_hamiltonian ranks a code by binary search over the states
+        basis = SectorBasis.build(6, 3)
+        assert (np.diff(basis.states) > 0).all()
+        idx = np.arange(0, basis.dim, 7)
+        assert np.array_equal(np.searchsorted(basis.states, basis.states[idx]), idx)
+
     def test_all_states_have_target_magnetization(self):
         basis = SectorBasis.build(5, 3, sz2_total=2)
         for i in range(basis.dim):
