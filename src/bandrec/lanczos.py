@@ -15,15 +15,18 @@ when the first pass shrank the vector below 1/sqrt(2) of its norm, so
 that cancellation may have left it with a visible component along the
 basis (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772, 1976).
 The start vector and the sketch are drawn from separate seeded streams,
-so runs are reproducible.  The Ritz values of every step come from LAPACK
-dsterf, called directly; it is the routine SciPy's eigvalsh_tridiagonal
-reaches through dstevd, so the values are the same.  SciPy's LAPACK and
-BLAS wrappers are imported on first use, so importing this module (and the
-package) needs only numpy.
+so runs are reproducible.  The Ritz values of every step come from numpy's
+eigvalsh of the dense tridiagonal matrix: for eigenvalues alone LAPACK
+dsyevd leaves a tridiagonal matrix as it is and ends in dsterf, the
+tridiagonal QR routine.  The module needs numpy alone.  Once the loop
+ends, its working vectors are released before the Ritz vector is formed,
+and the Krylov rows before the residual product, so a solve's peak holds
+the rows and a few vectors of the operator's dimension.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,6 +58,8 @@ class LanczosConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValidationError(f"max_iter must be an integer, not {self.max_iter!r}")
         if self.tol_energy <= 0:
             raise ValidationError("tol_energy must be positive")
         if self.max_iter < 1:
@@ -80,11 +85,8 @@ def lowest_eigenpair(
     Raises NumericalError (with `best_estimate` attached) if the Ritz value
     has not settled within `max_iter` iterations, or if the Krylov space
     became invariant without the Ritz pair passing the residual bound; and
-    (without it) if dsterf reports a failure.
+    (without it) if LAPACK fails on the tridiagonal matrix.
     """
-    from scipy.linalg.blas import dger
-    from scipy.linalg.lapack import dsterf
-
     config = config or LanczosConfig()
     if dim < 1:
         raise ValidationError("operator dimension must be >= 1")
@@ -93,10 +95,6 @@ def lowest_eigenpair(
         energy = float(matvec(v)[0])
         return LanczosResult(energy, 0.0, False, 1, 0), v
 
-    rng = np.random.default_rng(config.seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-
     max_steps = min(config.max_iter, dim)
     block = min(max_steps, KRYLOV_BLOCK)
     blocks = [np.empty((block, dim))]
@@ -104,20 +102,23 @@ def lowest_eigenpair(
     def row(i: int) -> np.ndarray:
         return blocks[i // block][i % block]
 
+    # the start vector is drawn straight into the first row
+    start = np.random.default_rng(config.seed).standard_normal(out=row(0))
+    start /= np.linalg.norm(start)
+
     # the sketch U = C Q of the stored rows, with C Gaussian from a stream of
-    # the seed that leaves the start vector's draws untouched; it is held as
-    # the Fortran-ordered U^T, which the rank-one update dger changes in place
+    # the seed that leaves the start vector's draws untouched
     sketch_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     coeffs = sketch_rng.standard_normal((max_steps, SKETCH_ROWS))
-    sketch_t = np.zeros((dim, SKETCH_ROWS), order="F")
+    sketch = np.zeros((SKETCH_ROWS, dim))
     work = np.empty(dim)
 
     def store(i: int) -> None:
-        dger(1.0, row(i), coeffs[i], a=sketch_t, overwrite_a=True)
+        for sketch_row, c in zip(sketch, coeffs[i]):
+            sketch_row += np.multiply(row(i), c, out=work)
 
     alphas: list[float] = []
     betas: list[float] = []
-    row(0)[:] = v
     store(0)
     prev_theta = np.inf
     stable = 0
@@ -135,7 +136,7 @@ def lowest_eigenpair(
         if j > 0:
             w -= np.multiply(row(j - 1), betas[-1], out=work)
         beta = float(np.linalg.norm(w))
-        if np.abs(sketch_t.T @ w).max() > SEMI_ORTHOGONAL * beta:
+        if np.abs(sketch @ w).max() > SEMI_ORTHOGONAL * beta:
             reorth_steps += 1
             for _ in range(2):
                 before = beta
@@ -147,13 +148,7 @@ def lowest_eigenpair(
                     break
         steps = j + 1
 
-        # T is 1x1 on the first step, and dsterf's wrapper rejects its empty off-diagonal
-        if j == 0:
-            ritz_vals = np.array(alphas)
-        else:
-            ritz_vals, info = dsterf(np.array(alphas), np.array(betas[:j]))
-            if info:
-                raise NumericalError(f"dsterf failed on the {j + 1}-step tridiagonal (info={info})")
+        ritz_vals = _tridiagonal_eig(np.linalg.eigvalsh, alphas, betas[:j])
         theta = float(ritz_vals[0])
         norm_est = max(1.0, abs(ritz_vals[0]), abs(ritz_vals[-1]))
         if abs(theta - prev_theta) <= config.tol_energy * max(1.0, abs(theta)):
@@ -179,15 +174,21 @@ def lowest_eigenpair(
             np.divide(w, beta, out=row(j + 1))  # beta > 0: the exhaustion stop came first
             store(j + 1)
             betas.append(beta)
+    del w, sketch  # the loop's vectors go before the Ritz vector is formed
 
     if steps == dim and not exhausted:
         converged = True  # full Krylov basis reached
 
     theta, y = pair or _ground_ritz_pair(alphas, betas[: steps - 1])
     parts = np.split(y, range(block, steps, block))  # one part of y per block
-    vector = sum(part @ blk[: len(part)] for part, blk in zip(parts, blocks))
+    vector = parts[0] @ blocks[0][: len(parts[0])]
+    for part, blk in zip(parts[1:], blocks[1:]):
+        vector += np.matmul(part, blk[: len(part)], out=work)
+    del blocks  # and the Krylov rows before the residual product
     vector /= np.linalg.norm(vector)
-    residual = float(np.linalg.norm(matvec(vector) - theta * vector))
+    residual_vector = matvec(vector)
+    residual_vector -= np.multiply(vector, theta, out=work)
+    residual = float(np.linalg.norm(residual_vector))
 
     if exhausted:
         # beta was judged against the widest Ritz value, so a very wide
@@ -207,8 +208,22 @@ def lowest_eigenpair(
     return result, vector
 
 
-def _ground_ritz_pair(alphas: list[float], betas: list[float]) -> tuple[float, np.ndarray]:
-    from scipy.linalg import eigh_tridiagonal
+def _tridiagonal_eig(eig: Callable, alphas: list[float], betas: list[float]):
+    """numpy's `eig` (eigh or eigvalsh) of the Lanczos tridiagonal matrix T.
 
-    vals, vecs = eigh_tridiagonal(np.array(alphas), np.array(betas))
+    T is written into the lower triangle, the one both routines read; a
+    LAPACK failure becomes a NumericalError.
+    """
+    n = len(alphas)
+    t = np.zeros((n, n))
+    t.flat[:: n + 1] = alphas
+    t.flat[n :: n + 1] = betas
+    try:
+        return eig(t)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK failed on the {n}-step tridiagonal matrix ({exc})") from exc
+
+
+def _ground_ritz_pair(alphas: list[float], betas: list[float]) -> tuple[float, np.ndarray]:
+    vals, vecs = _tridiagonal_eig(np.linalg.eigh, alphas, betas)
     return float(vals[0]), vecs[:, 0]

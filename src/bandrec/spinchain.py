@@ -304,6 +304,8 @@ def energy_series(
     twists = tuple(twists)
     if not sizes:
         raise ValidationError("no sizes requested")
+    if not twists:
+        raise ValidationError("no twists requested")
     if len(set(twists)) < len(twists):
         raise ValidationError(f"duplicate twists {[str(t) for t in twists]}")
     for L in sizes:

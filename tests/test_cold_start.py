@@ -1,5 +1,8 @@
 """The command line starts on numpy alone; SciPy loads only when ED needs it.
 
+ED then loads `scipy.sparse`, for the Hamiltonian, and nothing under
+`scipy.linalg`: Lanczos runs on numpy alone.
+
 Importing bandrec before numpy also fixes the BLAS pool at one thread unless
 the user chose otherwise. These checks run in fresh interpreters, because
 pytest may have imported numpy before bandrec.
@@ -29,6 +32,13 @@ print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CLI = "import sys; from bandrec.cli import main; sys.exit(main(sys.argv[1:]))"
+# runs the command line, then prints the SciPy modules it loaded
+CLI_SCIPY = """
+import sys
+from bandrec.cli import main
+assert main(sys.argv[1:]) == 0
+print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
 
 
 def run_python(code: str, *args: str, env_update: dict | None = None) -> str:
@@ -52,12 +62,15 @@ def test_import_and_number_commands_load_no_scipy():
     assert run_python(SCRIPT) == ""
 
 
-def test_ed_loads_scipy_lazily(tmp_path):
+def test_ed_loads_scipy_sparse_and_no_scipy_linalg(tmp_path):
     out = tmp_path / "ed.csv"
-    run_python(CLI, "ed", "--model", "heisenberg", "--sizes", "4", "--out", str(out))
+    loaded = run_python(CLI_SCIPY, "ed", "--model", "heisenberg", "--sizes", "4", "--out", str(out))
     rows = out.read_text().splitlines()
     assert rows[-1].startswith("4,pbc,")
     assert abs(float(rows[-1].split(",")[2]) + 2.0) < 1e-12  # 4-site ring: E0 = -2J
+    loaded = loaded.split(",")
+    assert "scipy.sparse" in loaded
+    assert [m for m in loaded if m.split(".")[:2] == ["scipy", "linalg"]] == []
 
 
 def test_ed_bytes_do_not_depend_on_the_thread_variables(tmp_path):

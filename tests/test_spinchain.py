@@ -471,12 +471,15 @@ class TestLanczosSolver:
             lowest_eigenpair(lambda x: A @ x, 400, config)
         assert hasattr(excinfo.value, "best_estimate")
 
-    def test_tridiagonal_failure_is_a_numerical_error(self, monkeypatch):
-        import scipy.linalg.lapack
+    @pytest.mark.parametrize("routine", ["eigvalsh", "eigh"])
+    def test_tridiagonal_failure_is_a_numerical_error(self, monkeypatch, routine):
+        # eigvalsh gives every step's Ritz values, eigh the accepted Ritz pair
+        def fail(t):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", lambda d, e: (np.sort(d), 1))
+        monkeypatch.setattr(np.linalg, routine, fail)
         A = np.diag(np.arange(10.0))
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="tridiagonal matrix"):
             lowest_eigenpair(lambda x: A @ x, 10)
 
     def test_early_stop_on_a_wide_spectrum_is_not_accepted(self):
@@ -497,6 +500,7 @@ class TestLanczosSolver:
         diag = np.linspace(0.0, 1.0, dim)
         diag[0] = -10.0
         config = LanczosConfig()
+        lowest_eigenpair(lambda x: diag[:10] * x, 10)  # numpy.random imported before tracing
         tracemalloc.start()
         try:
             result, _ = lowest_eigenpair(lambda x: diag * x, dim, config)
@@ -506,6 +510,11 @@ class TestLanczosSolver:
         assert result.energy == pytest.approx(-10.0, abs=1e-10)
         assert peak < config.max_iter * dim * 8 / 4
         assert result.iterations < lanczos.KRYLOV_BLOCK
+        # besides the block of rows, the loop holds the two sketch rows, the
+        # work row, w and the next product: 5 vectors (8 when the loop's
+        # vectors outlived it into the Ritz vector and the residual)
+        vectors = (peak - lanczos.KRYLOV_BLOCK * dim * 8) / (dim * 8)
+        assert vectors < 6, vectors
 
     def test_krylov_blocks_keep_the_result(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -521,6 +530,14 @@ class TestLanczosSolver:
         # a semi-orthogonal basis needs Gram-Schmidt on few steps
         assert r1.energy == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
         assert r1.reorth_steps <= r1.iterations / 4
+
+    @pytest.mark.parametrize("max_iter", [2.5, 10.0, "10", True])
+    def test_non_integer_max_iter_rejected(self, max_iter):
+        with pytest.raises(ValidationError, match="max_iter must be an integer"):
+            LanczosConfig(max_iter=max_iter)
+
+    def test_integer_max_iter_of_any_integer_type_accepted(self):
+        assert LanczosConfig(max_iter=np.int64(7)).max_iter == 7
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(1)
@@ -616,6 +633,14 @@ class TestSharedAssembly:
             assert np.array_equal(indices, ham.A.indices)
             assert np.array_equal(data, ham.A.data)
             assert np.array_equal(np.signbit(data), np.signbit(ham.A.data))
+
+    def test_no_twists_rejected_before_any_build(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(spinchain.SectorBasis, "build", build)
+        with pytest.raises(ValidationError, match="no twists requested"):
+            energy_series(SpinChain("heisenberg", 1.0), [4, 6], twists=())
 
     def test_duplicate_twists_rejected(self):
         with pytest.raises(ValidationError):
