@@ -42,7 +42,7 @@ from .inversion import (
     invert_coefficients,
     size_set_for,
 )
-from .lanczos import LanczosConfig, lowest_eigenpair
+from .lanczos import lowest_eigenpair
 from .numtheory import b_coefficients, moebius_table
 from .reconstruct import (
     MODEL_EXPONENTIAL,
@@ -66,7 +66,6 @@ from .spinchain import (
     SpinModelSpec,
     build_hamiltonian,
     energy_series,
-    ground_energy,
 )
 
 __all__ = [
@@ -78,7 +77,6 @@ __all__ = [
     "FourierBand",
     "From2",
     "Hypothesis",
-    "LanczosConfig",
     "MODEL_EXPONENTIAL",
     "MODEL_POWER_LAW_2",
     "MassiveSineBand",
@@ -97,7 +95,6 @@ __all__ = [
     "e_inf_sensitivity",
     "energy_series",
     "extrapolate_e_inf",
-    "ground_energy",
     "invert_coefficients",
     "lowest_eigenpair",
     "moebius_table",

@@ -17,16 +17,11 @@ from .core import Twist, ValidationError
 #: number of uniform grid points used for positivity checks and projections
 GRID_SIZE = 4096
 
-_grid_cache: dict[int, np.ndarray] = {}
-
 
 def uniform_grid(n: int = GRID_SIZE) -> np.ndarray:
-    """Uniform momentum grid on [0, 2pi), cached and read-only."""
-    grid = _grid_cache.get(n)
-    if grid is None:
-        grid = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        grid.setflags(write=False)
-        _grid_cache[n] = grid
+    """Uniform momentum grid on [0, 2pi), read-only."""
+    grid = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    grid.setflags(write=False)
     return grid
 
 

@@ -25,7 +25,6 @@ from .core import (
     ValidationError,
 )
 from .inversion import convergence_curve, size_set_for
-from .lanczos import LanczosConfig
 from .numtheory import b_coefficients, moebius_table
 from .reconstruct import _data_twist, classify, criterion_check, reconstruct_band
 from .riemann import synth_energy_series
@@ -70,8 +69,7 @@ def _build_model(args):
 
 def cmd_ed(args) -> int:
     model = _build_model(args)
-    config = LanczosConfig(seed=args.seed)
-    series = energy_series(model, parse_sizes(args.sizes), _twists(args.twist), config)
+    series = energy_series(model, parse_sizes(args.sizes), _twists(args.twist), args.seed)
     with _open_out(args.out) as fh:
         write_energy_csv(series, fh)
     return EXIT_OK
@@ -92,6 +90,8 @@ def cmd_forward(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be >= 1, got {args.samples}")
     with open(args.energies) as fh:
         series = read_energy_csv(fh)
     e_inf = args.e_inf if args.e_inf is not None else series.e_inf
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     ed.add_argument("--J", type=float, default=1.0, help="exchange coupling")
     ed.add_argument("--delta", type=float, default=None, help="bond alternation (dimerized)")
     ed.add_argument("--D", type=float, default=None, help="single-ion anisotropy (single-ion)")
-    ed.add_argument("--sizes", required=True, help="N, start:end or start:end:step (inclusive)")
+    ed.add_argument("--sizes", required=True, help="N, a,b,.. or start:end[:step] (inclusive)")
     ed.add_argument("--twist", default="pbc", choices=["pbc", "abc", "both"])
     ed.add_argument("--seed", type=int, default=0, help="Lanczos start-vector seed")
     ed.add_argument("--out", default=None, help="output CSV (default stdout)")

@@ -164,7 +164,6 @@ def convergence_curve(
     band,
     cutoffs,
     twist: Twist = Twist.PBC,
-    grid_size: int = GRID_SIZE,
 ) -> list[tuple[int, float]]:
     """Squared L2([0,2pi]) reconstruction error versus inversion cutoff.
 
@@ -179,11 +178,11 @@ def convergence_curve(
     sizes = tuple(range(1, cutoffs[-1] + 1))
     R = _checked_residual_vector(residual_series(band, sizes, twist), sizes)
     c0 = band.mean()
-    k = uniform_grid(grid_size)
+    k = uniform_grid()
     f_exact = np.asarray(band.evaluate(k), dtype=float)
     cos_table = np.cos(np.multiply.outer(np.arange(1, sizes[-1] + 1), k))
     b = b_coefficients(twist, sizes[-1])  # b(n) does not depend on the cutoff
-    dk = 2.0 * np.pi / grid_size
+    dk = 2.0 * np.pi / GRID_SIZE
     out = []
     for L in cutoffs:
         f_approx = c0 + _apply_weights(R[:L], b[:L]) @ cos_table[:L]

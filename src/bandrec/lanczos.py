@@ -14,14 +14,17 @@ the stored basis, with a second pass only when the DGKS test asks for it:
 when the first pass shrank the vector below 1/sqrt(2) of its norm, so
 that cancellation may have left it with a visible component along the
 basis (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772, 1976).
-The start vector and the sketch are drawn from separate seeded streams,
-so runs are reproducible.  The Ritz values of every step come from numpy's
-eigvalsh of the dense tridiagonal matrix: for eigenvalues alone LAPACK
-dsyevd leaves a tridiagonal matrix as it is and ends in dsterf, the
-tridiagonal QR routine.  The module needs numpy alone.  Once the loop
-ends, its working vectors are released before the Ritz vector is formed,
-and the Krylov rows before the residual product, so a solve's peak holds
-the rows and a few vectors of the operator's dimension.
+The start vector and the sketch are drawn from separate streams of one
+seed, the solver's only argument besides the operator, so runs are
+reproducible.  The stopping rule is fixed by module constants: the Ritz
+value must settle to TOL_ENERGY relative within MAX_ITER steps.  The Ritz
+values of every step come from numpy's eigvalsh of the dense tridiagonal
+matrix: for eigenvalues alone LAPACK dsyevd leaves a tridiagonal matrix
+as it is and ends in dsterf, the tridiagonal QR routine.  The module
+needs numpy alone.  Once the loop ends, its working vectors are released
+before the Ritz vector is formed, and the Krylov rows before the residual
+product, so a solve's peak holds the rows and a few vectors of the
+operator's dimension.
 """
 
 from __future__ import annotations
@@ -35,8 +38,15 @@ import numpy as np
 from .core import NumericalError, ValidationError
 
 
+#: relative change of the ground Ritz value, on two steps running, that
+#: counts as settled
+TOL_ENERGY = 1e-12
+
+#: iterations before a solve that has not settled fails
+MAX_ITER = 500
+
 #: Krylov rows are stored in blocks of this many, each reserved when the
-#: iterations reach it: never max_iter * dim up front, and no row is copied.
+#: iterations reach it: never MAX_ITER * dim up front, and no row is copied.
 KRYLOV_BLOCK = 64
 
 #: DGKS test: a reorthogonalization pass that keeps at least this share of
@@ -51,21 +61,6 @@ SEMI_ORTHOGONAL = np.finfo(float).eps ** 0.5
 SKETCH_ROWS = 2
 
 
-@dataclass(frozen=True)
-class LanczosConfig:
-    tol_energy: float = 1e-12
-    max_iter: int = 500
-    seed: int = 0
-
-    def __post_init__(self):
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise ValidationError(f"max_iter must be an integer, not {self.max_iter!r}")
-        if self.tol_energy <= 0:
-            raise ValidationError("tol_energy must be positive")
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be >= 1")
-
-
 @dataclass
 class LanczosResult:
     energy: float
@@ -78,16 +73,18 @@ class LanczosResult:
 def lowest_eigenpair(
     matvec: Callable[[np.ndarray], np.ndarray],
     dim: int,
-    config: LanczosConfig | None = None,
+    seed: int = 0,
 ) -> tuple[LanczosResult, np.ndarray]:
     """Ground eigenvalue and eigenvector of a real symmetric operator.
 
+    `seed`, a non-negative integer, fixes the start vector and the sketch.
     Raises NumericalError (with `best_estimate` attached) if the Ritz value
-    has not settled within `max_iter` iterations, or if the Krylov space
+    has not settled within MAX_ITER iterations, or if the Krylov space
     became invariant without the Ritz pair passing the residual bound; and
     (without it) if LAPACK fails on the tridiagonal matrix.
     """
-    config = config or LanczosConfig()
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, not {seed!r}")
     if dim < 1:
         raise ValidationError("operator dimension must be >= 1")
     if dim == 1:
@@ -95,7 +92,7 @@ def lowest_eigenpair(
         energy = float(matvec(v)[0])
         return LanczosResult(energy, 0.0, False, 1, 0), v
 
-    max_steps = min(config.max_iter, dim)
+    max_steps = min(MAX_ITER, dim)
     block = min(max_steps, KRYLOV_BLOCK)
     blocks = [np.empty((block, dim))]
 
@@ -103,12 +100,12 @@ def lowest_eigenpair(
         return blocks[i // block][i % block]
 
     # the start vector is drawn straight into the first row
-    start = np.random.default_rng(config.seed).standard_normal(out=row(0))
+    start = np.random.default_rng(seed).standard_normal(out=row(0))
     start /= np.linalg.norm(start)
 
     # the sketch U = C Q of the stored rows, with C Gaussian from a stream of
     # the seed that leaves the start vector's draws untouched
-    sketch_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    sketch_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     coeffs = sketch_rng.standard_normal((max_steps, SKETCH_ROWS))
     sketch = np.zeros((SKETCH_ROWS, dim))
     work = np.empty(dim)
@@ -151,7 +148,7 @@ def lowest_eigenpair(
         ritz_vals = _tridiagonal_eig(np.linalg.eigvalsh, alphas, betas[:j])
         theta = float(ritz_vals[0])
         norm_est = max(1.0, abs(ritz_vals[0]), abs(ritz_vals[-1]))
-        if abs(theta - prev_theta) <= config.tol_energy * max(1.0, abs(theta)):
+        if abs(theta - prev_theta) <= TOL_ENERGY * max(1.0, abs(theta)):
             stable += 1
         else:
             stable = 0

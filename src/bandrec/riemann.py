@@ -96,9 +96,6 @@ class EnergySeries:
             for L in self.sizes(tw):
                 yield L, tw, self._entries[(L, tw)]
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def synth_energy_series(
     dispersion: Band,
@@ -117,6 +114,8 @@ def synth_energy_series(
     sizes = sorted(set(sizes))
     if not sizes:
         raise ValidationError("no sizes requested")
+    if sizes[0] < 1:
+        raise ValidationError(f"sizes must be >= 1, got {sizes[0]}")
     for L in sizes:
         if isinstance(dispersion, FourierBand):
             samples = cosine_series_on_grid(dispersion.c0, dispersion.coeffs, L, twist)

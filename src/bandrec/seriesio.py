@@ -142,26 +142,26 @@ def write_band_samples_csv(band: FourierBand, stream: TextIO, n_samples: int = 5
 
 
 def parse_sizes(text: str) -> tuple[int, ...]:
-    """Parse a size list: 'N', 'start:end' or 'start:end:step', all inclusive."""
+    """Parse sizes, each >= 1: 'N', 'a,b,..', 'start:end' or 'start:end:step' (inclusive)."""
     text = text.strip()
     try:
         if ":" in text:
             parts = [int(p) for p in text.split(":")]
             if len(parts) == 2:
-                start, end, step = parts[0], parts[1], 1
-            elif len(parts) == 3:
-                start, end, step = parts
-            else:
+                parts.append(1)
+            start, end, step = parts
+            if step < 1 or end < start:
                 raise ValueError
-            if step < 1 or start < 1 or end < start:
-                raise ValueError
-            return tuple(range(start, end + 1, step))
-        if "," in text:
-            return tuple(sorted({int(p) for p in text.split(",")}))
-        return (int(text),)
+            sizes = range(start, end + 1, step)
+        else:
+            sizes = sorted({int(p) for p in text.split(",")})
+        if sizes[0] < 1:
+            raise ValueError
+        return tuple(sizes)
     except ValueError:
         raise ValidationError(
-            f"bad size specification {text!r}; use N, start:end or start:end:step"
+            f"bad size specification {text!r}; "
+            "use N, a,b,.., start:end or start:end:step, all >= 1"
         ) from None
 
 

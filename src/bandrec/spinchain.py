@@ -30,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import Twist, ValidationError
-from .lanczos import LanczosConfig, LanczosResult, lowest_eigenpair
+from .lanczos import lowest_eigenpair
 from .riemann import EnergySeries
 
 
@@ -59,6 +59,8 @@ class SpinChain:
             raise ValidationError(f"the {self.kind} model takes no delta")
         if self.D and self.kind != "single-ion":
             raise ValidationError(f"the {self.kind} model takes no D")
+        if not all(map(math.isfinite, (self.J, self.delta, self.D))):
+            raise ValidationError(f"J, delta and D must be finite, got {self!r}")
         if not abs(self.delta) < 1:
             raise ValidationError(f"|delta| must be < 1, got {self.delta}")
 
@@ -272,33 +274,20 @@ def _check_size(model: SpinChain, L: int) -> None:
         )
 
 
-def ground_energy(
-    spec: SpinModelSpec, L: int, config: LanczosConfig | None = None
-) -> LanczosResult:
-    """Lowest energy in the S^z = 0 sector (spin-1/2: even L only).
-
-    Nothing is cached: every call builds and solves the sector anew.  The
-    Lanczos start vector is seeded, so repeated calls are bit-identical.
-    """
-    _check_size(spec.model, L)
-    ham = build_hamiltonian(spec, L)
-    return lowest_eigenpair(ham.matvec, ham.diag.size, config)[0]
-
-
 def energy_series(
     model: SpinChain,
     sizes: Iterable[int],
     twists: Iterable[Twist] = (Twist.PBC,),
-    config: LanczosConfig | None = None,
-    nu: float | None = None,
+    seed: int = 0,
 ) -> EnergySeries:
     """Ground-state energy series of one model over sizes and twists.
 
     Each size's sector basis and Hamiltonian are built once, with the first
     twist; every further twist negates the twist-bond hops in place
     (`_negate_twist_bond`, the flip `build_hamiltonian` itself makes for abc),
-    so both twists share one matrix and the energies equal those of
-    `ground_energy` bit for bit.
+    so both twists share one matrix and the energies equal those of separate
+    `build_hamiltonian` calls bit for bit.  Every solve starts from `seed`, so
+    repeated calls are bit-identical.
     """
     sizes = sorted(set(int(s) for s in sizes))
     twists = tuple(twists)
@@ -310,7 +299,7 @@ def energy_series(
         raise ValidationError(f"duplicate twists {[str(t) for t in twists]}")
     for L in sizes:
         _check_size(model, L)
-    series = EnergySeries(nu=model.nu_hint if nu is None else nu, model=model.kind)
+    series = EnergySeries(nu=model.nu_hint, model=model.kind)
     for L in sizes:
         basis = SectorBasis.build(L, model.local_dim)
         ham = None
@@ -319,6 +308,6 @@ def energy_series(
                 ham = build_hamiltonian(SpinModelSpec(model, twist), L, basis)
             else:
                 _negate_twist_bond(ham, basis)
-            series.add(L, twist, lowest_eigenpair(ham.matvec, ham.diag.size, config)[0].energy)
+            series.add(L, twist, lowest_eigenpair(ham.matvec, ham.diag.size, seed)[0].energy)
         del ham, basis  # freed before the next size is built
     return series

@@ -30,7 +30,6 @@ from bandrec import (
     criterion_check,
     energy_series,
     extrapolate_e_inf,
-    ground_energy,
     reconstruct_band,
     invert_coefficients,
     residual_series,
@@ -38,6 +37,7 @@ from bandrec import (
     uniform_grid,
 )
 from bandrec.reconstruct import MODEL_EXPONENTIAL
+from ed_helpers import ground_energy
 
 BOSON_PBC = Hypothesis(Statistics.BOSON, Twist.PBC)
 FERMION_PBC = Hypothesis(Statistics.FERMION, Twist.PBC)

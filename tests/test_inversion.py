@@ -18,6 +18,7 @@ from bandrec import (
     riemann_sum,
     size_set_for,
 )
+from bandrec.bands import GRID_SIZE
 
 
 def random_band(rng, degree, pi_periodic=False):
@@ -237,14 +238,13 @@ class TestConvergenceCurve:
     def test_each_cutoff_matches_a_fresh_inversion(self, twist):
         # the curve slices one set of weights; each cutoff inverts on its own here
         band = MassiveSineBand(1.0, 0.2)
-        grid = 512
-        k = np.arange(grid) * (2.0 * np.pi / grid)
+        k = np.arange(GRID_SIZE) * (2.0 * np.pi / GRID_SIZE)
         exact = band.evaluate(k)
-        curve = convergence_curve(band, [3, 7, 12, 20], twist, grid_size=grid)
+        curve = convergence_curve(band, [3, 7, 12, 20], twist)
         for L, err in curve:
             residuals = residual_series(band, range(1, L + 1), twist)
             approx = invert_coefficients(residuals, twist, AllFrom1(L)).with_mean(band.mean())
-            expected = float(np.sum((approx.evaluate(k) - exact) ** 2) * 2.0 * np.pi / grid)
+            expected = float(np.sum((approx.evaluate(k) - exact) ** 2) * 2.0 * np.pi / GRID_SIZE)
             assert err == pytest.approx(expected, rel=1e-9, abs=1e-15), L
 
     def test_bad_cutoffs(self):

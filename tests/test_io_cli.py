@@ -85,7 +85,7 @@ class TestParsers:
         assert parse_sizes("2:16:2") == (2, 4, 6, 8, 10, 12, 14, 16)
         assert parse_sizes("4,2,8") == (2, 4, 8)
 
-    @pytest.mark.parametrize("bad", ["", "0:4", "5:2", "2:8:0", "a:b"])
+    @pytest.mark.parametrize("bad", ["", "0:4", "5:2", "2:8:0", "a:b", "0", "0,2", "4,-2"])
     def test_parse_sizes_rejects(self, bad):
         with pytest.raises(ValidationError):
             parse_sizes(bad)
@@ -175,12 +175,25 @@ class TestCli:
         monkeypatch.setattr(
             spinchain,
             "lowest_eigenpair",
-            lambda matvec, dim, config: lanczos.lowest_eigenpair(
-                lambda x: diag * x, diag.size, config
+            lambda matvec, dim, seed: lanczos.lowest_eigenpair(
+                lambda x: diag * x, diag.size, seed
             ),
         )
         assert main(["ed", "--model", "heisenberg", "--sizes", "4"]) == 3
         assert "did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--model", "heisenberg", "--seed", "-1"], "seed must be a non-negative integer"),
+            (["--model", "single-ion", "--D", "inf"], "must be finite"),
+            (["--model", "single-ion", "--D", "7.4", "--J", "nan"], "must be finite"),
+        ],
+    )
+    def test_ed_rejects_a_bad_seed_or_parameter(self, args, message, capsys):
+        assert main(["ed", *args, "--sizes", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
     def test_ed_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -212,6 +225,15 @@ class TestCli:
         series = read_energy_csv(open(out))
         for L in range(1, 6):
             assert series.e(L, Twist.PBC) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "band", ["constant:c0=1", "massive-sine:J=1,m=0.1", "fourier:c0=1,coeffs=0.5"]
+    )
+    def test_forward_rejects_sizes_below_one(self, band, capsys):
+        args = ["forward", "--band", band, "--statistics", "boson", "--nu", "1"]
+        assert main([*args, "--sizes", "0,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad size specification" in captured.err
 
     def test_pipeline_round_trip(self, tmp_path):
         energies = tmp_path / "abs.csv"
@@ -284,6 +306,26 @@ class TestCli:
         code = main(["reconstruct", "--energies", str(energies), "--nu", "1"])
         assert code == 2
         assert "e-inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_reconstruct_rejects_fewer_than_one_sample(self, samples, tmp_path, capsys):
+        energies = tmp_path / "e.csv"
+        main(
+            [
+                "forward", "--band", "constant:c0=1", "--statistics", "boson", "--nu", "1",
+                "--sizes", "1:4", "--out", str(energies),
+            ]
+        )
+        samples_out = tmp_path / "samples.csv"
+        code = main(
+            [
+                "reconstruct", "--energies", str(energies), "--e-inf", "0.5",
+                "--samples", samples, "--samples-out", str(samples_out),
+            ]
+        )
+        assert code == 2
+        assert "--samples must be >= 1" in capsys.readouterr().err
+        assert not samples_out.exists()
 
     def test_criterion_json(self, tmp_path):
         energies = tmp_path / "both.csv"

@@ -208,6 +208,11 @@ class TestSynthEnergySeries:
             else:
                 synth_energy_series(band, Statistics.BOSON, 1.0, twist, sizes)
 
+    @pytest.mark.parametrize("band", [MassiveSineBand(1.0, 0.1), FourierBand(1.0, [0.5])])
+    def test_sizes_below_one_rejected(self, band):
+        with pytest.raises(ValidationError, match="sizes must be >= 1"):
+            synth_energy_series(band, Statistics.BOSON, 1.0, Twist.PBC, [0, 2])
+
     def test_nonpositive_filling_rejected(self):
         with pytest.raises(ValidationError):
             synth_energy_series(FourierBand(1.0), Statistics.BOSON, 0.0, Twist.PBC, [2])

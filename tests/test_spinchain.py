@@ -6,7 +6,6 @@ import pytest
 
 from bandrec import lanczos, spinchain
 from bandrec import (
-    LanczosConfig,
     NumericalError,
     SectorBasis,
     SpinChain,
@@ -15,9 +14,9 @@ from bandrec import (
     ValidationError,
     build_hamiltonian,
     energy_series,
-    ground_energy,
     lowest_eigenpair,
 )
+from ed_helpers import ground_energy
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +141,20 @@ class TestSpinChain:
     def test_rejects_parameters_its_model_does_not_take(self, kind, params):
         with pytest.raises(ValidationError):
             SpinChain(kind, 1.0, **params)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "kind, param",
+        [("heisenberg", "J"), ("dimerized", "J"), ("single-ion", "J"), ("single-ion", "D")],
+    )
+    def test_rejects_non_finite_parameters(self, kind, param, value, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(spinchain.SectorBasis, "build", build)
+        params = {"delta": 0.1} if kind == "dimerized" else {}
+        with pytest.raises(ValidationError, match="must be finite"):
+            SpinChain(kind, **params, **{param: value})
 
     def test_zero_parameters_are_accepted_on_every_model(self):
         for kind in ("heisenberg", "dimerized", "single-ion"):
@@ -394,7 +407,7 @@ class TestGroundEnergy:
 
     def test_odd_spin_half_rejected(self):
         with pytest.raises(ValidationError, match="even"):
-            ground_energy(SpinModelSpec(SpinChain("heisenberg")), 5)
+            energy_series(SpinChain("heisenberg"), [5])
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
@@ -462,13 +475,13 @@ class TestLanczosSolver:
         assert result.energy == pytest.approx(np.linalg.eigvalsh(np.diag(diag))[0], abs=1e-10)
         assert not result.degeneracy_warning
 
-    def test_nonconvergence_carries_best_estimate(self):
+    def test_nonconvergence_carries_best_estimate(self, monkeypatch):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((400, 400))
         A = (A + A.T) / 2
-        config = LanczosConfig(tol_energy=1e-16, max_iter=4)
+        monkeypatch.setattr(lanczos, "MAX_ITER", 4)
         with pytest.raises(NumericalError) as excinfo:
-            lowest_eigenpair(lambda x: A @ x, 400, config)
+            lowest_eigenpair(lambda x: A @ x, 400)
         assert hasattr(excinfo.value, "best_estimate")
 
     @pytest.mark.parametrize("routine", ["eigvalsh", "eigh"])
@@ -495,20 +508,19 @@ class TestLanczosSolver:
         assert result.energy == pytest.approx(2.5)
 
     def test_krylov_storage_grows_with_the_iterations(self):
-        # a wide gap settles in a few steps; max_iter * dim rows would be 400 MB
+        # a wide gap settles in a few steps; MAX_ITER * dim rows would be 400 MB
         dim = 100_000
         diag = np.linspace(0.0, 1.0, dim)
         diag[0] = -10.0
-        config = LanczosConfig()
         lowest_eigenpair(lambda x: diag[:10] * x, 10)  # numpy.random imported before tracing
         tracemalloc.start()
         try:
-            result, _ = lowest_eigenpair(lambda x: diag * x, dim, config)
+            result, _ = lowest_eigenpair(lambda x: diag * x, dim)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert result.energy == pytest.approx(-10.0, abs=1e-10)
-        assert peak < config.max_iter * dim * 8 / 4
+        assert peak < lanczos.MAX_ITER * dim * 8 / 4
         assert result.iterations < lanczos.KRYLOV_BLOCK
         # besides the block of rows, the loop holds the two sketch rows, the
         # work row, w and the next product: 5 vectors (8 when the loop's
@@ -531,20 +543,24 @@ class TestLanczosSolver:
         assert r1.energy == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
         assert r1.reorth_steps <= r1.iterations / 4
 
-    @pytest.mark.parametrize("max_iter", [2.5, 10.0, "10", True])
-    def test_non_integer_max_iter_rejected(self, max_iter):
-        with pytest.raises(ValidationError, match="max_iter must be an integer"):
-            LanczosConfig(max_iter=max_iter)
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
+    def test_seed_other_than_a_non_negative_integer_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            lowest_eigenpair(lambda x: 2.5 * x, 1, seed)
 
-    def test_integer_max_iter_of_any_integer_type_accepted(self):
-        assert LanczosConfig(max_iter=np.int64(7)).max_iter == 7
+    def test_integer_seed_of_any_integer_type_accepted(self):
+        A = np.diag(np.arange(10.0))
+        r1, v1 = lowest_eigenpair(lambda x: A @ x, 10, np.int64(7))
+        r2, v2 = lowest_eigenpair(lambda x: A @ x, 10, 7)
+        assert r1.energy == r2.energy
+        assert np.array_equal(v1, v2)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((60, 60))
         A = A + A.T
-        r1, v1 = lowest_eigenpair(lambda x: A @ x, 60, LanczosConfig(seed=7))
-        r2, v2 = lowest_eigenpair(lambda x: A @ x, 60, LanczosConfig(seed=7))
+        r1, v1 = lowest_eigenpair(lambda x: A @ x, 60, seed=7)
+        r2, v2 = lowest_eigenpair(lambda x: A @ x, 60, seed=7)
         assert r1.energy == r2.energy
         assert np.array_equal(v1, v2)
 
@@ -609,7 +625,7 @@ class TestSharedAssembly:
         # entry shares its position with bond 0's
         solved = []
 
-        def record(matvec, dim, config=None):
+        def record(matvec, dim, seed=0):
             ham = matvec.__self__
             assert dim == ham.diag.size
             solved.append(
