@@ -1,30 +1,29 @@
 """Sector-restricted exact diagonalization of three 1D spin chains.
 
-Models: the spin-1/2 exchange ring, its bond-alternating variant, and the
-spin-1 ring with a single-ion (S^z)^2 term.  They differ only in local
-dimension, bond couplings and the on-site term, so one spec, `SpinChain`,
-holds all three.  All conserve total S^z, so the Hamiltonian acts inside
-one magnetization sector.  Its configurations are base-d digit codes with
-a fixed digit sum, built in ascending order digit by digit without visiting
-the other d^L codes.  The sector Hamiltonian is real
-symmetric and is held once, as H = D + A + A^T: its diagonal D and one
-`scipy.sparse` CSR matrix A (int32 indices) of its strictly lower triangle,
-one stored hop per bond and state (the sector ED of Sandvik, AIP Conf.
-Proc. 1297, 135, 2010, arXiv:1101.3281).  SciPy is imported only when a
-Hamiltonian is built.
+One spec, `SpinChain`, names the spin-1/2 exchange ring, its bond-alternating
+variant and the spin-1 ring with a single-ion (S^z)^2 term.  All conserve
+total S^z; a sector's configurations are the base-d codes with a fixed digit
+sum, built in ascending order without visiting the other d^L codes.  The
+real symmetric sector Hamiltonian is held once, as H = D + A + A^T: its
+diagonal D and three numpy arrays, the CSR form (int32 offsets and indices)
+of its strictly lower triangle A, one hop per bond and state (the sector ED
+of Sandvik, AIP Conf. Proc. 1297, 135, 2010, arXiv:1101.3281).  Only SciPy's
+`_sparsetools` extension is loaded, for its two CSR kernels.
 
 Antiperiodic boundary conditions flip the sign of the transverse part of
-the boundary bond (S+_L S-_1 terms) and leave S^z_L S^z_1 unchanged.  The
-abc matrix is always made one way: build the pbc matrix and negate the
-boundary-bond hops of A in place (`_negate_twist_bond`), an exact flip.  So
-`energy_series` builds one basis and one matrix per size and reaches the
-second twist by the same flip, with no second matrix.
+the boundary bond (S+_L S-_1) and leave S^z_L S^z_1 unchanged: the abc
+matrix is the pbc one with the boundary-bond hops negated in place
+(`_negate_twist_bond`), the exact flip `energy_series` also uses.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Iterable
 
 import numpy as np
@@ -140,35 +139,53 @@ class SectorBasis:
         return (self.states // self.local_dim**site) % self.local_dim
 
 
+def _csr_kernels():
+    """SciPy's `csr_matvec` and `csc_matvec`; a later `import scipy.sparse` reuses their module."""
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        if (scipy := importlib.util.find_spec("scipy")) is None:
+            raise ImportError("SciPy is not installed", name="scipy")
+        directory = os.path.join(os.path.dirname(scipy.origin), "sparse")
+        spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"no {name} extension in {directory}", name=name, path=directory)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name].csr_matvec, sys.modules[name].csc_matvec
+
+
 @dataclass(frozen=True)
 class SectorHamiltonian:
     """A real symmetric sector Hamiltonian H = D + A + A^T.
 
-    `diag` holds D; `A` is a CSR matrix (int32 indices) of the strictly
-    lower triangle, so each off-diagonal pair is stored once.  Each row
-    holds its entries in bond order, and the L=2 ring keeps one entry per
-    bond at the same position; both products below sum them.
+    `diag` holds D; `indptr`, `indices` (int32) and `data` are the CSR arrays
+    of the strictly lower triangle A, in bond order within a row.  The L=2
+    ring's two bonds share one position, and both products sum them.
     """
 
     diag: np.ndarray
-    A: "scipy.sparse.csr_matrix"
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H v as one new array: D v, then A v and A^T v added into it."""
-        # the kernels behind SciPy's own sparse products (private module);
-        # both add into `out`, so no temporary per product
-        from scipy.sparse._sparsetools import csc_matvec, csr_matvec
-
+        csr_matvec, csc_matvec = _csr_kernels()
         out = self.diag * v
-        n, A = self.diag.size, self.A
-        csr_matvec(n, n, A.indptr, A.indices, A.data, v, out)
+        n, lower = self.diag.size, (self.indptr, self.indices, self.data)
+        csr_matvec(n, n, *lower, v, out)
         # A's arrays read as compressed columns are A^T
-        csc_matvec(n, n, A.indptr, A.indices, A.data, v, out)
+        csc_matvec(n, n, *lower, v, out)
         return out
 
-    def toarray(self) -> np.ndarray:
-        lower = self.A.toarray()
-        return np.diag(self.diag) + lower + lower.T
+
+def _row_pointers(row_nnz: np.ndarray, L: int) -> np.ndarray:
+    """CSR row offsets as int32, refusing a pair count that would wrap."""
+    indptr = np.concatenate(([0], np.cumsum(row_nnz, dtype=np.int64)))
+    if indptr[-1] >= 2**31:
+        raise ValidationError(f"L={L}: {indptr[-1]} stored pairs overflow int32 offsets")
+    return indptr.astype(np.int32)
 
 
 def build_hamiltonian(
@@ -198,9 +215,8 @@ def build_hamiltonian(
     couplings = model.bond_couplings(L)
 
     digits = [sector.digits(i).astype(np.int8) for i in range(L)]
-    # S^z eigenvalue of each level, looked up bond by bond: float64 whatever
-    # numpy's promotion of int8 arrays with Python floats, with no per-site
-    # arrays kept
+    # S^z of each level, looked up bond by bond: float64 whatever numpy's
+    # promotion of int8 arrays with Python floats, and no per-site arrays
     m_of_level = np.arange(d) - s2 / 2.0
 
     diag = np.zeros(sector.dim)
@@ -215,37 +231,27 @@ def build_hamiltonian(
     # and of spin 1, so each hop has one amplitude (amp * r) * r
     raise_amp = math.sqrt(s2)
 
-    from scipy.sparse import csr_matrix
-
-    powers = [d**i for i in range(L)]
-    # (raised site, lowered site, amplitude, mask of the source states) in
-    # bond order; the raised site is the less significant one of the bond
-    hops = []
+    # (code shift, amplitude, source-state mask) in bond order, each hop raising
+    # its bond's less significant site; the masks give the row lengths
+    hops, row_nnz = [], np.zeros(sector.dim, dtype=np.int64)
     for b in range(L):
         up_site, down_site = (b, b + 1) if b < L - 1 else (0, L - 1)
-        amp = 0.5 * couplings[b]
         mask = (digits[up_site] < d - 1) & (digits[down_site] > 0)
-        hops.append((up_site, down_site, amp, mask))
-    del digits  # L arrays, freed before the matrix is allocated
-
-    # the row lengths are known before any destination is looked up
-    row_nnz = np.zeros(sector.dim, dtype=np.int64)
-    for *_, mask in hops:
+        hops.append((d**up_site - d**down_site, 0.5 * couplings[b], mask))
         row_nnz += mask
-    indptr = np.concatenate(([0], np.cumsum(row_nnz)))
+    del digits  # L arrays, freed before the matrix is allocated
+    indptr = _row_pointers(row_nnz, L)
     del row_nnz
     indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty(indptr[-1])
     slot = indptr[:-1].copy()  # next free position of every row
-    for up_site, down_site, amp, mask in hops:
+    for shift, amp, mask in hops:
         src = np.flatnonzero(mask)
         at = slot[src]
-        dst_codes = sector.states[src] + powers[up_site] - powers[down_site]
-        indices[at] = np.searchsorted(sector.states, dst_codes)
+        indices[at] = np.searchsorted(sector.states, sector.states[src] + shift)
         data[at] = amp * raise_amp * raise_amp
         slot[src] += 1
-    lower = csr_matrix((data, indices, indptr), shape=(sector.dim, sector.dim))
-    ham = SectorHamiltonian(diag, lower)
+    ham = SectorHamiltonian(diag, indptr, indices, data)
     if spec.boundary_twist is Twist.ABC:
         _negate_twist_bond(ham, sector)
     return ham
@@ -261,17 +267,15 @@ def _negate_twist_bond(ham: SectorHamiltonian, sector: SectorBasis) -> None:
     """
     d = sector.local_dim
     rows = (sector.digits(0) < d - 1) & (sector.digits(sector.L - 1) > 0)
-    at = ham.A.indptr[1:][rows] - 1
-    ham.A.data[at] = -ham.A.data[at]
+    at = ham.indptr[1:][rows] - 1
+    ham.data[at] = -ham.data[at]
 
 
 def _check_size(model: SpinChain, L: int) -> None:
     if L < 2:
         raise ValidationError(f"sizes must be >= 2, got {L}")
     if model.local_dim == 2 and L % 2:
-        raise ValidationError(
-            f"spin-1/2 sizes must be even (odd L has no S^z=0 sector), got L={L}"
-        )
+        raise ValidationError(f"spin-1/2 sizes must be even (odd L has no S^z=0 sector), got L={L}")
 
 
 def energy_series(
@@ -282,12 +286,10 @@ def energy_series(
 ) -> EnergySeries:
     """Ground-state energy series of one model over sizes and twists.
 
-    Each size's sector basis and Hamiltonian are built once, with the first
-    twist; every further twist negates the twist-bond hops in place
-    (`_negate_twist_bond`, the flip `build_hamiltonian` itself makes for abc),
-    so both twists share one matrix and the energies equal those of separate
-    `build_hamiltonian` calls bit for bit.  Every solve starts from `seed`, so
-    repeated calls are bit-identical.
+    Each size's basis and Hamiltonian are built once, with the first twist;
+    every further twist flips the twist-bond hops in place, so the energies
+    equal those of separate `build_hamiltonian` calls bit for bit.  Every
+    solve starts from `seed`, so repeated calls are bit-identical.
     """
     sizes = sorted(set(int(s) for s in sizes))
     twists = tuple(twists)
@@ -302,11 +304,9 @@ def energy_series(
     series = EnergySeries(nu=model.nu_hint, model=model.kind)
     for L in sizes:
         basis = SectorBasis.build(L, model.local_dim)
-        ham = None
-        for twist in twists:
-            if ham is None:
-                ham = build_hamiltonian(SpinModelSpec(model, twist), L, basis)
-            else:
+        ham = build_hamiltonian(SpinModelSpec(model, twists[0]), L, basis)
+        for i, twist in enumerate(twists):
+            if i:
                 _negate_twist_bond(ham, basis)
             series.add(L, twist, lowest_eigenpair(ham.matvec, ham.diag.size, seed)[0].energy)
         del ham, basis  # freed before the next size is built

@@ -37,7 +37,7 @@ from bandrec import (
     uniform_grid,
 )
 from bandrec.reconstruct import MODEL_EXPONENTIAL
-from ed_helpers import ground_energy
+from ed_helpers import dense, ground_energy
 
 BOSON_PBC = Hypothesis(Statistics.BOSON, Twist.PBC)
 FERMION_PBC = Hypothesis(Statistics.FERMION, Twist.PBC)
@@ -366,7 +366,7 @@ def test_criterion_10_ed_unit_anchors():
                 break
             for twist in (Twist.PBC, Twist.ABC):
                 spec = SpinModelSpec(model, twist)
-                dense_min = float(np.linalg.eigvalsh(build_hamiltonian(spec, L).toarray())[0])
+                dense_min = float(np.linalg.eigvalsh(dense(build_hamiltonian(spec, L)))[0])
                 lanczos_min = ground_energy(spec, L).energy
                 worst = max(worst, abs(dense_min - lanczos_min))
                 checked += 1

@@ -1,7 +1,7 @@
-"""The command line starts on numpy alone; SciPy loads only when ED needs it.
+"""The command line starts on numpy alone; ED loads only SciPy's CSR kernels.
 
-ED then loads `scipy.sparse`, for the Hamiltonian, and nothing under
-`scipy.linalg`: Lanczos runs on numpy alone.
+ED loads the `scipy.sparse._sparsetools` extension, for the two products of
+its matvec, and no SciPy package: Lanczos runs on numpy alone.
 
 Importing bandrec before numpy also fixes the BLAS pool at one thread unless
 the user chose otherwise. These checks run in fresh interpreters, because
@@ -62,15 +62,47 @@ def test_import_and_number_commands_load_no_scipy():
     assert run_python(SCRIPT) == ""
 
 
-def test_ed_loads_scipy_sparse_and_no_scipy_linalg(tmp_path):
+def test_ed_loads_only_the_csr_kernels(tmp_path):
     out = tmp_path / "ed.csv"
     loaded = run_python(CLI_SCIPY, "ed", "--model", "heisenberg", "--sizes", "4", "--out", str(out))
     rows = out.read_text().splitlines()
     assert rows[-1].startswith("4,pbc,")
     assert abs(float(rows[-1].split(",")[2]) + 2.0) < 1e-12  # 4-site ring: E0 = -2J
-    loaded = loaded.split(",")
-    assert "scipy.sparse" in loaded
-    assert [m for m in loaded if m.split(".")[:2] == ["scipy", "linalg"]] == []
+    assert loaded.split(",") == ["scipy.sparse._sparsetools"]
+
+
+# loads the kernels through matvec, then imports scipy.sparse, whose own CSR
+# matrix must reuse the loaded extension and give the same products
+KERNEL_IDENTITY = """
+import sys
+import numpy as np
+from bandrec import SpinChain, SpinModelSpec, Twist, build_hamiltonian
+
+model = SpinChain("single-ion", 1.0, D=7.4)
+hams = [build_hamiltonian(SpinModelSpec(model, twist), 8) for twist in (Twist.PBC, Twist.ABC)]
+vs = [np.random.default_rng(seed).standard_normal(ham.diag.size) for seed, ham in enumerate(hams)]
+products = [ham.matvec(v) for ham, v in zip(hams, vs)]
+loaded = sys.modules["scipy.sparse._sparsetools"]
+assert [m for m in sys.modules if m.split(".")[0] == "scipy"] == ["scipy.sparse._sparsetools"]
+
+import scipy.sparse
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+
+assert sys.modules["scipy.sparse._sparsetools"] is loaded and csr_matvec is loaded.csr_matvec
+for ham, v, product in zip(hams, vs, products):
+    n = ham.diag.size
+    A = scipy.sparse.csr_matrix((ham.data, ham.indices, ham.indptr), shape=(n, n))
+    out = ham.diag * v
+    csr_matvec(n, n, A.indptr, A.indices, A.data, v, out)
+    csc_matvec(n, n, A.indptr, A.indices, A.data, v, out)
+    assert np.array_equal(ham.matvec(v), out) and np.array_equal(product, out)
+    assert np.abs(A @ v + A.T @ v + ham.diag * v - out).max() <= 1e-12 * np.abs(out).max()
+print("ok")
+"""
+
+
+def test_kernels_are_the_ones_scipy_sparse_uses():
+    assert run_python(KERNEL_IDENTITY) == "ok"
 
 
 def test_ed_bytes_do_not_depend_on_the_thread_variables(tmp_path):

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,7 @@ from bandrec import (
     energy_series,
     lowest_eigenpair,
 )
-from ed_helpers import ground_energy
+from ed_helpers import dense, ground_energy
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +92,7 @@ def projected_kron_oracle(model, L, twist, sign_bond=-1):
 
 def dense_sector(model, L, twist):
     spec = SpinModelSpec(model, twist)
-    return build_hamiltonian(spec, L).toarray()
+    return dense(build_hamiltonian(spec, L))
 
 
 ALL_MODELS = [
@@ -238,11 +240,11 @@ class TestHamiltonian:
         # per bond at the one position below the diagonal, and both products
         # read them as one entry, J (pbc) or 0 (abc)
         ham = build_hamiltonian(SpinModelSpec(SpinChain("heisenberg", 1.0), twist), 2)
-        assert ham.A.indices.dtype == np.int32 and ham.A.indptr.dtype == np.int32
-        assert ham.A.nnz == 2
-        assert np.array_equal(ham.A.indices, [0, 0]) and np.array_equal(ham.A.indptr, [0, 0, 2])
+        assert ham.indices.dtype == np.int32 and ham.indptr.dtype == np.int32
+        assert ham.data.size == 2
+        assert np.array_equal(ham.indices, [0, 0]) and np.array_equal(ham.indptr, [0, 0, 2])
         expected = 1.0 if twist is Twist.PBC else 0.0
-        assert np.array_equal(ham.toarray(), [[-0.5, expected], [expected, -0.5]])
+        assert np.array_equal(dense(ham), [[-0.5, expected], [expected, -0.5]])
         assert np.array_equal(ham.matvec(np.array([1.0, 0.0])), [-0.5, expected])
         assert np.array_equal(ham.matvec(np.array([0.0, 1.0])), [expected, -0.5])
 
@@ -253,14 +255,14 @@ class TestHamiltonian:
         # holds each position once
         for L in range(3, 9):
             sector = SectorBasis.build(L, model.local_dim, sz2_total=L * (model.local_dim - 1) % 2)
-            A = build_hamiltonian(SpinModelSpec(model, twist), L, sector).A
-            assert sector.dim > 0 and A.nnz > 0
-            assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
-            rows = np.repeat(np.arange(sector.dim), np.diff(A.indptr))
-            assert np.all(A.indices < rows), (model.kind, twist, L)
-            summed = A.copy()
-            summed.sum_duplicates()
-            assert A.nnz == summed.nnz, (model.kind, twist, L)
+            ham = build_hamiltonian(SpinModelSpec(model, twist), L, sector)
+            assert sector.dim > 0 and ham.data.size > 0
+            assert ham.indices.dtype == np.int32 and ham.indptr.dtype == np.int32
+            assert ham.indptr[0] == 0 and ham.indptr[-1] == ham.indices.size == ham.data.size
+            rows = np.repeat(np.arange(sector.dim), np.diff(ham.indptr))
+            assert np.all(ham.indices < rows), (model.kind, twist, L)
+            positions = rows * sector.dim + ham.indices
+            assert np.unique(positions).size == positions.size, (model.kind, twist, L)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_hermiticity_on_random_vectors(self, model):
@@ -283,7 +285,7 @@ class TestHamiltonian:
             if model.local_dim == 2 and L % 2:
                 continue
             ham = build_hamiltonian(SpinModelSpec(model, twist), L)
-            H = ham.toarray()
+            H = dense(ham)
             v = np.random.default_rng(L).standard_normal(ham.diag.size)
             out = ham.matvec(v)
             assert out is not v and out.shape == v.shape
@@ -319,7 +321,7 @@ class TestHamiltonian:
 
     def test_each_offdiagonal_pair_is_stored_once(self):
         # diag (8 bytes a state), A's data and indices (12 bytes a pair) and
-        # its int32 row pointers; the pairs are counted combinatorially
+        # its int32 row offsets; the pairs are counted combinatorially
         L, d = 11, 3
         count = np.zeros((L + 1, L * (d - 1) + 1), dtype=np.int64)  # digit strings by sum
         count[0, 0] = 1
@@ -331,9 +333,27 @@ class TestHamiltonian:
         # a pair per bond and state whose raised site is below d-1 and lowered site above 0
         pairs = L * int(sum(count[L - 2, half - a - b] for a in range(d - 1) for b in range(1, d)))
         ham = build_hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4)), L)
-        assert ham.diag.size == dim and ham.A.nnz == pairs
-        stored = ham.diag.nbytes + ham.A.data.nbytes + ham.A.indices.nbytes + ham.A.indptr.nbytes
+        assert ham.diag.size == dim and ham.data.size == pairs
+        stored = ham.diag.nbytes + ham.data.nbytes + ham.indices.nbytes + ham.indptr.nbytes
         assert stored <= 8 * dim + 12 * pairs + 4 * (dim + 1), (stored, dim, pairs)
+
+    def test_row_offsets_refuse_a_pair_count_beyond_int32(self):
+        # the counts are summed in int64, so 2**31 pairs are named, not wrapped
+        with pytest.raises(ValidationError, match=r"L=17: 2147483648 stored pairs"):
+            spinchain._row_pointers(np.array([2**31 - 1, 1]), 17)
+        indptr = spinchain._row_pointers(np.array([2**31 - 2, 1]), 17)
+        assert indptr.dtype == np.int32 and indptr.tolist() == [0, 2**31 - 2, 2**31 - 1]
+
+    def test_missing_kernel_file_names_its_path(self, tmp_path, monkeypatch):
+        # a SciPy whose sparse directory lacks the extension
+        (tmp_path / "scipy" / "sparse").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
+            monkeypatch.delitem(sys.modules, name)
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "scipy" / "sparse"))):
+            spinchain._csr_kernels()
+        assert [m for m in sys.modules if m.split(".")[0] == "scipy"] == []
 
     @pytest.mark.parametrize("L", [4, 6, 8])
     def test_sector_contains_full_space_minimum(self, L):
@@ -629,7 +649,7 @@ class TestSharedAssembly:
             ham = matvec.__self__
             assert dim == ham.diag.size
             solved.append(
-                (ham.diag.copy(), ham.A.indptr.copy(), ham.A.indices.copy(), ham.A.data.copy())
+                (ham.diag.copy(), ham.indptr.copy(), ham.indices.copy(), ham.data.copy())
             )
             return lanczos.LanczosResult(0.0, 0.0, False, 1, 0), None
 
@@ -645,10 +665,10 @@ class TestSharedAssembly:
         for (diag, indptr, indices, data), ham in zip(solved, expected):
             assert np.array_equal(diag, ham.diag)
             assert np.array_equal(np.signbit(diag), np.signbit(ham.diag))
-            assert np.array_equal(indptr, ham.A.indptr)
-            assert np.array_equal(indices, ham.A.indices)
-            assert np.array_equal(data, ham.A.data)
-            assert np.array_equal(np.signbit(data), np.signbit(ham.A.data))
+            assert np.array_equal(indptr, ham.indptr)
+            assert np.array_equal(indices, ham.indices)
+            assert np.array_equal(data, ham.data)
+            assert np.array_equal(np.signbit(data), np.signbit(ham.data))
 
     def test_no_twists_rejected_before_any_build(self, monkeypatch):
         def build(*args, **kwargs):
