@@ -20,12 +20,7 @@ if "numpy" not in _sys.modules:
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, "1")
 
-from .bands import (
-    AbsSineBand,
-    FourierBand,
-    MassiveSineBand,
-    uniform_grid,
-)
+from .bands import MassiveSineBand
 from .core import (
     ALL_HYPOTHESES,
     Hypothesis,
@@ -34,75 +29,33 @@ from .core import (
     Twist,
     ValidationError,
 )
-from .inversion import (
-    AllFrom1,
-    EvenOnly,
-    From2,
-    convergence_curve,
-    invert_coefficients,
-    size_set_for,
-)
+from .inversion import EvenOnly, convergence_curve, size_set_for
 from .lanczos import lowest_eigenpair
 from .numtheory import b_coefficients, moebius_table
-from .reconstruct import (
-    MODEL_EXPONENTIAL,
-    MODEL_POWER_LAW_2,
-    classify,
-    criterion_check,
-    e_inf_sensitivity,
-    extrapolate_e_inf,
-    reconstruct_band,
-)
-from .riemann import (
-    EnergySeries,
-    momenta,
-    residual_series,
-    riemann_sum,
-    synth_energy_series,
-)
-from .spinchain import (
-    SectorBasis,
-    SpinChain,
-    SpinModelSpec,
-    build_hamiltonian,
-    energy_series,
-)
+from .reconstruct import classify, criterion_check, extrapolate_e_inf, reconstruct_band
+from .riemann import synth_energy_series
+from .spinchain import SpinChain, energy_series
 
+# exactly the names the command line and the README use
 __all__ = [
     "ALL_HYPOTHESES",
-    "AbsSineBand",
-    "AllFrom1",
-    "EnergySeries",
     "EvenOnly",
-    "FourierBand",
-    "From2",
     "Hypothesis",
-    "MODEL_EXPONENTIAL",
-    "MODEL_POWER_LAW_2",
     "MassiveSineBand",
     "NumericalError",
-    "SectorBasis",
     "SpinChain",
-    "SpinModelSpec",
     "Statistics",
     "Twist",
     "ValidationError",
     "b_coefficients",
-    "build_hamiltonian",
     "classify",
     "convergence_curve",
     "criterion_check",
-    "e_inf_sensitivity",
     "energy_series",
     "extrapolate_e_inf",
-    "invert_coefficients",
     "lowest_eigenpair",
     "moebius_table",
-    "momenta",
     "reconstruct_band",
-    "residual_series",
-    "riemann_sum",
     "size_set_for",
     "synth_energy_series",
-    "uniform_grid",
 ]

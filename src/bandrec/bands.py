@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Twist, ValidationError
+from .core import Twist
 
 #: number of uniform grid points used for positivity checks and projections
 GRID_SIZE = 4096
@@ -77,23 +77,11 @@ class FourierBand:
     def degree(self) -> int:
         return self.coeffs.size
 
-    def coefficient(self, n: int) -> float:
-        """Cosine coefficient a_n (n >= 1); zero above the stored degree."""
-        if n < 1:
-            raise ValidationError("coefficient index must be >= 1")
-        return float(self.coeffs[n - 1]) if n <= self.coeffs.size else 0.0
-
     def evaluate(self, k):
         return cosine_series(self.c0, self.coeffs, k)
 
-    __call__ = evaluate
-
     def mean(self) -> float:
         return self.c0
-
-    def with_mean(self, c0: float) -> "FourierBand":
-        """Copy of this band with the mean value replaced."""
-        return FourierBand(c0, self.coeffs, self.undetermined_a1)
 
     def __repr__(self) -> str:
         return (

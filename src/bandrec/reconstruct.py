@@ -254,26 +254,3 @@ def extrapolate_e_inf(
 
     raise ValidationError(f"unknown extrapolation model {model!r}")
 
-
-def e_inf_sensitivity(
-    series: EnergySeries,
-    e_inf: float,
-    delta: float,
-    nu: float,
-    hypothesis: Hypothesis,
-    size_set: SizeSet,
-    data_twist: Twist | None = None,
-) -> np.ndarray:
-    """Half-spread of each band coefficient when e_inf is varied by +-delta.
-
-    There is no principled default for delta; the caller chooses it.
-    """
-    if delta <= 0:
-        raise ValidationError("sensitivity delta must be positive")
-    lo = reconstruct_band(series, e_inf - delta, nu, hypothesis, size_set, data_twist)
-    hi = reconstruct_band(series, e_inf + delta, nu, hypothesis, size_set, data_twist)
-    n = max(lo.band.degree, hi.band.degree)
-    spread = np.zeros(n)
-    for i in range(n):
-        spread[i] = abs(hi.band.coefficient(i + 1) - lo.band.coefficient(i + 1)) / 2.0
-    return spread

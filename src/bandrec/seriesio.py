@@ -132,7 +132,7 @@ def band_from_dict(entry: dict) -> FourierBand:
     )
 
 
-def write_band_samples_csv(band: FourierBand, stream: TextIO, n_samples: int = 512) -> None:
+def write_band_samples_csv(band: FourierBand, stream: TextIO, n_samples: int) -> None:
     k = uniform_grid(n_samples)
     values = band.evaluate(k)
     writer = csv.writer(stream, lineterminator="\n")

@@ -2,13 +2,14 @@
 
 One spec, `SpinChain`, names the spin-1/2 exchange ring, its bond-alternating
 variant and the spin-1 ring with a single-ion (S^z)^2 term.  All conserve
-total S^z; a sector's configurations are the base-d codes with a fixed digit
-sum, built in ascending order without visiting the other d^L codes.  The
-real symmetric sector Hamiltonian is held once, as H = D + A + A^T: its
-diagonal D and three numpy arrays, the CSR form (int32 offsets and indices)
-of its strictly lower triangle A, one hop per bond and state (the sector ED
-of Sandvik, AIP Conf. Proc. 1297, 135, 2010, arXiv:1101.3281).  Only SciPy's
-`_sparsetools` extension is loaded, for its two CSR kernels.
+total S^z; the S^z = 0 sector's configurations are the base-d codes with a
+fixed digit sum, built in ascending order without visiting the other d^L
+codes.  The real symmetric sector Hamiltonian is held once, as
+H = D + A + A^T: its diagonal D and three numpy arrays, the CSR form (int32
+offsets and indices) of its strictly lower triangle A, one hop per bond and
+state (the sector ED of Sandvik, AIP Conf. Proc. 1297, 135, 2010,
+arXiv:1101.3281).  Only SciPy's `_sparsetools` extension is loaded, for its
+two CSR kernels, and no `scipy` module is left in `sys.modules`.
 
 Antiperiodic boundary conditions flip the sign of the transverse part of
 the boundary bond (S+_L S-_1) and leave S^z_L S^z_1 unchanged: the abc
@@ -18,6 +19,7 @@ matrix is the pbc one with the boundary-bond hops negated in place
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import os
@@ -104,7 +106,7 @@ def _codes_with_digit_sum(L: int, d: int, total: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Ranked enumeration of the configurations with fixed total S^z.
+    """Ranked enumeration of the configurations with total S^z = 0.
 
     Configurations are encoded as base-`local_dim` integers whose digit at
     site i is the local level (0 .. d-1, level = m + s).  `states` is sorted
@@ -113,22 +115,21 @@ class SectorBasis:
 
     L: int
     local_dim: int
-    sz2_total: int  # twice the total S^z, always an integer
     states: np.ndarray
 
     @classmethod
-    def build(cls, L: int, local_dim: int, sz2_total: int = 0) -> "SectorBasis":
+    def build(cls, L: int, local_dim: int) -> "SectorBasis":
         if L < 1:
             raise ValidationError("chain length must be >= 1")
         if local_dim not in (2, 3):
             raise ValidationError("local dimension must be 2 (spin-1/2) or 3 (spin-1)")
-        target = sz2_total + L * (local_dim - 1)  # twice the digit sum
-        if target % 2:
+        target = L * (local_dim - 1)  # twice the digit sum
+        if target % 2:  # odd spin-1/2 rings have no S^z = 0 state
             states = np.empty(0, dtype=np.int64)
         else:
             states = _codes_with_digit_sum(L, local_dim, target // 2)
         states.setflags(write=False)
-        return cls(L=L, local_dim=local_dim, sz2_total=sz2_total, states=states)
+        return cls(L=L, local_dim=local_dim, states=states)
 
     @property
     def dim(self) -> int:
@@ -139,10 +140,19 @@ class SectorBasis:
         return (self.states // self.local_dim**site) % self.local_dim
 
 
+@functools.cache
 def _csr_kernels():
-    """SciPy's `csr_matvec` and `csc_matvec`; a later `import scipy.sparse` reuses their module."""
+    """SciPy's `csr_matvec` and `csc_matvec`, from the `_sparsetools` extension's file.
+
+    The extension enters itself in `sys.modules` as it loads, before any
+    `scipy.sparse` package exists; that entry is removed again and the
+    module is held only here, so a later `import scipy.sparse` loads it as
+    its own attribute.
+    """
     name = "scipy.sparse._sparsetools"
-    if name not in sys.modules:
+    if name in sys.modules:  # SciPy's own import came first
+        module = sys.modules[name]
+    else:
         if (scipy := importlib.util.find_spec("scipy")) is None:
             raise ImportError("SciPy is not installed", name="scipy")
         directory = os.path.join(os.path.dirname(scipy.origin), "sparse")
@@ -151,8 +161,8 @@ def _csr_kernels():
             raise ImportError(f"no {name} extension in {directory}", name=name, path=directory)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        sys.modules[name] = module
-    return sys.modules[name].csr_matvec, sys.modules[name].csc_matvec
+        sys.modules.pop(name, None)
+    return module.csr_matvec, module.csc_matvec
 
 
 @dataclass(frozen=True)
@@ -188,9 +198,7 @@ def _row_pointers(row_nnz: np.ndarray, L: int) -> np.ndarray:
     return indptr.astype(np.int32)
 
 
-def build_hamiltonian(
-    spec: SpinModelSpec, L: int, sector: SectorBasis | None = None
-) -> SectorHamiltonian:
+def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> SectorHamiltonian:
     """The sector-restricted Hamiltonian of one model, as D + A + A^T.
 
     Each bond stores one hop: the one that raises its less significant site
@@ -203,8 +211,6 @@ def build_hamiltonian(
     model = spec.model
     if L < 2:
         raise ValidationError("chains below two sites are not supported")
-    if sector is None:
-        sector = SectorBasis.build(L, model.local_dim)
     if sector.L != L or sector.local_dim != model.local_dim:
         raise ValidationError(
             f"sector (L={sector.L}, d={sector.local_dim}) does not match "

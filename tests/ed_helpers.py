@@ -2,12 +2,18 @@
 
 import numpy as np
 
-from bandrec import build_hamiltonian, lowest_eigenpair
+from bandrec.lanczos import lowest_eigenpair
+from bandrec.spinchain import SectorBasis, build_hamiltonian
+
+
+def hamiltonian(spec, L):
+    """The S^z = 0 sector Hamiltonian of one model, twist and size, with its basis built anew."""
+    return build_hamiltonian(spec, L, SectorBasis.build(L, spec.model.local_dim))
 
 
 def ground_energy(spec, L):
     """Lanczos result of the S^z = 0 sector of one model, twist and size, built anew."""
-    ham = build_hamiltonian(spec, L)
+    ham = hamiltonian(spec, L)
     return lowest_eigenpair(ham.matvec, ham.diag.size)[0]
 
 

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from bandrec import (
+from bandrec import MassiveSineBand, Twist
+from bandrec.bands import (
     AbsSineBand,
     FourierBand,
-    MassiveSineBand,
-    Twist,
-    momenta,
+    cosine_series,
+    cosine_series_on_grid,
     uniform_grid,
 )
-from bandrec.bands import cosine_series, cosine_series_on_grid
+from bandrec.riemann import momenta
 
 
 def test_fourier_band_is_even():
@@ -25,15 +25,13 @@ def test_fourier_band_evaluation():
     band = FourierBand(1.0, [0.0, 1.0])  # 1 + cos(2k)
     assert band.evaluate(0.0) == pytest.approx(2.0)
     assert band.evaluate(np.pi / 2) == pytest.approx(0.0, abs=1e-15)
-    assert band.coefficient(2) == 1.0
-    assert band.coefficient(5) == 0.0
+    assert band.coeffs.tolist() == [0.0, 1.0]
 
 
 def test_undetermined_a1_stored_as_zero():
     band = FourierBand(0.5, [3.0, 1.0], undetermined_a1=True)
     assert band.undetermined_a1
-    assert band.coefficient(1) == 0.0
-    assert band.coefficient(2) == 1.0
+    assert band.coeffs.tolist() == [0.0, 1.0]
 
 
 def test_massive_sine_values():

@@ -1,7 +1,9 @@
 """The command line starts on numpy alone; ED loads only SciPy's CSR kernels.
 
 ED loads the `scipy.sparse._sparsetools` extension, for the two products of
-its matvec, and no SciPy package: Lanczos runs on numpy alone.
+its matvec, and no SciPy package: Lanczos runs on numpy alone.  The
+extension is held privately, so no `scipy` module is left in `sys.modules`
+and a later `import scipy.sparse` finds its own kernel module.
 
 Importing bandrec before numpy also fixes the BLAS pool at one thread unless
 the user chose otherwise. These checks run in fresh interpreters, because
@@ -63,46 +65,64 @@ def test_import_and_number_commands_load_no_scipy():
 
 
 def test_ed_loads_only_the_csr_kernels(tmp_path):
+    # the kernel module is loaded from its file and held privately: no SciPy
+    # package is imported and no scipy module is left in sys.modules
     out = tmp_path / "ed.csv"
     loaded = run_python(CLI_SCIPY, "ed", "--model", "heisenberg", "--sizes", "4", "--out", str(out))
     rows = out.read_text().splitlines()
     assert rows[-1].startswith("4,pbc,")
     assert abs(float(rows[-1].split(",")[2]) + 2.0) < 1e-12  # 4-site ring: E0 = -2J
-    assert loaded.split(",") == ["scipy.sparse._sparsetools"]
+    assert loaded == ""
 
 
-# loads the kernels through matvec, then imports scipy.sparse, whose own CSR
-# matrix must reuse the loaded extension and give the same products
+# runs ED, with scipy.sparse imported before it or not, then checks the
+# matvec of both twists of one sector matrix against SciPy's kernel module,
+# reached as the attribute scipy.sparse._sparsetools
 KERNEL_IDENTITY = """
 import sys
 import numpy as np
-from bandrec import SpinChain, SpinModelSpec, Twist, build_hamiltonian
+from bandrec import SpinChain, Twist
+from bandrec.cli import main
+from bandrec.spinchain import SectorBasis, SpinModelSpec, build_hamiltonian
+
+before_ed, csv_path = sys.argv[1] == "scipy-first", sys.argv[2]
+if before_ed:
+    import scipy.sparse
+assert main(["ed", "--model", "single-ion", "--D", "7.4", "--sizes", "6", "--out", csv_path]) == 0
+scipy_modules = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert before_ed or scipy_modules == [], scipy_modules
 
 model = SpinChain("single-ion", 1.0, D=7.4)
-hams = [build_hamiltonian(SpinModelSpec(model, twist), 8) for twist in (Twist.PBC, Twist.ABC)]
+basis = SectorBasis.build(8, 3)
+hams = [build_hamiltonian(SpinModelSpec(model, twist), 8, basis) for twist in (Twist.PBC, Twist.ABC)]
 vs = [np.random.default_rng(seed).standard_normal(ham.diag.size) for seed, ham in enumerate(hams)]
 products = [ham.matvec(v) for ham, v in zip(hams, vs)]
-loaded = sys.modules["scipy.sparse._sparsetools"]
-assert [m for m in sys.modules if m.split(".")[0] == "scipy"] == ["scipy.sparse._sparsetools"]
 
 import scipy.sparse
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
-assert sys.modules["scipy.sparse._sparsetools"] is loaded and csr_matvec is loaded.csr_matvec
+tools = scipy.sparse._sparsetools
+assert sys.modules["scipy.sparse._sparsetools"] is tools
 for ham, v, product in zip(hams, vs, products):
     n = ham.diag.size
     A = scipy.sparse.csr_matrix((ham.data, ham.indices, ham.indptr), shape=(n, n))
     out = ham.diag * v
-    csr_matvec(n, n, A.indptr, A.indices, A.data, v, out)
-    csc_matvec(n, n, A.indptr, A.indices, A.data, v, out)
+    tools.csr_matvec(n, n, A.indptr, A.indices, A.data, v, out)
+    tools.csc_matvec(n, n, A.indptr, A.indices, A.data, v, out)
     assert np.array_equal(ham.matvec(v), out) and np.array_equal(product, out)
     assert np.abs(A @ v + A.T @ v + ham.diag * v - out).max() <= 1e-12 * np.abs(out).max()
 print("ok")
 """
 
 
-def test_kernels_are_the_ones_scipy_sparse_uses():
-    assert run_python(KERNEL_IDENTITY) == "ok"
+def test_kernels_are_the_ones_scipy_sparse_uses(tmp_path):
+    # scipy.sparse imported first: ED reuses its kernel module
+    assert run_python(KERNEL_IDENTITY, "scipy-first", str(tmp_path / "ed.csv")) == "ok"
+
+
+def test_scipy_sparse_imported_after_ed_finds_its_kernel_module(tmp_path):
+    # the kernel module ED loaded was once left half-registered in sys.modules,
+    # so scipy.sparse._sparsetools raised AttributeError after `import scipy.sparse`
+    assert run_python(KERNEL_IDENTITY, "ed-first", str(tmp_path / "ed.csv")) == "ok"
 
 
 def test_ed_bytes_do_not_depend_on_the_thread_variables(tmp_path):

@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 
 from bandrec import (
-    AllFrom1,
     EvenOnly,
-    FourierBand,
-    From2,
     MassiveSineBand,
     Twist,
     ValidationError,
     b_coefficients,
     convergence_curve,
-    invert_coefficients,
-    residual_series,
-    riemann_sum,
     size_set_for,
 )
-from bandrec.bands import GRID_SIZE
+from bandrec.bands import GRID_SIZE, FourierBand
+from bandrec.inversion import AllFrom1, From2, invert_coefficients
+from bandrec.riemann import residual_series, riemann_sum
 
 
 def random_band(rng, degree, pi_periodic=False):
@@ -125,6 +121,7 @@ class TestInvertCoefficients:
         band = random_band(rng, M)  # a_1 generically nonzero
         residuals = residual_series(band, range(2, M + 1), twist)
         rec = invert_coefficients(residuals, twist, From2(M))
+        assert rec.c0 == 0.0  # the mean is not recoverable from residuals
         assert rec.undetermined_a1
         assert rec.coeffs[0] == 0.0
         assert np.max(np.abs(rec.coeffs[1:] - band.coeffs[1:])) <= 1e-12
@@ -204,21 +201,12 @@ class TestReconstructFunction:
         band = MassiveSineBand(1.0, 0.3)
         M = 9
         residuals = residual_series(band, range(1, M + 1), Twist.PBC)
-        approx = invert_coefficients(residuals, Twist.PBC, AllFrom1(M)).with_mean(band.mean())
+        shape = invert_coefficients(residuals, Twist.PBC, AllFrom1(M))
+        approx = FourierBand(band.mean(), shape.coeffs)
         for L in range(1, M + 1):
             assert riemann_sum(approx, L, Twist.PBC) == pytest.approx(
                 riemann_sum(band, L, Twist.PBC), abs=1e-13
             )
-
-    def test_with_mean_replaces_only_the_mean(self):
-        band = MassiveSineBand(1.0, 0.3)
-        residuals = residual_series(band, range(2, 10), Twist.ABC)
-        zero_mean = invert_coefficients(residuals, Twist.ABC, From2(9))
-        approx = zero_mean.with_mean(band.mean())
-        assert zero_mean.c0 == 0.0
-        assert approx.c0 == band.mean()
-        assert approx.undetermined_a1 and zero_mean.undetermined_a1
-        assert np.array_equal(approx.coeffs, zero_mean.coeffs)
 
 
 class TestConvergenceCurve:
@@ -243,7 +231,8 @@ class TestConvergenceCurve:
         curve = convergence_curve(band, [3, 7, 12, 20], twist)
         for L, err in curve:
             residuals = residual_series(band, range(1, L + 1), twist)
-            approx = invert_coefficients(residuals, twist, AllFrom1(L)).with_mean(band.mean())
+            shape = invert_coefficients(residuals, twist, AllFrom1(L))
+            approx = FourierBand(band.mean(), shape.coeffs)
             expected = float(np.sum((approx.evaluate(k) - exact) ** 2) * 2.0 * np.pi / GRID_SIZE)
             assert err == pytest.approx(expected, rel=1e-9, abs=1e-15), L
 

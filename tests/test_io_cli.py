@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from bandrec import EnergySeries, FourierBand, Twist, ValidationError
+from bandrec import Twist, ValidationError
+from bandrec.bands import FourierBand
 from bandrec.cli import main
+from bandrec.riemann import EnergySeries
 from bandrec.seriesio import (
     band_from_dict,
     parse_band_spec,
@@ -75,7 +77,7 @@ class TestBandJson:
         }
         band = band_from_dict(entry)
         assert band.c0 == 0.5
-        assert band.coefficient(3) == -0.125
+        assert band.coeffs[2] == -0.125
 
 
 class TestParsers:
@@ -98,7 +100,7 @@ class TestParsers:
         band = parse_band_spec("constant:c0=3")
         assert band.evaluate(1.0) == pytest.approx(3.0)
         band = parse_band_spec("fourier:c0=1,coeffs=0.5;0;-0.25")
-        assert band.coefficient(3) == -0.25
+        assert band.coeffs.tolist() == [0.5, 0.0, -0.25]
 
     @pytest.mark.parametrize("bad", ["gauss:s=1", "massive-sine:J", "abs-sine:amplitude=x"])
     def test_parse_band_spec_rejects(self, bad):

@@ -9,16 +9,14 @@ import pytest
 from bandrec import lanczos, spinchain
 from bandrec import (
     NumericalError,
-    SectorBasis,
     SpinChain,
-    SpinModelSpec,
     Twist,
     ValidationError,
-    build_hamiltonian,
     energy_series,
     lowest_eigenpair,
 )
-from ed_helpers import dense, ground_energy
+from bandrec.spinchain import SectorBasis, SpinModelSpec, build_hamiltonian
+from ed_helpers import dense, ground_energy, hamiltonian
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +90,7 @@ def projected_kron_oracle(model, L, twist, sign_bond=-1):
 
 def dense_sector(model, L, twist):
     spec = SpinModelSpec(model, twist)
-    return dense(build_hamiltonian(spec, L))
+    return dense(hamiltonian(spec, L))
 
 
 ALL_MODELS = [
@@ -178,22 +176,22 @@ class TestSectorBasis:
         assert np.array_equal(np.searchsorted(basis.states, basis.states[idx]), idx)
 
     def test_all_states_have_target_magnetization(self):
-        basis = SectorBasis.build(5, 3, sz2_total=2)
+        basis = SectorBasis.build(5, 3)
+        assert basis.dim == 51  # central trinomial of 5
         for i in range(basis.dim):
             digits = [basis.digits(site)[i] for site in range(5)]
-            assert sum(d - 1 for d in digits) == 1  # total S^z = +1
+            assert sum(d - 1 for d in digits) == 0  # total S^z = 0
 
     @pytest.mark.parametrize(
         "d, L", [(2, L) for L in range(1, 13)] + [(3, L) for L in range(1, 10)]
     )
     def test_matches_filtered_full_space(self, d, L):
+        # odd spin-1/2 rings give the empty sector
         codes = np.arange(d**L)
         digit_sum = sum((codes // d**site) % d for site in range(L))
-        top = L * (d - 1)  # largest |2 S^z|
-        for sz2 in range(-top - 3, top + 4):  # odd parity and out of range give empty sectors
-            states = SectorBasis.build(L, d, sz2_total=sz2).states
-            assert states.dtype == np.int64
-            assert np.array_equal(states, codes[2 * digit_sum - top == sz2]), sz2
+        states = SectorBasis.build(L, d).states
+        assert states.dtype == np.int64
+        assert np.array_equal(states, codes[2 * digit_sum == L * (d - 1)])
 
     def test_build_does_not_allocate_the_full_space(self):
         tracemalloc.start()
@@ -215,7 +213,7 @@ class TestSectorBasis:
 class TestHamiltonian:
     def test_minimum_chain_length(self):
         with pytest.raises(ValidationError):
-            build_hamiltonian(SpinModelSpec(SpinChain("heisenberg")), 1)
+            build_hamiltonian(SpinModelSpec(SpinChain("heisenberg")), 1, SectorBasis.build(1, 2))
 
     def test_sector_mismatch(self):
         basis = SectorBasis.build(4, 3)
@@ -239,7 +237,7 @@ class TestHamiltonian:
         # both bonds of the L=2 ring couple sites 0 and 1: A keeps one entry
         # per bond at the one position below the diagonal, and both products
         # read them as one entry, J (pbc) or 0 (abc)
-        ham = build_hamiltonian(SpinModelSpec(SpinChain("heisenberg", 1.0), twist), 2)
+        ham = hamiltonian(SpinModelSpec(SpinChain("heisenberg", 1.0), twist), 2)
         assert ham.indices.dtype == np.int32 and ham.indptr.dtype == np.int32
         assert ham.data.size == 2
         assert np.array_equal(ham.indices, [0, 0]) and np.array_equal(ham.indptr, [0, 0, 2])
@@ -254,7 +252,9 @@ class TestHamiltonian:
         # A is strictly lower triangular, int32-indexed and, from L=3 on,
         # holds each position once
         for L in range(3, 9):
-            sector = SectorBasis.build(L, model.local_dim, sz2_total=L * (model.local_dim - 1) % 2)
+            if model.local_dim == 2 and L % 2:
+                continue  # odd spin-1/2 rings have no S^z = 0 state
+            sector = SectorBasis.build(L, model.local_dim)
             ham = build_hamiltonian(SpinModelSpec(model, twist), L, sector)
             assert sector.dim > 0 and ham.data.size > 0
             assert ham.indices.dtype == np.int32 and ham.indptr.dtype == np.int32
@@ -269,7 +269,7 @@ class TestHamiltonian:
         for L in (4, 6, 8, 10):
             if model.local_dim == 3 and L > 8:
                 continue
-            ham = build_hamiltonian(SpinModelSpec(model, Twist.ABC), L)
+            ham = hamiltonian(SpinModelSpec(model, Twist.ABC), L)
             rng = np.random.default_rng(L)
             for _ in range(3):
                 u = rng.standard_normal(ham.diag.size)
@@ -284,7 +284,7 @@ class TestHamiltonian:
         for L in range(2, 11 if model.local_dim == 2 else 8):
             if model.local_dim == 2 and L % 2:
                 continue
-            ham = build_hamiltonian(SpinModelSpec(model, twist), L)
+            ham = hamiltonian(SpinModelSpec(model, twist), L)
             H = dense(ham)
             v = np.random.default_rng(L).standard_normal(ham.diag.size)
             out = ham.matvec(v)
@@ -305,7 +305,9 @@ class TestHamiltonian:
         # the bond-by-bond sum over per-site S^z arrays, in the same order,
         # with the on-site term on spin 1 only
         for L in range(2, 11 if model.local_dim == 2 else 9):
-            basis = SectorBasis.build(L, model.local_dim, sz2_total=L * (model.local_dim - 1) % 2)
+            if model.local_dim == 2 and L % 2:
+                continue  # odd spin-1/2 rings have no S^z = 0 state
+            basis = SectorBasis.build(L, model.local_dim)
             d = model.local_dim
             m = [(basis.states // d**i) % d - (d - 1) / 2.0 for i in range(L)]
             couplings = literal_couplings(model, L)
@@ -332,7 +334,7 @@ class TestHamiltonian:
         dim = int(count[L, half])
         # a pair per bond and state whose raised site is below d-1 and lowered site above 0
         pairs = L * int(sum(count[L - 2, half - a - b] for a in range(d - 1) for b in range(1, d)))
-        ham = build_hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4)), L)
+        ham = hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4)), L)
         assert ham.diag.size == dim and ham.data.size == pairs
         stored = ham.diag.nbytes + ham.data.nbytes + ham.indices.nbytes + ham.indptr.nbytes
         assert stored <= 8 * dim + 12 * pairs + 4 * (dim + 1), (stored, dim, pairs)
@@ -352,7 +354,7 @@ class TestHamiltonian:
         for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
             monkeypatch.delitem(sys.modules, name)
         with pytest.raises(ImportError, match=re.escape(str(tmp_path / "scipy" / "sparse"))):
-            spinchain._csr_kernels()
+            spinchain._csr_kernels.__wrapped__()  # past the kernels an earlier solve cached
         assert [m for m in sys.modules if m.split(".")[0] == "scipy"] == []
 
     @pytest.mark.parametrize("L", [4, 6, 8])
@@ -657,7 +659,7 @@ class TestSharedAssembly:
         energy_series(model, _sizes(model), twists)
         # solved size by size, each size in the order of `twists`
         expected = [
-            build_hamiltonian(SpinModelSpec(model, twist), L)
+            hamiltonian(SpinModelSpec(model, twist), L)
             for L in _sizes(model)
             for twist in twists
         ]
