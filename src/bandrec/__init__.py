@@ -29,7 +29,7 @@ from .core import (
     Twist,
     ValidationError,
 )
-from .inversion import EvenOnly, convergence_curve, size_set_for
+from .inversion import convergence_curve, size_set_for
 from .lanczos import lowest_eigenpair
 from .numtheory import b_coefficients, moebius_table
 from .reconstruct import classify, criterion_check, extrapolate_e_inf, reconstruct_band
@@ -39,7 +39,6 @@ from .spinchain import SpinChain, energy_series
 # exactly the names the command line and the README use
 __all__ = [
     "ALL_HYPOTHESES",
-    "EvenOnly",
     "Hypothesis",
     "MassiveSineBand",
     "NumericalError",

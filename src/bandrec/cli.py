@@ -26,7 +26,7 @@ from .core import (
 )
 from .inversion import convergence_curve, size_set_for
 from .numtheory import b_coefficients, moebius_table
-from .reconstruct import _data_twist, classify, criterion_check, reconstruct_band
+from .reconstruct import classify, criterion_check, reconstruct_band
 from .riemann import synth_energy_series
 from .seriesio import (
     format_float,
@@ -101,7 +101,7 @@ def cmd_reconstruct(args) -> int:
     if nu is None:
         raise ValidationError("no --nu given and none recorded in the CSV")
     data_twist = Twist.parse(args.data_twist) if args.data_twist else None
-    size_set = size_set_for(series.sizes(_data_twist(series, data_twist)), args.size_set)
+    size_set = size_set_for(series.sizes(series.data_twist(data_twist)), args.size_set)
 
     if args.hypothesis == "auto":
         results = classify(series, e_inf, nu, size_set, data_twist)
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="data_twist",
         default=None,
         choices=["pbc", "abc"],
-        help="twist the energies were measured with (default: the one present)",
+        help="twist the energies were measured with (default: the one present, else pbc)",
     )
     rec.add_argument("--out", default=None, help="output band JSON (default stdout)")
     rec.add_argument("--samples-out", dest="samples_out", default=None)

@@ -10,12 +10,13 @@ Every layout, and every cutoff of `convergence_curve`, applies this integer
 linear map through one function, `_apply_weights`: a single `bincount` over
 the pairs (n, k) with n*k <= M that sums each a_k in ascending n.
 
-Three size layouts are supported.  `AllFrom1` uses sizes 1..M directly.
-`EvenOnly` handles pi-periodic bands from even sizes: relabeling m = L/2
-maps the problem onto the same inversion for the half-period coefficients.
-`From2` omits size 1, which only ever enters a_1, so everything except the
-cos(k) coefficient is still determined: it applies the same map with R_1 = 0
-and drops a_1.
+A `SizeSet(kind, last)` names one of three size layouts, each the sizes
+first, first + step, .., last.  'all-from-1' uses sizes 1..M directly.
+'even-only' handles pi-periodic bands from even sizes: relabeling m = L/step
+maps the problem onto the same inversion for the half-period coefficients,
+which land on every step-th coefficient.  'from-2' omits size 1, which only
+ever enters a_1, so everything except the cos(k) coefficient is still
+determined: it applies the same map with R_1 = 0 and flags a_1.
 """
 
 from __future__ import annotations
@@ -31,37 +32,24 @@ from .numtheory import b_coefficients
 from .riemann import residual_series
 
 
-@dataclass(frozen=True)
-class AllFrom1:
-    """Sizes 1..M, recovering coefficients a_1..a_M."""
-
-    M: int
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(range(1, self.M + 1))
+#: each layout's sizes run first, first + step, .., last
+_LAYOUTS = {"all-from-1": (1, 1), "even-only": (2, 2), "from-2": (2, 1)}
 
 
 @dataclass(frozen=True)
-class EvenOnly:
-    """Even sizes 2, 4, .., 2*M_even, recovering a_2, a_4, .., a_{2*M_even}."""
+class SizeSet:
+    """One of the three size layouts, up to and including size `last`."""
 
-    M_even: int
+    kind: str
+    last: int
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(range(2, 2 * self.M_even + 1, 2))
-
-
-@dataclass(frozen=True)
-class From2:
-    """Sizes 2..M; a_1 is undetermined and reported as zero with a flag."""
-
-    M: int
+    def __post_init__(self):
+        if self.kind not in _LAYOUTS:
+            raise ValidationError(f"unknown size-set kind {self.kind!r}")
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(range(2, self.M + 1))
-
-
-SizeSet = AllFrom1 | EvenOnly | From2
+        first, step = _LAYOUTS[self.kind]
+        return tuple(range(first, self.last + 1, step))
 
 
 def size_set_for(sizes, kind: str | None = None) -> SizeSet:
@@ -80,16 +68,7 @@ def size_set_for(sizes, kind: str | None = None) -> SizeSet:
             kind = "even-only"
         else:
             kind = "from-2"
-    if kind == "all-from-1":
-        candidate: SizeSet = AllFrom1(sizes[-1])
-    elif kind == "even-only":
-        if sizes[-1] % 2:
-            raise ValidationError("even-only size set requires even sizes")
-        candidate = EvenOnly(sizes[-1] // 2)
-    elif kind == "from-2":
-        candidate = From2(sizes[-1])
-    else:
-        raise ValidationError(f"unknown size-set kind {kind!r}")
+    candidate = SizeSet(kind, sizes[-1])
     if candidate.sizes() != sizes:
         raise ValidationError(
             f"unsupported size set {sizes}: expected {candidate.sizes()} for "
@@ -139,25 +118,17 @@ def invert_coefficients(
     """Cosine coefficients consistent with the given residuals.
 
     Returns a FourierBand with zero mean (the mean is not recoverable from
-    residuals); for `From2` the cos(k) coefficient is stored as zero and
+    residuals); for 'from-2' the cos(k) coefficient is stored as zero and
     flagged undetermined.
     """
-    if isinstance(size_set, AllFrom1):
-        R = _checked_residual_vector(residuals, size_set.sizes())
-        return FourierBand(0.0, _apply_weights(R, b_coefficients(twist, R.size)))
-    if isinstance(size_set, EvenOnly):
-        R_half = _checked_residual_vector(residuals, size_set.sizes())
-        a_half = _apply_weights(R_half, b_coefficients(twist, R_half.size))
-        coeffs = np.zeros(2 * size_set.M_even)
-        coeffs[1::2] = a_half
-        return FourierBand(0.0, coeffs)
-    if isinstance(size_set, From2):
-        R = np.zeros(size_set.M)  # R_1 only ever enters a_1, which is dropped
-        R[1:] = _checked_residual_vector(residuals, size_set.sizes())
-        return FourierBand(
-            0.0, _apply_weights(R, b_coefficients(twist, R.size)), undetermined_a1=True
-        )
-    raise ValidationError(f"unsupported size set {size_set!r}")
+    first, step = _LAYOUTS[size_set.kind]
+    # sizes step, 2*step, .., last carry the residuals; those below `first`
+    # (R_1 of from-2) only ever enter a_1, which is then flagged undetermined
+    R = np.zeros(size_set.last // step)
+    R[first // step - 1 :] = _checked_residual_vector(residuals, size_set.sizes())
+    coeffs = np.zeros(size_set.last)
+    coeffs[step - 1 :: step] = _apply_weights(R, b_coefficients(twist, R.size))
+    return FourierBand(0.0, coeffs, undetermined_a1=first > step)
 
 
 def convergence_curve(

@@ -62,17 +62,6 @@ class CriterionReport:
     max_relative_defect: float
 
 
-def _data_twist(series: EnergySeries, explicit: Twist | None) -> Twist:
-    if explicit is not None:
-        return explicit
-    present = series.twists()
-    if len(present) == 1:
-        return present[0]
-    if not present:
-        raise ValidationError("energy series is empty")
-    return Twist.PBC
-
-
 def reconstruct_band(
     series: EnergySeries,
     e_inf: float,
@@ -84,16 +73,16 @@ def reconstruct_band(
     """Reconstruct the dispersion consistent with a series under one hypothesis.
 
     `data_twist` names the boundary condition the energies were measured
-    with; it defaults to the hypothesis twist (and to the single twist
-    present when the series has only one).  The hypothesis twist always
-    selects the inversion weights: reinterpreting the same data under
-    effective boundary conditions is the point of the classification.
+    with; it defaults to `series.data_twist()`, the same for every
+    hypothesis.  The hypothesis twist only selects the inversion weights:
+    reinterpreting the same data under effective boundary conditions is the
+    point of the classification.
     """
     if not (isinstance(e_inf, (int, float)) and math.isfinite(e_inf)):
         raise ValidationError(f"e_inf must be finite, got {e_inf!r}")
     if not (nu > 0):
         raise ValidationError(f"filling fraction must be positive, got {nu}")
-    twist = hypothesis.twist if data_twist is None else data_twist
+    twist = series.data_twist(data_twist)
     residuals = {L: series.e(L, twist) - e_inf for L in size_set.sizes()}
 
     f_band = invert_coefficients(residuals, hypothesis.twist, size_set)
@@ -159,10 +148,12 @@ def classify(
     size_set: SizeSet,
     data_twist: Twist | None = None,
 ) -> list[ReconstructionResult]:
-    """Reconstruct under all four hypotheses against the same observed data."""
-    twist = _data_twist(series, data_twist)
+    """Reconstruct under all four hypotheses against the same observed data.
+
+    Every hypothesis reads the energies of `series.data_twist(data_twist)`.
+    """
     return [
-        reconstruct_band(series, e_inf, nu, hypothesis, size_set, data_twist=twist)
+        reconstruct_band(series, e_inf, nu, hypothesis, size_set, data_twist)
         for hypothesis in ALL_HYPOTHESES
     ]
 
@@ -213,16 +204,14 @@ class ExtrapolationResult:
     fallback: bool = False
 
 
-def extrapolate_e_inf(
-    series: EnergySeries, model: str, twist: Twist | None = None
-) -> ExtrapolationResult:
-    """Estimate e_inf from the largest four sizes of one twist.  Experimental.
+def extrapolate_e_inf(series: EnergySeries, model: str) -> ExtrapolationResult:
+    """Estimate e_inf from the largest four sizes of the data twist.  Experimental.
 
     'exponential' fits e_L = e_inf + A*rho^L (equally spaced sizes required);
     'power-law-2' fits e_L = e_inf + B/L^2.  The estimate is returned, never
     fed into a reconstruction implicitly.
     """
-    twist = _data_twist(series, twist)
+    twist = series.data_twist()
     sizes = series.sizes(twist)
     if len(sizes) < 4:
         raise ValidationError(f"extrapolation needs >= 4 sizes, got {len(sizes)}")

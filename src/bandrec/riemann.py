@@ -91,6 +91,18 @@ class EnergySeries:
         present = {tw for (_, tw) in self._entries}
         return tuple(tw for tw in (Twist.PBC, Twist.ABC) if tw in present)
 
+    def data_twist(self, explicit: Twist | None = None) -> Twist:
+        """The twist the energies were measured with.
+
+        That is `explicit` when given, else the one twist present, else pbc.
+        """
+        if explicit is not None:
+            return explicit
+        present = self.twists()
+        if not present:
+            raise ValidationError("energy series is empty")
+        return present[0] if len(present) == 1 else Twist.PBC
+
     def items(self) -> Iterator[tuple[int, Twist, float]]:
         for tw in (Twist.PBC, Twist.ABC):
             for L in self.sizes(tw):

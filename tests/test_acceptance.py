@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from bandrec import (
-    EvenOnly,
     Hypothesis,
     MassiveSineBand,
     SpinChain,
@@ -23,10 +22,11 @@ from bandrec import (
     energy_series,
     extrapolate_e_inf,
     reconstruct_band,
+    size_set_for,
     synth_energy_series,
 )
 from bandrec.bands import AbsSineBand, FourierBand, uniform_grid
-from bandrec.inversion import AllFrom1, From2, invert_coefficients
+from bandrec.inversion import SizeSet, invert_coefficients
 from bandrec.reconstruct import MODEL_EXPONENTIAL
 from bandrec.riemann import EnergySeries, residual_series
 from bandrec.spinchain import SectorBasis, SpinModelSpec
@@ -135,7 +135,7 @@ def test_criterion_2_round_trip_exactness():
                     series.e_inf,
                     nu,
                     Hypothesis(statistics, twist),
-                    AllFrom1(degree),
+                    SizeSet("all-from-1", degree),
                 )
                 scale = max(np.max(np.abs(coeffs)), abs(c0))
                 err = max(
@@ -190,7 +190,7 @@ def test_criterion_5_ten_sum_reconstruction():
     for m in (0.1, 0.0):
         band = MassiveSineBand(1.0, m)
         residuals = residual_series(band, range(1, 11), Twist.PBC)
-        shape = invert_coefficients(residuals, Twist.PBC, AllFrom1(10))
+        shape = invert_coefficients(residuals, Twist.PBC, SizeSet("all-from-1", 10))
         approx = FourierBand(band.mean(), shape.coeffs)
         devs[m] = float(np.max(np.abs(approx.evaluate(k) - band.evaluate(k))))
     ok_massive = devs[0.1] < 1e-3
@@ -212,9 +212,8 @@ def test_criterion_5_ten_sum_reconstruction():
 def test_criterion_6_heisenberg_classification(heisenberg_even_series):
     """Flagship case: classification and band shapes of the exchange ring."""
     series = heisenberg_even_series
-    results = {
-        r.hypothesis: r for r in classify(series, E_INF_HEISENBERG, 1.0, EvenOnly(8))
-    }
+    size_set = size_set_for(range(2, 17, 2))
+    results = {r.hypothesis: r for r in classify(series, E_INF_HEISENBERG, 1.0, size_set)}
     admissible = {h for h, r in results.items() if r.admissible}
     ok_set = admissible == {BOSON_PBC, FERMION_ABC}
 
@@ -288,7 +287,7 @@ def test_criterion_8_single_ion_large_anisotropy(single_ion_series):
     D = 7.4
     series = single_ion_series
     e_inf = extrapolate_e_inf(series, MODEL_EXPONENTIAL).e_inf
-    size_set = From2(12)
+    size_set = SizeSet("from-2", 12)
     results = {}
     for hypothesis in (BOSON_PBC, FERMION_ABC):
         results[hypothesis] = reconstruct_band(
@@ -323,7 +322,7 @@ def test_criterion_9_dimerized_chain(dimerized_series):
     """Gapped bond-alternating chain: two positive pi-periodic bands."""
     series = dimerized_series
     e_inf = extrapolate_e_inf(series, MODEL_EXPONENTIAL).e_inf
-    results = classify(series, e_inf, 3.0, EvenOnly(6))
+    results = classify(series, e_inf, 3.0, size_set_for(range(2, 13, 2)))
     admissible = [r for r in results if r.admissible]
     ok_two = len(admissible) == 2
     ok_positive = all(r.min_band_value > 0.0 for r in admissible)

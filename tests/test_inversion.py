@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bandrec import (
-    EvenOnly,
     MassiveSineBand,
     Twist,
     ValidationError,
@@ -13,7 +12,7 @@ from bandrec import (
     size_set_for,
 )
 from bandrec.bands import GRID_SIZE, FourierBand
-from bandrec.inversion import AllFrom1, From2, invert_coefficients
+from bandrec.inversion import SizeSet, invert_coefficients
 from bandrec.riemann import residual_series, riemann_sum
 
 
@@ -26,20 +25,27 @@ def random_band(rng, degree, pi_periodic=False):
 
 class TestSizeSets:
     def test_kinds(self):
-        assert AllFrom1(4).sizes() == (1, 2, 3, 4)
-        assert EvenOnly(3).sizes() == (2, 4, 6)
-        assert From2(5).sizes() == (2, 3, 4, 5)
+        assert SizeSet("all-from-1", 4).sizes() == (1, 2, 3, 4)
+        assert SizeSet("even-only", 6).sizes() == (2, 4, 6)
+        assert SizeSet("from-2", 5).sizes() == (2, 3, 4, 5)
 
     def test_inference(self):
-        assert size_set_for([1, 2, 3]) == AllFrom1(3)
-        assert size_set_for([2, 4, 6, 8]) == EvenOnly(4)
-        assert size_set_for([2, 3, 4]) == From2(4)
+        assert size_set_for([1, 2, 3]) == SizeSet("all-from-1", 3)
+        assert size_set_for([2, 4, 6, 8]) == SizeSet("even-only", 8)
+        assert size_set_for([2, 3, 4]) == SizeSet("from-2", 4)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValidationError, match="unknown size-set kind"):
+            SizeSet("odd-only", 5)
+        with pytest.raises(ValidationError, match="unknown size-set kind"):
+            size_set_for([1, 3, 5], kind="odd-only")
 
     def test_non_contiguous_rejected(self):
         with pytest.raises(ValidationError):
             size_set_for([1, 2, 4])
-        with pytest.raises(ValidationError):
-            size_set_for([2, 4, 5], kind="even-only")
+        for sizes in ([2, 4, 5], [1, 2, 3, 4], [3]):
+            with pytest.raises(ValidationError, match="unsupported size set"):
+                size_set_for(sizes, kind="even-only")
         with pytest.raises(ValidationError):
             size_set_for([3, 5, 7])
 
@@ -47,13 +53,13 @@ class TestSizeSets:
 class TestInvertCoefficients:
     def test_moebius_inversion_example(self):
         residuals = {1: 1.0, 2: 1.0, 3: 0.0, 4: 0.0}
-        band = invert_coefficients(residuals, Twist.PBC, AllFrom1(4))
+        band = invert_coefficients(residuals, Twist.PBC, SizeSet("all-from-1", 4))
         assert np.allclose(band.coeffs, [0.0, 1.0, 0.0, 0.0], atol=1e-15)
 
     def test_zero_input(self):
         residuals = {L: 0.0 for L in range(1, 9)}
         for twist in (Twist.PBC, Twist.ABC):
-            band = invert_coefficients(residuals, twist, AllFrom1(8))
+            band = invert_coefficients(residuals, twist, SizeSet("all-from-1", 8))
             assert np.all(band.coeffs == 0.0)
 
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
@@ -62,19 +68,19 @@ class TestInvertCoefficients:
         rng = np.random.default_rng(100 * M + twist.q)
         band = random_band(rng, M)
         residuals = residual_series(band, range(1, M + 1), twist)
-        recovered = invert_coefficients(residuals, twist, AllFrom1(M))
+        recovered = invert_coefficients(residuals, twist, SizeSet("all-from-1", M))
         scale = np.max(np.abs(band.coeffs))
         assert np.max(np.abs(recovered.coeffs - band.coeffs)) <= 1e-12 * scale
 
     def test_missing_size_names_gap(self):
         residuals = {1: 0.1, 2: 0.2, 4: 0.4}
         with pytest.raises(ValidationError, match=r"\[3\]"):
-            invert_coefficients(residuals, Twist.PBC, AllFrom1(4))
+            invert_coefficients(residuals, Twist.PBC, SizeSet("all-from-1", 4))
 
     def test_non_finite_rejected(self):
         residuals = {1: 0.1, 2: float("nan")}
         with pytest.raises(ValidationError, match="non-finite"):
-            invert_coefficients(residuals, Twist.PBC, AllFrom1(2))
+            invert_coefficients(residuals, Twist.PBC, SizeSet("all-from-1", 2))
 
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
     def test_linearity(self, twist):
@@ -84,10 +90,10 @@ class TestInvertCoefficients:
         r2 = {L: rng.normal() for L in range(1, M + 1)}
         alpha, beta = 1.7, -0.3
         combined = {L: alpha * r1[L] + beta * r2[L] for L in r1}
-        a_comb = invert_coefficients(combined, twist, AllFrom1(M)).coeffs
+        a_comb = invert_coefficients(combined, twist, SizeSet("all-from-1", M)).coeffs
         a_lin = (
-            alpha * invert_coefficients(r1, twist, AllFrom1(M)).coeffs
-            + beta * invert_coefficients(r2, twist, AllFrom1(M)).coeffs
+            alpha * invert_coefficients(r1, twist, SizeSet("all-from-1", M)).coeffs
+            + beta * invert_coefficients(r2, twist, SizeSet("all-from-1", M)).coeffs
         )
         assert np.max(np.abs(a_comb - a_lin)) <= 1e-12 * max(1.0, np.max(np.abs(a_comb)))
 
@@ -97,8 +103,8 @@ class TestInvertCoefficients:
         rng = np.random.default_rng(9)
         M, M_big = 8, 16
         residuals = {L: rng.normal() for L in range(1, M_big + 1)}
-        a_small = invert_coefficients(residuals, Twist.PBC, AllFrom1(M)).coeffs
-        a_big = invert_coefficients(residuals, Twist.PBC, AllFrom1(M_big)).coeffs
+        a_small = invert_coefficients(residuals, Twist.PBC, SizeSet("all-from-1", M)).coeffs
+        a_big = invert_coefficients(residuals, Twist.PBC, SizeSet("all-from-1", M_big)).coeffs
         for k in range(M_big // 2 + 1, M + 1):
             assert a_small[k - 1] == a_big[k - 1]
 
@@ -108,9 +114,9 @@ class TestInvertCoefficients:
         M_even = 6
         band = random_band(rng, 2 * M_even, pi_periodic=True)
         residuals = residual_series(band, range(1, 2 * M_even + 1), twist)
-        full = invert_coefficients(residuals, twist, AllFrom1(2 * M_even))
+        full = invert_coefficients(residuals, twist, SizeSet("all-from-1", 2 * M_even))
         even_data = {L: residuals[L] for L in range(2, 2 * M_even + 1, 2)}
-        half = invert_coefficients(even_data, twist, EvenOnly(M_even))
+        half = invert_coefficients(even_data, twist, SizeSet("even-only", 2 * M_even))
         assert np.max(np.abs(half.coeffs - full.coeffs)) <= 1e-12
         assert np.max(np.abs(half.coeffs[0::2])) == 0.0
 
@@ -120,7 +126,7 @@ class TestInvertCoefficients:
         M = 9
         band = random_band(rng, M)  # a_1 generically nonzero
         residuals = residual_series(band, range(2, M + 1), twist)
-        rec = invert_coefficients(residuals, twist, From2(M))
+        rec = invert_coefficients(residuals, twist, SizeSet("from-2", M))
         assert rec.c0 == 0.0  # the mean is not recoverable from residuals
         assert rec.undetermined_a1
         assert rec.coeffs[0] == 0.0
@@ -142,13 +148,13 @@ def scalar_loop_coefficients(residuals, twist, size_set):
         return a
 
     R = np.array([residuals[L] for L in size_set.sizes()], dtype=float)
-    if isinstance(size_set, AllFrom1):
+    if size_set.kind == "all-from-1":
         return loop(R, 1)
-    if isinstance(size_set, EvenOnly):
-        coeffs = np.zeros(2 * size_set.M_even)
+    if size_set.kind == "even-only":
+        coeffs = np.zeros(size_set.last)
         coeffs[1::2] = loop(R, 1)
         return coeffs
-    return loop(np.concatenate(([0.0], R)), 2)  # From2: a_1 stays +0.0
+    return loop(np.concatenate(([0.0], R)), 2)  # from-2: a_1 stays +0.0
 
 
 class TestInversionBytes:
@@ -169,10 +175,10 @@ class TestInversionBytes:
         yield {L: rng.normal() for L in sizes}
 
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
-    @pytest.mark.parametrize("layout", [AllFrom1, EvenOnly, From2])
+    @pytest.mark.parametrize("kind", ["all-from-1", "even-only", "from-2"])
     @pytest.mark.parametrize("M", [1, 2, 3, 7, 64, 300])
-    def test_matches_scalar_loop_bit_for_bit(self, twist, layout, M):
-        size_set = layout(M)
+    def test_matches_scalar_loop_bit_for_bit(self, twist, kind, M):
+        size_set = SizeSet(kind, 2 * M if kind == "even-only" else M)
         for residuals in self.residual_kinds(size_set, twist, seed=M):
             expected = scalar_loop_coefficients(residuals, twist, size_set)
             got = invert_coefficients(residuals, twist, size_set).coeffs
@@ -189,7 +195,7 @@ class TestInversionMemory:
         residuals = dict(zip(range(1, M + 1), np.random.default_rng(1).normal(size=M).tolist()))
         tracemalloc.start()
         try:
-            invert_coefficients(residuals, Twist.ABC, AllFrom1(M))
+            invert_coefficients(residuals, Twist.ABC, SizeSet("all-from-1", M))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -201,7 +207,7 @@ class TestReconstructFunction:
         band = MassiveSineBand(1.0, 0.3)
         M = 9
         residuals = residual_series(band, range(1, M + 1), Twist.PBC)
-        shape = invert_coefficients(residuals, Twist.PBC, AllFrom1(M))
+        shape = invert_coefficients(residuals, Twist.PBC, SizeSet("all-from-1", M))
         approx = FourierBand(band.mean(), shape.coeffs)
         for L in range(1, M + 1):
             assert riemann_sum(approx, L, Twist.PBC) == pytest.approx(
@@ -231,7 +237,7 @@ class TestConvergenceCurve:
         curve = convergence_curve(band, [3, 7, 12, 20], twist)
         for L, err in curve:
             residuals = residual_series(band, range(1, L + 1), twist)
-            shape = invert_coefficients(residuals, twist, AllFrom1(L))
+            shape = invert_coefficients(residuals, twist, SizeSet("all-from-1", L))
             approx = FourierBand(band.mean(), shape.coeffs)
             expected = float(np.sum((approx.evaluate(k) - exact) ** 2) * 2.0 * np.pi / GRID_SIZE)
             assert err == pytest.approx(expected, rel=1e-9, abs=1e-15), L

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from bandrec import Twist, ValidationError
+from bandrec import ALL_HYPOTHESES, MassiveSineBand, Statistics, Twist, ValidationError
 from bandrec.bands import FourierBand
 from bandrec.cli import main
-from bandrec.riemann import EnergySeries
+from bandrec.riemann import EnergySeries, synth_energy_series
 from bandrec.seriesio import (
     band_from_dict,
     parse_band_spec,
@@ -301,6 +301,36 @@ class TestCli:
             outputs.append(bands.read_bytes())
         assert outputs[0] == outputs[1]
         assert len(read_band_json(io.BytesIO(outputs[0]))) == 4
+
+    @pytest.mark.parametrize(
+        "last_size", [{"pbc": 12}, {"abc": 12}, {"pbc": 16, "abc": 8}], ids=["pbc", "abc", "both"]
+    )
+    def test_single_hypothesis_writes_its_auto_entry(self, tmp_path, last_size):
+        # the data twist belongs to the data: every hypothesis reads the same
+        # energies, so an abc reading of pbc data, or of a series whose abc
+        # sizes stop short, must not look for the hypothesis twist's entries
+        band = MassiveSineBand(1.0, 0.3)
+        series = EnergySeries(nu=1.0, e_inf=-0.5 * band.mean())
+        for twist, last in last_size.items():
+            synth = synth_energy_series(
+                band, Statistics.FERMION, 1.0, Twist.parse(twist), range(1, last + 1)
+            )
+            for L, tw, E in synth.items():
+                series.add(L, tw, E)
+        energies = tmp_path / "e.csv"
+        with open(energies, "w") as fh:
+            write_energy_csv(series, fh)
+
+        def reconstruct(hypothesis):
+            out = tmp_path / f"{hypothesis}.json"
+            argv = ["reconstruct", "--energies", str(energies), "--hypothesis", hypothesis]
+            assert main([*argv, "--out", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        auto = reconstruct("auto")
+        assert len(auto) == len(ALL_HYPOTHESES)
+        for hypothesis, entry in zip(ALL_HYPOTHESES, auto):
+            assert reconstruct(hypothesis.label) == entry
 
     def test_reconstruct_requires_e_inf(self, tmp_path, capsys):
         energies = tmp_path / "e.csv"

@@ -5,7 +5,6 @@ import pytest
 
 from bandrec import (
     ALL_HYPOTHESES,
-    EvenOnly,
     Hypothesis,
     MassiveSineBand,
     Statistics,
@@ -18,7 +17,7 @@ from bandrec import (
     synth_energy_series,
 )
 from bandrec.bands import AbsSineBand, FourierBand, uniform_grid
-from bandrec.inversion import AllFrom1, From2
+from bandrec.inversion import SizeSet
 from bandrec.reconstruct import MODEL_EXPONENTIAL, MODEL_POWER_LAW_2
 from bandrec.riemann import EnergySeries
 
@@ -32,7 +31,7 @@ class TestReconstructBand:
     def test_matched_synthetic_round_trip_abs_sine(self):
         band = AbsSineBand(math.pi / 2)
         series = synth_energy_series(band, Statistics.FERMION, 1.0, Twist.PBC, range(2, 17, 2))
-        result = reconstruct_band(series, series.e_inf, 1.0, FERMION_PBC, EvenOnly(8))
+        result = reconstruct_band(series, series.e_inf, 1.0, FERMION_PBC, SizeSet("even-only", 16))
         assert result.admissible
         assert result.completion == "literal"
         assert result.l2_residual_forward < 1e-10  # the observed data is reproduced exactly
@@ -47,7 +46,7 @@ class TestReconstructBand:
         coeffs[1::2] = [-0.6, -0.1, -0.04, 0.02, -0.01, 0.005]
         band = FourierBand(1.0, coeffs)
         series = synth_energy_series(band, Statistics.FERMION, 1.0, Twist.PBC, range(2, 13, 2))
-        result = reconstruct_band(series, series.e_inf, 1.0, FERMION_PBC, EvenOnly(6))
+        result = reconstruct_band(series, series.e_inf, 1.0, FERMION_PBC, SizeSet("even-only", 12))
         assert result.admissible
         assert result.completion == "literal"
         assert np.max(np.abs(result.band.coeffs - coeffs)) < 1e-12
@@ -56,8 +55,8 @@ class TestReconstructBand:
     def test_flipped_statistics_gives_exact_negation(self):
         band = AbsSineBand(math.pi / 2)
         series = synth_energy_series(band, Statistics.FERMION, 1.0, Twist.PBC, range(2, 17, 2))
-        matched = reconstruct_band(series, series.e_inf, 1.0, FERMION_PBC, EvenOnly(8))
-        flipped = reconstruct_band(series, series.e_inf, 1.0, BOSON_PBC, EvenOnly(8))
+        matched = reconstruct_band(series, series.e_inf, 1.0, FERMION_PBC, SizeSet("even-only", 16))
+        flipped = reconstruct_band(series, series.e_inf, 1.0, BOSON_PBC, SizeSet("even-only", 16))
         assert not flipped.admissible
         assert flipped.min_band_value < 0
         k = uniform_grid()
@@ -75,7 +74,7 @@ class TestReconstructBand:
             nu = rng.uniform(0.5, 3.0)
             series = synth_energy_series(band, statistics, nu, twist, range(1, M + 1))
             result = reconstruct_band(
-                series, series.e_inf, nu, Hypothesis(statistics, twist), AllFrom1(M)
+                series, series.e_inf, nu, Hypothesis(statistics, twist), SizeSet("all-from-1", M)
             )
             # coefficient recovery is exact regardless of the admissibility
             # verdict (random shapes need not dip at the zone center)
@@ -92,8 +91,9 @@ class TestReconstructBand:
         # the flipped reading is inadmissible (it then reports the literal band)
         band = MassiveSineBand(1.0, 0.4)
         series = synth_energy_series(band, Statistics.BOSON, 1.0, Twist.PBC, range(1, 11))
-        res_plus = reconstruct_band(series, series.e_inf, 1.0, BOSON_PBC, AllFrom1(10))
-        res_minus = reconstruct_band(series, series.e_inf, 1.0, FERMION_PBC, AllFrom1(10))
+        size_set = SizeSet("all-from-1", 10)
+        res_plus = reconstruct_band(series, series.e_inf, 1.0, BOSON_PBC, size_set)
+        res_minus = reconstruct_band(series, series.e_inf, 1.0, FERMION_PBC, size_set)
         assert res_plus.admissible and not res_minus.admissible
         k = uniform_grid()
         assert np.max(np.abs(res_plus.band.evaluate(k) + res_minus.band.evaluate(k))) < 1e-12
@@ -101,16 +101,16 @@ class TestReconstructBand:
     def test_validation_errors(self):
         series = synth_energy_series(FourierBand(1.0), Statistics.BOSON, 1.0, Twist.PBC, [1, 2])
         with pytest.raises(ValidationError):
-            reconstruct_band(series, float("nan"), 1.0, BOSON_PBC, AllFrom1(2))
+            reconstruct_band(series, float("nan"), 1.0, BOSON_PBC, SizeSet("all-from-1", 2))
         with pytest.raises(ValidationError):
-            reconstruct_band(series, -0.5, 0.0, BOSON_PBC, AllFrom1(2))
+            reconstruct_band(series, -0.5, 0.0, BOSON_PBC, SizeSet("all-from-1", 2))
         with pytest.raises(ValidationError):
-            reconstruct_band(series, -0.5, 1.0, BOSON_ABC, AllFrom1(2))  # no abc data
+            reconstruct_band(series, -0.5, 1.0, BOSON_ABC, SizeSet("all-from-1", 2), Twist.ABC)
 
     def test_undetermined_a1_propagates(self):
         band = FourierBand(2.0, [0.5, -0.2, 0.1])
         series = synth_energy_series(band, Statistics.BOSON, 1.0, Twist.PBC, range(2, 7))
-        result = reconstruct_band(series, series.e_inf, 1.0, BOSON_PBC, From2(6))
+        result = reconstruct_band(series, series.e_inf, 1.0, BOSON_PBC, SizeSet("from-2", 6))
         assert result.band.undetermined_a1
         assert result.band.coeffs[0] == 0.0
         assert result.band.coeffs[1] == pytest.approx(-0.2, abs=1e-13)
@@ -122,7 +122,7 @@ class TestClassify:
         e = -0.7
         for L in range(1, 9):
             series.add(L, Twist.PBC, e * L)
-        results = classify(series, e, 2.0, AllFrom1(8))
+        results = classify(series, e, 2.0, SizeSet("all-from-1", 8))
         assert [r.admissible for r in results] == [True] * 4
         for r in results:
             assert r.band.c0 == pytest.approx(abs(e))  # (2/nu)|e_inf| with nu=2
@@ -131,7 +131,8 @@ class TestClassify:
     def test_synthetic_boson_pbc_two_combination_rule(self):
         band = MassiveSineBand(1.0, 0.5)
         series = synth_energy_series(band, Statistics.BOSON, 1.0, Twist.PBC, range(1, 21))
-        results = {r.hypothesis: r for r in classify(series, series.e_inf, 1.0, AllFrom1(20))}
+        size_set = SizeSet("all-from-1", 20)
+        results = {r.hypothesis: r for r in classify(series, series.e_inf, 1.0, size_set)}
         admissible = {h for h, r in results.items() if r.admissible}
         assert admissible == {BOSON_PBC, FERMION_ABC}
         k = uniform_grid()
@@ -141,7 +142,7 @@ class TestClassify:
     def test_classification_uses_data_twist_for_all_hypotheses(self):
         band = MassiveSineBand(1.0, 0.5)
         series = synth_energy_series(band, Statistics.BOSON, 1.0, Twist.PBC, range(1, 11))
-        results = classify(series, series.e_inf, 1.0, AllFrom1(10))
+        results = classify(series, series.e_inf, 1.0, SizeSet("all-from-1", 10))
         assert len(results) == 4
         assert [r.hypothesis for r in results] == list(ALL_HYPOTHESES)
 
@@ -228,6 +229,16 @@ class TestExtrapolation:
         for model in (MODEL_EXPONENTIAL, MODEL_POWER_LAW_2):
             assert extrapolate_e_inf(series, model).e_inf == pytest.approx(-0.25, abs=1e-12)
 
+    def test_reads_the_data_twist(self):
+        # abc alone is read as abc; beside pbc data the pbc sizes are read
+        series = EnergySeries()
+        for L in (2, 4, 6, 8):
+            series.add(L, Twist.ABC, (-0.3 + 1.0 / L**2) * L)
+        assert extrapolate_e_inf(series, MODEL_POWER_LAW_2).e_inf == pytest.approx(-0.3)
+        for L in (2, 4, 6, 8):
+            series.add(L, Twist.PBC, (-0.6 + 1.0 / L**2) * L)
+        assert extrapolate_e_inf(series, MODEL_POWER_LAW_2).e_inf == pytest.approx(-0.6)
+
     def test_underdetermined(self):
         series = EnergySeries()
         for L in (2, 4, 6):
@@ -257,7 +268,8 @@ class TestSensitivity:
     def test_uniform_shift_moves_every_coefficient(self):
         band = MassiveSineBand(1.0, 0.4)
         series = synth_energy_series(band, Statistics.BOSON, 1.0, Twist.PBC, range(1, 11))
-        spread = e_inf_sensitivity(series, series.e_inf, 1e-3, 1.0, BOSON_PBC, AllFrom1(10))
+        size_set = SizeSet("all-from-1", 10)
+        spread = e_inf_sensitivity(series, series.e_inf, 1e-3, 1.0, BOSON_PBC, size_set)
         assert spread.shape == (10,)
         assert np.all(spread >= 0)
         assert spread[0] > 0  # a_1 absorbs part of any e_inf shift

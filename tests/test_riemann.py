@@ -149,6 +149,19 @@ class TestEnergySeries:
         with pytest.raises(ValidationError):
             EnergySeries().E(2, Twist.PBC)
 
+    def test_data_twist_is_the_one_present_else_pbc(self):
+        abc_only, both = EnergySeries(), EnergySeries()
+        abc_only.add(2, Twist.ABC, -1.0)
+        both.add(2, Twist.ABC, -1.0)
+        both.add(4, Twist.PBC, -2.0)
+        assert abc_only.data_twist() is Twist.ABC
+        assert both.data_twist() is Twist.PBC
+        for series in (abc_only, both):
+            for twist in Twist:
+                assert series.data_twist(twist) is twist
+        with pytest.raises(ValidationError, match="empty"):
+            EnergySeries().data_twist()
+
 
 class TestSynthEnergySeries:
     def test_abs_sine_fermion_two_sites(self):
