@@ -100,8 +100,10 @@ def cmd_reconstruct(args) -> int:
     nu = args.nu if args.nu is not None else series.nu
     if nu is None:
         raise ValidationError("no --nu given and none recorded in the CSV")
-    data_twist = Twist.parse(args.data_twist) if args.data_twist else None
-    size_set = size_set_for(series.sizes(series.data_twist(data_twist)), args.size_set)
+    data_twist = series.data_twist(Twist.parse(args.data_twist) if args.data_twist else None)
+    if not series.sizes(data_twist):
+        raise ValidationError(f"{args.energies} holds no {data_twist} energies")
+    size_set = size_set_for(series.sizes(data_twist), args.size_set)
 
     if args.hypothesis == "auto":
         results = classify(series, e_inf, nu, size_set, data_twist)

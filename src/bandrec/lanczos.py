@@ -87,10 +87,6 @@ def lowest_eigenpair(
         raise ValidationError(f"seed must be a non-negative integer, not {seed!r}")
     if dim < 1:
         raise ValidationError("operator dimension must be >= 1")
-    if dim == 1:
-        v = np.ones(1)
-        energy = float(matvec(v)[0])
-        return LanczosResult(energy, 0.0, False, 1, 0), v
 
     max_steps = min(MAX_ITER, dim)
     block = min(max_steps, KRYLOV_BLOCK)

@@ -13,8 +13,9 @@ two CSR kernels, and no `scipy` module is left in `sys.modules`.
 
 Antiperiodic boundary conditions flip the sign of the transverse part of
 the boundary bond (S+_L S-_1) and leave S^z_L S^z_1 unchanged: the abc
-matrix is the pbc one with the boundary-bond hops negated in place
-(`_negate_twist_bond`), the exact flip `energy_series` also uses.
+matrix is the pbc one with the boundary-bond hops, whose positions it
+carries, negated in place (`_negate_twist_bond`): the exact flip that
+`energy_series` also uses, once it has released the basis.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class SpinModelSpec:
     """A spin model together with its physical boundary twist."""
 
     model: SpinChain
-    boundary_twist: Twist = Twist.PBC
+    boundary_twist: Twist
 
 
 def _codes_with_digit_sum(L: int, d: int, total: int) -> np.ndarray:
@@ -119,10 +120,6 @@ class SectorBasis:
 
     @classmethod
     def build(cls, L: int, local_dim: int) -> "SectorBasis":
-        if L < 1:
-            raise ValidationError("chain length must be >= 1")
-        if local_dim not in (2, 3):
-            raise ValidationError("local dimension must be 2 (spin-1/2) or 3 (spin-1)")
         target = L * (local_dim - 1)  # twice the digit sum
         if target % 2:  # odd spin-1/2 rings have no S^z = 0 state
             states = np.empty(0, dtype=np.int64)
@@ -170,14 +167,16 @@ class SectorHamiltonian:
     """A real symmetric sector Hamiltonian H = D + A + A^T.
 
     `diag` holds D; `indptr`, `indices` (int32) and `data` are the CSR arrays
-    of the strictly lower triangle A, in bond order within a row.  The L=2
-    ring's two bonds share one position, and both products sum them.
+    of the strictly lower triangle A, in bond order within a row, and
+    `twist_entries` (int32) the positions in `data` of the twist bond L-1's
+    hops.  The L=2 ring's two bonds share one position; both products sum them.
     """
 
     diag: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+    twist_entries: np.ndarray
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H v as one new array: D v, then A v and A^T v added into it."""
@@ -203,10 +202,9 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
 
     Each bond stores one hop: the one that raises its less significant site
     and lowers the other.  That hop lowers the code, so its entry lies below
-    the diagonal, in the row of the source state.  The hops are filled in
-    bond order, so bond L-1's (raise site 0, lower site L-1) is the last
-    entry of its row.  With the abc twist, `_negate_twist_bond` then gives
-    that boundary bond the antiperiodic sign.
+    the diagonal, in the row of the source state.  The matrix keeps the
+    positions of bond L-1's hops (raise site 0, lower site L-1); with the
+    abc twist, `_negate_twist_bond` then gives them the antiperiodic sign.
     """
     model = spec.model
     if L < 2:
@@ -257,24 +255,21 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
         indices[at] = np.searchsorted(sector.states, sector.states[src] + shift)
         data[at] = amp * raise_amp * raise_amp
         slot[src] += 1
-    ham = SectorHamiltonian(diag, indptr, indices, data)
+    # the loop ends on bond L-1, so `at` holds the twist bond's positions
+    ham = SectorHamiltonian(diag, indptr, indices, data, twist_entries=at)
     if spec.boundary_twist is Twist.ABC:
-        _negate_twist_bond(ham, sector)
+        _negate_twist_bond(ham)
     return ham
 
 
-def _negate_twist_bond(ham: SectorHamiltonian, sector: SectorBasis) -> None:
+def _negate_twist_bond(ham: SectorHamiltonian) -> None:
     """Turn a pbc sector matrix into the abc one, or back, in place.
 
-    Only the hops of the twist bond L-1 change sign.  Its one stored hop
-    (raise site 0, lower site L-1) is the last entry of every row whose
-    state allows it, for every L >= 2.  Negation is exact, so the result
-    equals the matrix built with the other twist, signed zeros included.
+    Only the twist bond's hops, at `twist_entries`, change sign.  Negation
+    is exact, so the result equals the matrix built with the other twist,
+    signed zeros included.
     """
-    d = sector.local_dim
-    rows = (sector.digits(0) < d - 1) & (sector.digits(sector.L - 1) > 0)
-    at = ham.indptr[1:][rows] - 1
-    ham.data[at] = -ham.data[at]
+    ham.data[ham.twist_entries] = -ham.data[ham.twist_entries]
 
 
 def _check_size(model: SpinChain, L: int) -> None:
@@ -292,10 +287,10 @@ def energy_series(
 ) -> EnergySeries:
     """Ground-state energy series of one model over sizes and twists.
 
-    Each size's basis and Hamiltonian are built once, with the first twist;
-    every further twist flips the twist-bond hops in place, so the energies
-    equal those of separate `build_hamiltonian` calls bit for bit.  Every
-    solve starts from `seed`, so repeated calls are bit-identical.
+    Each size's basis and Hamiltonian are built once, with the first twist,
+    and the basis is freed before the solves; every further twist flips the
+    twist-bond hops in place, so the energies equal those of separate
+    `build_hamiltonian` calls bit for bit.  Every solve starts from `seed`.
     """
     sizes = sorted(set(int(s) for s in sizes))
     twists = tuple(twists)
@@ -308,12 +303,12 @@ def energy_series(
     for L in sizes:
         _check_size(model, L)
     series = EnergySeries(nu=model.nu_hint, model=model.kind)
+    spec = SpinModelSpec(model, twists[0])
     for L in sizes:
-        basis = SectorBasis.build(L, model.local_dim)
-        ham = build_hamiltonian(SpinModelSpec(model, twists[0]), L, basis)
+        ham = build_hamiltonian(spec, L, SectorBasis.build(L, model.local_dim))
         for i, twist in enumerate(twists):
             if i:
-                _negate_twist_bond(ham, basis)
+                _negate_twist_bond(ham)
             series.add(L, twist, lowest_eigenpair(ham.matvec, ham.diag.size, seed)[0].energy)
-        del ham, basis  # freed before the next size is built
+        del ham  # freed before the next size is built
     return series

@@ -342,8 +342,8 @@ def test_criterion_9_dimerized_chain(dimerized_series):
 
 def test_criterion_10_ed_unit_anchors():
     """Ground-state anchors and Lanczos-vs-dense agreement on small sectors."""
-    r2 = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0)), 2)
-    r4 = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0)), 4)
+    r2 = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0), Twist.PBC), 2)
+    r4 = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0), Twist.PBC), 4)
     ok_anchors = abs(r2.energy + 1.5) <= 1e-10 and abs(r4.energy + 2.0) <= 1e-10
 
     worst = 0.0

@@ -332,6 +332,28 @@ class TestCli:
         for hypothesis, entry in zip(ALL_HYPOTHESES, auto):
             assert reconstruct(hypothesis.label) == entry
 
+    @pytest.mark.parametrize("present, asked", [("pbc", "abc"), ("abc", "pbc")])
+    def test_reconstruct_names_a_missing_data_twist_and_its_file(
+        self, present, asked, tmp_path, capsys
+    ):
+        energies = tmp_path / f"{present}_only.csv"
+        main(
+            [
+                "forward", "--band", "massive-sine:J=1,m=0.3", "--statistics", "fermion",
+                "--nu", "1", "--twist", present, "--sizes", "1:8", "--out", str(energies),
+            ]
+        )
+        out = tmp_path / "bands.json"
+        code = main(
+            [
+                "reconstruct", "--energies", str(energies), "--e-inf", "-0.5",
+                "--data-twist", asked, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {energies} holds no {asked} energies\n"
+        assert not out.exists()
+
     def test_reconstruct_requires_e_inf(self, tmp_path, capsys):
         energies = tmp_path / "e.csv"
         main(["ed", "--model", "heisenberg", "--sizes", "2:4:2", "--out", str(energies)])

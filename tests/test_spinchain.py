@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import re
 import sys
 import tracemalloc
@@ -203,22 +204,17 @@ class TestSectorBasis:
         assert basis.dim == 212_941  # central trinomial coefficient of 13
         assert peak < 8 * 3**13
 
-    def test_invalid_inputs(self):
-        with pytest.raises(ValidationError):
-            SectorBasis.build(0, 2)
-        with pytest.raises(ValidationError):
-            SectorBasis.build(4, 5)
-
 
 class TestHamiltonian:
     def test_minimum_chain_length(self):
         with pytest.raises(ValidationError):
-            build_hamiltonian(SpinModelSpec(SpinChain("heisenberg")), 1, SectorBasis.build(1, 2))
+            spec = SpinModelSpec(SpinChain("heisenberg"), Twist.PBC)
+            build_hamiltonian(spec, 1, SectorBasis.build(1, 2))
 
     def test_sector_mismatch(self):
         basis = SectorBasis.build(4, 3)
         with pytest.raises(ValidationError):
-            build_hamiltonian(SpinModelSpec(SpinChain("heisenberg")), 4, basis)
+            build_hamiltonian(SpinModelSpec(SpinChain("heisenberg"), Twist.PBC), 4, basis)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
@@ -263,6 +259,31 @@ class TestHamiltonian:
             assert np.all(ham.indices < rows), (model.kind, twist, L)
             positions = rows * sector.dim + ham.indices
             assert np.unique(positions).size == positions.size, (model.kind, twist, L)
+
+    @pytest.mark.parametrize("model", ALL_MODELS + [SpinChain("heisenberg", -0.0)])
+    def test_twist_entries_are_where_the_twists_differ(self, model):
+        # every entry of a -0.0 ring is a signed zero, told apart by its sign bit
+        for L in range(2, 10):
+            if model.local_dim == 2 and L % 2:
+                continue  # odd spin-1/2 rings have no S^z = 0 state
+            pbc = hamiltonian(SpinModelSpec(model, Twist.PBC), L)
+            abc = hamiltonian(SpinModelSpec(model, Twist.ABC), L)
+            at = pbc.twist_entries
+            assert at.dtype == np.int32 and at.size > 0
+            assert np.array_equal(abc.twist_entries, at)
+            differ = np.flatnonzero(np.signbit(pbc.data) != np.signbit(abc.data))
+            assert np.array_equal(differ, at), (model.kind, L)
+            assert np.array_equal(np.abs(pbc.data), np.abs(abc.data))
+            if L == 2:
+                # each twist hop shares its matrix position with bond 0's, the entry before it
+                rows = np.repeat(np.arange(pbc.diag.size), np.diff(pbc.indptr))
+                assert np.array_equal(rows[at], rows[at - 1])
+                assert np.array_equal(pbc.indices[at], pbc.indices[at - 1])
+            data = pbc.data.tobytes()
+            spinchain._negate_twist_bond(pbc)
+            assert pbc.data.tobytes() == abc.data.tobytes()
+            spinchain._negate_twist_bond(pbc)
+            assert pbc.data.tobytes() == data
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_hermiticity_on_random_vectors(self, model):
@@ -334,7 +355,7 @@ class TestHamiltonian:
         dim = int(count[L, half])
         # a pair per bond and state whose raised site is below d-1 and lowered site above 0
         pairs = L * int(sum(count[L - 2, half - a - b] for a in range(d - 1) for b in range(1, d)))
-        ham = hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4)), L)
+        ham = hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4), Twist.PBC), L)
         assert ham.diag.size == dim and ham.data.size == pairs
         stored = ham.diag.nbytes + ham.data.nbytes + ham.indices.nbytes + ham.indptr.nbytes
         assert stored <= 8 * dim + 12 * pairs + 4 * (dim + 1), (stored, dim, pairs)
@@ -396,31 +417,32 @@ class TestHamiltonian:
 
 class TestGroundEnergy:
     def test_two_site_singlet(self):
-        r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0)), 2)
+        r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0), Twist.PBC), 2)
         assert r.energy == pytest.approx(-1.5, abs=1e-12)
 
     def test_four_site_value(self):
-        r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0)), 4)
+        r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0), Twist.PBC), 4)
         assert r.energy == pytest.approx(-2.0, abs=1e-10)
 
     def test_couplings_scale(self):
-        r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 2.5)), 4)
+        r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 2.5), Twist.PBC), 4)
         assert r.energy == pytest.approx(-5.0, abs=1e-9)
 
     def test_twelve_site_density_near_thermodynamic_value(self):
-        r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0)), 12)
+        r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0), Twist.PBC), 12)
         e_inf = 0.25 - np.log(2.0)
         assert abs(r.energy / 12 - e_inf) <= 0.03 * abs(e_inf)
 
     def test_dimerized_delta_zero_equals_heisenberg(self):
         for L in (4, 6, 8):
-            e_dim = ground_energy(SpinModelSpec(SpinChain("dimerized", 1.0, delta=0.0)), L).energy
-            e_heis = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0)), L).energy
+            dimerized = SpinModelSpec(SpinChain("dimerized", 1.0, delta=0.0), Twist.PBC)
+            e_dim = ground_energy(dimerized, L).energy
+            e_heis = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0), Twist.PBC), L).energy
             assert e_dim == pytest.approx(e_heis, abs=1e-10)
 
     def test_single_ion_large_anisotropy_perturbative(self):
         D = 1000.0
-        r = ground_energy(SpinModelSpec(SpinChain("single-ion", 1.0, D=D)), 2)
+        r = ground_energy(SpinModelSpec(SpinChain("single-ion", 1.0, D=D), Twist.PBC), 2)
         # two-site dense oracle
         dense = dense_sector(SpinChain("single-ion", 1.0, D=D), 2, Twist.PBC)
         assert r.energy == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
@@ -442,7 +464,7 @@ class TestGroundEnergy:
 
     def test_residual_bound(self):
         for L in (8, 12):
-            r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0)), L)
+            r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0), Twist.PBC), L)
             assert r.residual_norm <= 1e-8 * (abs(r.energy) + 1.0)
             assert 0 <= r.reorth_steps <= r.iterations
             assert r.iterations >= 3
@@ -525,9 +547,15 @@ class TestLanczosSolver:
             lowest_eigenpair(lambda x: diag * x, diag.size)
         assert excinfo.value.best_estimate == pytest.approx(0.2298, abs=1e-4)
 
-    def test_dimension_one(self):
-        result, vec = lowest_eigenpair(lambda x: 2.5 * x, 1)
-        assert result.energy == pytest.approx(2.5)
+    @pytest.mark.parametrize("entry", [2.5, -3.0, 0.0, 1e-300, -7.25e10])
+    @pytest.mark.parametrize("seed", [0, 1, 4, 7])
+    def test_dimension_one(self, entry, seed):
+        # the general loop: one step, beta = 0 exhausts the space, and the
+        # Ritz pair is exact; the vector's sign is the start vector's, as in
+        # every dimension (seed 4 draws a negative start)
+        result, vec = lowest_eigenpair(lambda x: entry * x, 1, seed)
+        assert result == lanczos.LanczosResult(entry, 0.0, False, 1, 0)
+        assert vec.shape == (1,) and np.array_equal(np.abs(vec), [1.0])
 
     def test_krylov_storage_grows_with_the_iterations(self):
         # a wide gap settles in a few steps; MAX_ITER * dim rows would be 400 MB
@@ -671,6 +699,25 @@ class TestSharedAssembly:
             assert np.array_equal(indices, ham.indices)
             assert np.array_equal(data, ham.data)
             assert np.array_equal(np.signbit(data), np.signbit(ham.data))
+
+    @pytest.mark.parametrize("twists", [(Twist.PBC,), (Twist.ABC, Twist.PBC)])
+    def test_no_basis_is_alive_during_a_solve(self, twists, monkeypatch):
+        alive_before = {id(o) for o in gc.get_objects() if isinstance(o, SectorBasis)}
+        solves = []
+
+        def solve(matvec, dim, seed=0):
+            gc.collect()
+            alive = [
+                o for o in gc.get_objects()
+                if isinstance(o, SectorBasis) and id(o) not in alive_before
+            ]
+            assert alive == [], [(b.L, b.dim) for b in alive]
+            solves.append(dim)
+            return lanczos.LanczosResult(0.0, 0.0, False, 1, 0), None
+
+        monkeypatch.setattr(spinchain, "lowest_eigenpair", solve)
+        energy_series(SpinChain("single-ion", 1.0, D=7.4), [2, 3, 4], twists)
+        assert solves == [3] * len(twists) + [7] * len(twists) + [19] * len(twists)
 
     def test_no_twists_rejected_before_any_build(self, monkeypatch):
         def build(*args, **kwargs):
