@@ -15,16 +15,19 @@ when the first pass shrank the vector below 1/sqrt(2) of its norm, so
 that cancellation may have left it with a visible component along the
 basis (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772, 1976).
 The start vector and the sketch are drawn from separate streams of one
-seed, the solver's only argument besides the operator, so runs are
-reproducible.  The stopping rule is fixed by module constants: the Ritz
-value must settle to TOL_ENERGY relative within MAX_ITER steps.  The Ritz
-values of every step come from numpy's eigvalsh of the dense tridiagonal
-matrix: for eigenvalues alone LAPACK dsyevd leaves a tridiagonal matrix
-as it is and ends in dsterf, the tridiagonal QR routine.  The module
-needs numpy alone.  Once the loop ends, its working vectors are released
-before the Ritz vector is formed, and the Krylov rows before the residual
-product, so a solve's peak holds the rows and a few vectors of the
-operator's dimension.
+seed, so runs are reproducible.  A caller that knows where the ground
+state lies may scale the start's Gaussian components by positive
+weights: `spinchain` weights each configuration by its diagonal energy,
+so a ground state near the diagonal minimum starts with most of the
+start vector's weight.  The stopping rule is fixed by module constants:
+the Ritz value must settle to TOL_ENERGY relative within MAX_ITER steps.
+The Ritz values of every step come from numpy's eigvalsh of the dense
+tridiagonal matrix: for eigenvalues alone LAPACK dsyevd leaves a
+tridiagonal matrix as it is and ends in dsterf, the tridiagonal QR
+routine.  The module needs numpy alone.  Once the loop ends, its working
+vectors are released before the Ritz vector is formed, and the Krylov
+rows before the residual product, so a solve's peak holds the rows and a
+few vectors of the operator's dimension.
 """
 
 from __future__ import annotations
@@ -74,10 +77,14 @@ def lowest_eigenpair(
     matvec: Callable[[np.ndarray], np.ndarray],
     dim: int,
     seed: int = 0,
+    start_weights: np.ndarray | None = None,
 ) -> tuple[LanczosResult, np.ndarray]:
     """Ground eigenvalue and eigenvector of a real symmetric operator.
 
     `seed`, a non-negative integer, fixes the start vector and the sketch.
+    `start_weights`, finite and positive of shape (dim,), multiply the start
+    vector's Gaussian components; only their ratios matter, and None or all
+    ones keep the plain Gaussian start bit for bit.
     Raises NumericalError (with `best_estimate` attached) if the Ritz value
     has not settled within MAX_ITER iterations, or if the Krylov space
     became invariant without the Ritz pair passing the residual bound; and
@@ -87,6 +94,17 @@ def lowest_eigenpair(
         raise ValidationError(f"seed must be a non-negative integer, not {seed!r}")
     if dim < 1:
         raise ValidationError("operator dimension must be >= 1")
+    if start_weights is not None:
+        try:
+            start_weights = np.asarray(start_weights, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"start weights must be real numbers ({exc})") from exc
+        if start_weights.shape != (dim,):
+            raise ValidationError(
+                f"start weights must have shape ({dim},), not {start_weights.shape}"
+            )
+        if not (np.isfinite(start_weights).all() and (start_weights > 0).all()):
+            raise ValidationError("start weights must be finite and > 0")
 
     max_steps = min(MAX_ITER, dim)
     block = min(max_steps, KRYLOV_BLOCK)
@@ -97,6 +115,11 @@ def lowest_eigenpair(
 
     # the start vector is drawn straight into the first row
     start = np.random.default_rng(seed).standard_normal(out=row(0))
+    if start_weights is not None:
+        # scaled to a largest weight of 1, so the norm can neither overflow
+        # nor underflow
+        start *= start_weights / start_weights.max()
+        del start_weights  # not held through the iterations
     start /= np.linalg.norm(start)
 
     # the sketch U = C Q of the stored rows, with C Gaussian from a stream of

@@ -188,6 +188,25 @@ class SectorHamiltonian:
         csc_matvec(n, n, *lower, v, out)
         return out
 
+    def start_weights(self) -> np.ndarray:
+        """Lanczos start weights exp(-(H_ii - min H_ii) / max|A_ij|).
+
+        A configuration whose diagonal energy lies many hop amplitudes above
+        the lowest carries little of a ground state near the diagonal
+        minimum, so it starts with little weight.  The weights depend on
+        D / max|A| alone: scaling or shifting H leaves them as they are, and
+        so does the twist.  They are floored at the smallest normal float, so
+        no component of the start vanishes, and are all ones when A has no
+        nonzero entry (a diagonal H).
+        """
+        scale = max(self.data.max(initial=0.0), -self.data.min(initial=0.0))  # no |data| copy
+        if not scale:
+            return np.ones(self.diag.size)
+        weights = np.subtract(self.diag.min(), self.diag)
+        weights /= scale
+        np.exp(weights, out=weights)
+        return np.maximum(weights, np.finfo(float).tiny, out=weights)
+
 
 def _row_pointers(row_nnz: np.ndarray, L: int) -> np.ndarray:
     """CSR row offsets as int32, refusing a pair count that would wrap."""
@@ -290,7 +309,9 @@ def energy_series(
     Each size's basis and Hamiltonian are built once, with the first twist,
     and the basis is freed before the solves; every further twist flips the
     twist-bond hops in place, so the energies equal those of separate
-    `build_hamiltonian` calls bit for bit.  Every solve starts from `seed`.
+    `build_hamiltonian` calls bit for bit.  Every solve starts from `seed`'s
+    Gaussian vector scaled by the size's `SectorHamiltonian.start_weights`,
+    derived once: the twist leaves the diagonal and |A| as they are.
     """
     sizes = sorted(set(int(s) for s in sizes))
     twists = tuple(twists)
@@ -306,9 +327,11 @@ def energy_series(
     spec = SpinModelSpec(model, twists[0])
     for L in sizes:
         ham = build_hamiltonian(spec, L, SectorBasis.build(L, model.local_dim))
+        weights = ham.start_weights()
         for i, twist in enumerate(twists):
             if i:
                 _negate_twist_bond(ham)
-            series.add(L, twist, lowest_eigenpair(ham.matvec, ham.diag.size, seed)[0].energy)
-        del ham  # freed before the next size is built
+            result = lowest_eigenpair(ham.matvec, ham.diag.size, seed, start_weights=weights)[0]
+            series.add(L, twist, result.energy)  # the ground vector is dropped at once
+        del ham, weights  # freed before the next size is built
     return series

@@ -177,7 +177,7 @@ class TestCli:
         monkeypatch.setattr(
             spinchain,
             "lowest_eigenpair",
-            lambda matvec, dim, seed: lanczos.lowest_eigenpair(
+            lambda matvec, dim, seed, start_weights: lanczos.lowest_eigenpair(
                 lambda x: diag * x, diag.size, seed
             ),
         )

@@ -3,6 +3,7 @@ import gc
 import re
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -614,6 +615,61 @@ class TestLanczosSolver:
         assert r1.energy == r2.energy
         assert np.array_equal(v1, v2)
 
+    def test_no_or_unit_start_weights_keep_the_plain_start(self):
+        rng = np.random.default_rng(2)
+        A = rng.standard_normal((60, 60))
+        A = A + A.T
+        plain = lowest_eigenpair(lambda x: A @ x, 60, 3)
+        for weights in (None, np.ones(60)):
+            result, vec = lowest_eigenpair(lambda x: A @ x, 60, 3, start_weights=weights)
+            assert result == plain[0]
+            assert np.array_equal(vec, plain[1])
+
+    def test_start_weights_steer_the_start(self):
+        # a start weighted onto the ground state's coordinate settles at once
+        diag = np.linspace(0.0, 1.0, 400)
+        diag[0] = -1.0
+        weights = np.full(400, 1e-12)
+        weights[0] = 1.0
+        plain, _ = lowest_eigenpair(lambda x: diag * x, 400)
+        steered, vec = lowest_eigenpair(lambda x: diag * x, 400, start_weights=weights)
+        assert steered.energy == pytest.approx(-1.0, abs=1e-12)
+        assert steered.iterations < plain.iterations
+        assert abs(vec[0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_start_weights_are_scale_free(self):
+        # only the ratios matter: no weight scale overflows or underflows the norm
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((40, 40))
+        A = A + A.T
+        weights = rng.uniform(0.5, 2.0, 40)
+        ref = lowest_eigenpair(lambda x: A @ x, 40, start_weights=weights)
+        for scale in (1e-300, 1e300):
+            result, vec = lowest_eigenpair(lambda x: A @ x, 40, start_weights=scale * weights)
+            assert result.iterations == ref[0].iterations
+            assert result.energy == pytest.approx(ref[0].energy, rel=1e-13)
+            assert np.allclose(vec, ref[1], atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            np.array([1.0, np.nan, 1.0]),
+            np.array([1.0, np.inf, 1.0]),
+            np.array([1.0, -np.inf, 1.0]),
+            np.array([1.0, 0.0, 1.0]),
+            np.array([1.0, -0.0, 1.0]),
+            np.array([1.0, -2.0, 1.0]),
+            np.ones(2),
+            np.ones(4),
+            np.ones((3, 1)),
+            np.float64(1.0),
+            ["a", "b", "c"],
+        ],
+    )
+    def test_bad_start_weights_rejected(self, weights):
+        with pytest.raises(ValidationError, match="start weights"):
+            lowest_eigenpair(lambda x: 2.5 * x, 3, start_weights=weights)
+
 
 class TestEnergySeries:
     def test_heisenberg_totals(self):
@@ -637,6 +693,118 @@ class TestEnergySeries:
     def test_nu_hints(self):
         assert energy_series(SpinChain("dimerized", 1.0, delta=0.1), [2, 4]).nu == 3.0
         assert energy_series(SpinChain("single-ion", 1.0, D=5.0), [2, 3]).nu == 2.0
+
+
+def _dense_min(model, L, twist):
+    return np.linalg.eigvalsh(dense_sector(model, L, twist))[0]
+
+
+class TestStartWeights:
+    """Each sector solve starts weighted by exp(-(H_ii - min H_ii) / max|A_ij|)."""
+
+    def test_rule(self):
+        ham = hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4), Twist.PBC), 6)
+        expected = np.exp(-(ham.diag - ham.diag.min()) / np.abs(ham.data).max())
+        assert np.allclose(ham.start_weights(), expected, rtol=1e-14, atol=0)
+        assert ham.start_weights().max() == 1.0
+
+    @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
+    def test_weights_ignore_the_scale_and_shift_of_h(self, twist):
+        # the weights see D / max|A| alone; the twist flips signs only
+        ref = hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4), Twist.PBC), 6)
+        scaled = hamiltonian(SpinModelSpec(SpinChain("single-ion", 2.5, D=7.4), twist), 6)
+        assert np.allclose(scaled.start_weights(), ref.start_weights(), rtol=1e-13, atol=0)
+        shifted = dataclasses.replace(ref, diag=ref.diag + 3.0)
+        assert np.allclose(shifted.start_weights(), ref.start_weights(), rtol=1e-13, atol=0)
+
+    def test_weights_are_derived_once_per_size(self, monkeypatch):
+        # both twists' solves get the size's one array, freed before the next build
+        refs = []
+        build = spinchain.build_hamiltonian
+
+        def build_after_release(*args):
+            assert all(ref() is None for ref in refs)
+            return build(*args)
+
+        def solve(matvec, dim, seed=0, start_weights=None):
+            assert start_weights.shape == (dim,)
+            if len(refs) % 2:
+                assert refs[-1]() is start_weights
+            refs.append(weakref.ref(start_weights))
+            return lanczos.LanczosResult(0.0, 0.0, False, 1, 0), None
+
+        monkeypatch.setattr(spinchain, "build_hamiltonian", build_after_release)
+        monkeypatch.setattr(spinchain, "lowest_eigenpair", solve)
+        energy_series(SpinChain("single-ion", 1.0, D=7.4), [3, 4], (Twist.PBC, Twist.ABC))
+        assert len(refs) == 4
+
+    def test_single_ion_series_takes_fewer_steps(self, monkeypatch):
+        # the D = 7.4 ground state sits on the configurations of lowest diagonal
+        model = SpinChain("single-ion", 1.0, D=7.4)
+        twists = (Twist.PBC, Twist.ABC)
+        steps = []
+
+        def count(matvec, dim, seed=0, start_weights=None):
+            result = lowest_eigenpair(matvec, dim, seed, start_weights=start_weights)
+            steps.append(result[0].iterations)
+            return result
+
+        def count_unweighted(matvec, dim, seed=0, start_weights=None):
+            return count(matvec, dim, seed)
+
+        monkeypatch.setattr(spinchain, "lowest_eigenpair", count)
+        weighted = energy_series(model, range(2, 12), twists)
+        weighted_steps, steps[:] = sum(steps), []
+        monkeypatch.setattr(spinchain, "lowest_eigenpair", count_unweighted)
+        plain = energy_series(model, range(2, 12), twists)
+        assert weighted_steps < sum(steps), (weighted_steps, sum(steps))
+        for L in range(2, 12):
+            for twist in twists:
+                assert weighted.E(L, twist) == pytest.approx(plain.E(L, twist), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            SpinChain("heisenberg", 0.0),
+            SpinChain("single-ion", 0.0, D=5.0),
+        ],
+        ids=str,
+    )
+    def test_diagonal_h_starts_unweighted(self, model):
+        # no off-diagonal scale: all ones, not the 0/0 of the bare rule
+        twists = (Twist.PBC, Twist.ABC)
+        series = energy_series(model, [8], twists)
+        for twist in twists:
+            ham = hamiltonian(SpinModelSpec(model, twist), 8)
+            assert np.array_equal(ham.start_weights(), np.ones(ham.diag.size))
+            e = _dense_min(model, 8, twist)
+            assert series.E(8, twist) == pytest.approx(e, abs=1e-10 * max(1.0, abs(e)))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            SpinChain("heisenberg", -1.0),
+            SpinChain("single-ion", -1.0, D=7.4),
+            SpinChain("single-ion", 1.0, D=-50.0),
+            SpinChain("single-ion", 1.0, D=0.0),
+            SpinChain("single-ion", 1.0, D=1000.0),
+        ],
+        ids=str,
+    )
+    def test_series_matches_the_dense_minimum(self, model):
+        twists = (Twist.PBC, Twist.ABC)
+        series = energy_series(model, [8], twists)
+        for twist in twists:
+            e = _dense_min(model, 8, twist)
+            assert series.E(8, twist) == pytest.approx(e, abs=1e-10 * max(1.0, abs(e))), twist
+
+    def test_underflowing_weights_are_floored(self):
+        # at D = 1000 most configurations lie 1000 hop amplitudes above the
+        # lowest: exp underflows to 0, and the floor keeps every component
+        ham = hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=1000.0), Twist.PBC), 8)
+        weights = ham.start_weights()
+        tiny = np.finfo(float).tiny
+        assert weights.min() == tiny and (weights == tiny).sum() > weights.size // 2
 
 
 def _sizes(model):
@@ -675,9 +843,10 @@ class TestSharedAssembly:
         # entry shares its position with bond 0's
         solved = []
 
-        def record(matvec, dim, seed=0):
+        def record(matvec, dim, seed=0, start_weights=None):
             ham = matvec.__self__
             assert dim == ham.diag.size
+            assert np.array_equal(start_weights, ham.start_weights())
             solved.append(
                 (ham.diag.copy(), ham.indptr.copy(), ham.indices.copy(), ham.data.copy())
             )
@@ -705,7 +874,7 @@ class TestSharedAssembly:
         alive_before = {id(o) for o in gc.get_objects() if isinstance(o, SectorBasis)}
         solves = []
 
-        def solve(matvec, dim, seed=0):
+        def solve(matvec, dim, seed=0, start_weights=None):
             gc.collect()
             alive = [
                 o for o in gc.get_objects()
