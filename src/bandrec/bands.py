@@ -1,8 +1,12 @@
 """Band representations: cosine series and closed-form dispersions.
 
-A band is any object with ``evaluate(k)`` (vectorized, 2pi-periodic, even
-about k=0) and ``mean()``.  `FourierBand` stores the mean value explicitly;
-closed forms compute it analytically.
+A band is a `FourierBand`, which stores its mean value and cosine
+coefficients, or a closed form with ``mean()`` and a vectorized, 2pi-periodic
+``evaluate(k)`` that is even about k=0.  Every band is sampled one way,
+through `sample(band, L, twist)`: its values at the L twisted momenta
+`momenta(L, twist)`.  A cosine series gets there by folding its coefficients
+mod L and one FFT, the same aliasing that makes its Riemann sums exact; a
+closed form is evaluated at the momenta.
 """
 
 from __future__ import annotations
@@ -14,27 +18,20 @@ import numpy as np
 
 from .core import Twist
 
-#: number of uniform grid points used for positivity checks and projections
+#: number of momenta used for positivity checks, projections and error curves
 GRID_SIZE = 4096
 
 
-def uniform_grid(n: int = GRID_SIZE) -> np.ndarray:
-    """Uniform momentum grid on [0, 2pi), read-only."""
-    grid = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    grid.setflags(write=False)
-    return grid
+def momenta(L: int, twist: Twist) -> np.ndarray:
+    """The L twisted Brillouin-zone momenta k_j = (2*pi*j + theta)/L, j = 0..L-1."""
+    return (2.0 * np.pi * np.arange(L) + twist.theta) / L
 
 
-def cosine_series(c0: float, coeffs: np.ndarray, k) -> np.ndarray | float:
-    """Evaluate c0 + sum_n coeffs[n-1] * cos(n*k)."""
-    k_arr = np.asarray(k, dtype=float)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.size == 0:
-        out = np.full_like(k_arr, float(c0), dtype=float)
-    else:
-        n = np.arange(1, coeffs.size + 1)
-        out = c0 + np.cos(np.multiply.outer(k_arr, n)) @ coeffs
-    return float(out) if np.isscalar(k) or k_arr.ndim == 0 else out
+def sample(band: Band, L: int, twist: Twist) -> np.ndarray:
+    """The band's values at `momenta(L, twist)`."""
+    if isinstance(band, FourierBand):
+        return cosine_series_on_grid(band.c0, band.coeffs, L, twist)
+    return np.asarray(band.evaluate(momenta(L, twist)), dtype=float)
 
 
 def cosine_series_on_grid(c0: float, coeffs: np.ndarray, L: int, twist: Twist) -> np.ndarray:
@@ -76,9 +73,6 @@ class FourierBand:
     @property
     def degree(self) -> int:
         return self.coeffs.size
-
-    def evaluate(self, k):
-        return cosine_series(self.c0, self.coeffs, k)
 
     def mean(self) -> float:
         return self.c0

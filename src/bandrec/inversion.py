@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bands import FourierBand, GRID_SIZE, uniform_grid
+from .bands import GRID_SIZE, FourierBand, cosine_series_on_grid, sample
 from .core import Twist, ValidationError
 from .numtheory import b_coefficients
 from .riemann import residual_series
@@ -139,9 +139,12 @@ def convergence_curve(
     """Squared L2([0,2pi]) reconstruction error versus inversion cutoff.
 
     For each cutoff L the residuals of sizes 1..L are inverted and the
-    reconstructed function compared to the band on a uniform grid.  The
-    residuals are checked and the weights computed once, at the largest cutoff;
-    each cutoff applies a prefix of the weights to a prefix of the residuals.
+    reconstructed function compared to the band on the GRID_SIZE periodic
+    momenta.  Both sides are `bands` samples: the band through `sample`, each
+    reconstruction through the fold and one FFT of `cosine_series_on_grid`.
+    The residuals are checked and the weights computed once, at the largest
+    cutoff; each cutoff applies a prefix of the weights to a prefix of the
+    residuals.
     """
     cutoffs = sorted(set(int(L) for L in cutoffs))
     if not cutoffs or cutoffs[0] < 1:
@@ -149,13 +152,12 @@ def convergence_curve(
     sizes = tuple(range(1, cutoffs[-1] + 1))
     R = _checked_residual_vector(residual_series(band, sizes, twist), sizes)
     c0 = band.mean()
-    k = uniform_grid()
-    f_exact = np.asarray(band.evaluate(k), dtype=float)
-    cos_table = np.cos(np.multiply.outer(np.arange(1, sizes[-1] + 1), k))
+    f_exact = sample(band, GRID_SIZE, Twist.PBC)
     b = b_coefficients(twist, sizes[-1])  # b(n) does not depend on the cutoff
     dk = 2.0 * np.pi / GRID_SIZE
     out = []
     for L in cutoffs:
-        f_approx = c0 + _apply_weights(R[:L], b[:L]) @ cos_table[:L]
+        coeffs = _apply_weights(R[:L], b[:L])
+        f_approx = cosine_series_on_grid(c0, coeffs, GRID_SIZE, Twist.PBC)
         out.append((L, float(np.sum((f_approx - f_exact) ** 2) * dk)))
     return out

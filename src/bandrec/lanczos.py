@@ -142,7 +142,6 @@ def lowest_eigenpair(
     steps = 0
     reorth_steps = 0
     exhausted = False
-    pair = None  # the ground Ritz pair the loop accepted
 
     for j in range(max_steps):
         w = matvec(row(j))
@@ -179,9 +178,8 @@ def lowest_eigenpair(
         if stable >= 2 and steps >= 3:
             # the Ritz value has settled; accept once the residual bound
             # |beta * y_last| guarantees the eigenpair itself is converged
-            candidate = _ground_ritz_pair(alphas, betas[:j])
-            if beta * abs(candidate[1][-1]) <= 0.5e-8 * norm_est:
-                pair = candidate
+            _, y = _ground_ritz_pair(alphas, betas[:j])
+            if beta * abs(y[-1]) <= 0.5e-8 * norm_est:
                 converged = True
                 break
         if j + 1 < max_steps:
@@ -195,7 +193,7 @@ def lowest_eigenpair(
     if steps == dim and not exhausted:
         converged = True  # full Krylov basis reached
 
-    theta, y = pair or _ground_ritz_pair(alphas, betas[: steps - 1])
+    theta, y = _ground_ritz_pair(alphas, betas[: steps - 1])
     parts = np.split(y, range(block, steps, block))  # one part of y per block
     vector = parts[0] @ blocks[0][: len(parts[0])]
     for part, blk in zip(parts[1:], blocks[1:]):

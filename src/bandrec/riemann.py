@@ -3,8 +3,10 @@
 The average of a band over the L twisted momenta k_n = (2*pi*n + theta)/L
 converges to the band mean; for a cosine series it collapses to the finite
 aliasing sum  c0 + sum_l q^l a_{lL},  which is used for exact evaluation.
+A closed form is averaged over its samples, `bands.sample`.
 `synth_energy_series` turns a non-negative dispersion into the ground-state
-energies of the corresponding quasi-free chain.
+energies of the corresponding quasi-free chain; its positivity check reads
+the same samples for every kind of band.
 """
 
 from __future__ import annotations
@@ -14,19 +16,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bands import Band, FourierBand, cosine_series_on_grid
+from .bands import Band, FourierBand, sample
 from .core import Statistics, Twist, ValidationError
-
-def momenta(L: int, twist: Twist) -> np.ndarray:
-    """The L discretized Brillouin-zone points for one twist."""
-    return (2.0 * np.pi * np.arange(L) + twist.theta) / L
 
 
 def riemann_sum(band: Band, L: int, twist: Twist) -> float:
     """Average of the band over the L twisted momenta.
 
     Cosine-series bands are evaluated exactly through the aliasing sum;
-    closed forms by direct summation.
+    closed forms by averaging their samples.
     """
     if L < 1:
         raise ValidationError(f"riemann_sum requires L >= 1, got {L}")
@@ -38,7 +36,7 @@ def riemann_sum(band: Band, L: int, twist: Twist) -> float:
             total += sign * band.coeffs[idx - 1]
             sign *= q
         return float(total)
-    return float(np.mean(band.evaluate(momenta(L, twist))))
+    return float(np.mean(sample(band, L, twist)))
 
 
 def residual_series(band: Band, sizes: Iterable[int], twist: Twist) -> dict[int, float]:
@@ -129,10 +127,7 @@ def synth_energy_series(
     if sizes[0] < 1:
         raise ValidationError(f"sizes must be >= 1, got {sizes[0]}")
     for L in sizes:
-        if isinstance(dispersion, FourierBand):
-            samples = cosine_series_on_grid(dispersion.c0, dispersion.coeffs, L, twist)
-        else:
-            samples = np.asarray(dispersion.evaluate(momenta(L, twist)), dtype=float)
+        samples = sample(dispersion, L, twist)
         scale = max(1.0, float(np.max(np.abs(samples))))
         if samples.min() < -1e-12 * scale:
             raise ValidationError(

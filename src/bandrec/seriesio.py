@@ -13,7 +13,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .bands import AbsSineBand, Band, FourierBand, MassiveSineBand, uniform_grid
+from .bands import AbsSineBand, Band, FourierBand, MassiveSineBand, momenta, sample
 from .core import Twist, ValidationError
 from .reconstruct import ReconstructionResult
 from .riemann import EnergySeries
@@ -133,8 +133,9 @@ def band_from_dict(entry: dict) -> FourierBand:
 
 
 def write_band_samples_csv(band: FourierBand, stream: TextIO, n_samples: int) -> None:
-    k = uniform_grid(n_samples)
-    values = band.evaluate(k)
+    """The band at the n_samples periodic momenta, one `k,omega` row each."""
+    k = momenta(n_samples, Twist.PBC)
+    values = sample(band, n_samples, Twist.PBC)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["k", "omega"])
     for ki, vi in zip(k, values):

@@ -25,7 +25,7 @@ from bandrec import (
     size_set_for,
     synth_energy_series,
 )
-from bandrec.bands import AbsSineBand, FourierBand, uniform_grid
+from bandrec.bands import GRID_SIZE, AbsSineBand, FourierBand, momenta, sample
 from bandrec.inversion import SizeSet, invert_coefficients
 from bandrec.reconstruct import MODEL_EXPONENTIAL
 from bandrec.riemann import EnergySeries, residual_series
@@ -185,14 +185,14 @@ def test_criterion_5_ten_sum_reconstruction():
     (the true band's coefficient tail beyond degree 10 sums to 2.3e-3); it is
     asserted as stated and fails for any implementation of this inversion.
     """
-    k = uniform_grid()
     devs = {}
     for m in (0.1, 0.0):
         band = MassiveSineBand(1.0, m)
         residuals = residual_series(band, range(1, 11), Twist.PBC)
         shape = invert_coefficients(residuals, Twist.PBC, SizeSet("all-from-1", 10))
         approx = FourierBand(band.mean(), shape.coeffs)
-        devs[m] = float(np.max(np.abs(approx.evaluate(k) - band.evaluate(k))))
+        gap = sample(approx, GRID_SIZE, Twist.PBC) - sample(band, GRID_SIZE, Twist.PBC)
+        devs[m] = float(np.max(np.abs(gap)))
     ok_massive = devs[0.1] < 1e-3
     ok_massless = devs[0.0] < 0.05
     verdict(
@@ -217,11 +217,11 @@ def test_criterion_6_heisenberg_classification(heisenberg_even_series):
     admissible = {h for h, r in results.items() if r.admissible}
     ok_set = admissible == {BOSON_PBC, FERMION_ABC}
 
-    k = uniform_grid()
+    k = momenta(GRID_SIZE, Twist.PBC)
     exact = (math.pi / 2.0) * np.abs(np.sin(k))
     spin_wave = np.abs(np.sin(k))
-    ferm_band = results[FERMION_ABC].band.evaluate(k)
-    bos_band = results[BOSON_PBC].band.evaluate(k)
+    ferm_band = sample(results[FERMION_ABC].band, GRID_SIZE, Twist.PBC)
+    bos_band = sample(results[BOSON_PBC].band, GRID_SIZE, Twist.PBC)
     # distances compare the mean-removed curves: the band mean is an input
     # convention (set by e_inf), while the inversion determines the shape;
     # both variants are reported

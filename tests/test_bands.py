@@ -7,25 +7,44 @@ from bandrec import MassiveSineBand, Twist
 from bandrec.bands import (
     AbsSineBand,
     FourierBand,
-    cosine_series,
     cosine_series_on_grid,
-    uniform_grid,
+    momenta,
+    sample,
 )
-from bandrec.riemann import momenta
+
+from band_reference import cosine_series, evaluate
 
 
 def test_fourier_band_is_even():
     rng = np.random.default_rng(7)
     band = FourierBand(rng.normal(), rng.normal(size=12))
     k = rng.uniform(0, 2 * np.pi, size=64)
-    assert np.allclose(band.evaluate(k), band.evaluate(2 * np.pi - k), atol=1e-13)
+    assert np.allclose(evaluate(band, k), evaluate(band, 2 * np.pi - k), atol=1e-13)
 
 
-def test_fourier_band_evaluation():
+def test_fourier_band_sampling():
     band = FourierBand(1.0, [0.0, 1.0])  # 1 + cos(2k)
-    assert band.evaluate(0.0) == pytest.approx(2.0)
-    assert band.evaluate(np.pi / 2) == pytest.approx(0.0, abs=1e-15)
+    assert sample(band, 4, Twist.PBC) == pytest.approx([2.0, 0.0, 2.0, 0.0], abs=1e-15)
+    assert sample(band, 4, Twist.ABC) == pytest.approx([1.0] * 4, abs=1e-15)
     assert band.coeffs.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
+@pytest.mark.parametrize("L", [1, 5, 64])
+def test_sample_is_the_band_at_its_momenta(twist, L):
+    k = momenta(L, twist)
+    assert k.shape == (L,)
+    for band in (MassiveSineBand(2.0, 0.3), AbsSineBand(1.5)):
+        assert np.array_equal(sample(band, L, twist), band.evaluate(k))
+    band = FourierBand(0.4, np.random.default_rng(L).standard_normal(3 * L + 2))
+    assert np.allclose(sample(band, L, twist), cosine_series(band.c0, band.coeffs, k), atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 512, 4096])
+def test_periodic_momenta_match_a_uniform_grid_at_powers_of_two(n):
+    # dividing by a power of two is exact, so both roundings agree bit for bit
+    grid = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    assert np.array_equal(momenta(n, Twist.PBC), grid)
 
 
 def test_undetermined_a1_stored_as_zero():
@@ -92,15 +111,15 @@ def test_abs_sine():
 
 def project(band, n_max, grid_size=4096):
     """Mean and cosine coefficients a_1..a_n_max by uniform-grid quadrature."""
-    k = uniform_grid(grid_size)
-    f = np.asarray(band.evaluate(k), dtype=float)
+    k = momenta(grid_size, Twist.PBC)
+    f = sample(band, grid_size, Twist.PBC)
     n = np.arange(1, n_max + 1)
     return f.mean(), 2.0 / grid_size * (np.cos(np.multiply.outer(n, k)) @ f)
 
 
 def test_projection_recovers_trig_polynomial_exactly():
     # the grid quadrature is exact for cosines below half the grid size, so
-    # this checks FourierBand.evaluate against its own coefficients
+    # this checks the sampled FourierBand against its own coefficients
     rng = np.random.default_rng(11)
     band = FourierBand(rng.normal(), rng.normal(size=20))
     c0, coeffs = project(band, 25)

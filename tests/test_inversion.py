@@ -14,6 +14,9 @@ from bandrec import (
 from bandrec.bands import GRID_SIZE, FourierBand
 from bandrec.inversion import SizeSet, invert_coefficients
 from bandrec.riemann import residual_series, riemann_sum
+from bandrec.seriesio import parse_band_spec
+
+from band_reference import cosine_series
 
 
 def random_band(rng, degree, pi_periodic=False):
@@ -230,7 +233,8 @@ class TestConvergenceCurve:
 
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
     def test_each_cutoff_matches_a_fresh_inversion(self, twist):
-        # the curve slices one set of weights; each cutoff inverts on its own here
+        # the curve slices one set of weights and samples through the FFT; each
+        # cutoff inverts on its own here and is summed densely
         band = MassiveSineBand(1.0, 0.2)
         k = np.arange(GRID_SIZE) * (2.0 * np.pi / GRID_SIZE)
         exact = band.evaluate(k)
@@ -238,9 +242,28 @@ class TestConvergenceCurve:
         for L, err in curve:
             residuals = residual_series(band, range(1, L + 1), twist)
             shape = invert_coefficients(residuals, twist, SizeSet("all-from-1", L))
-            approx = FourierBand(band.mean(), shape.coeffs)
-            expected = float(np.sum((approx.evaluate(k) - exact) ** 2) * 2.0 * np.pi / GRID_SIZE)
+            approx = cosine_series(band.mean(), shape.coeffs, k)
+            expected = float(np.sum((approx - exact) ** 2) * 2.0 * np.pi / GRID_SIZE)
             assert err == pytest.approx(expected, rel=1e-9, abs=1e-15), L
+
+    @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
+    def test_fourier_band_is_exact_from_its_degree_on(self, twist):
+        coeffs = np.random.default_rng(4).standard_normal(24) / 4
+        band = parse_band_spec("fourier:c0=3,coeffs=" + ";".join(map(repr, coeffs.tolist())))
+        curve = dict(convergence_curve(band, range(1, 65), twist))
+        assert curve[23] > 1e-4
+        for L in range(24, 65):
+            assert curve[L] <= 1e-27, (L, curve[L])
+
+    def test_no_dense_cosine_table(self):
+        # a cos(n*k) table for cutoffs up to 512 on the grid would hold 16 MB
+        tracemalloc.start()
+        try:
+            convergence_curve(MassiveSineBand(1.0, 0.05), range(16, 513, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
     def test_bad_cutoffs(self):
         with pytest.raises(ValidationError):

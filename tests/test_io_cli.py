@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from bandrec.seriesio import (
     write_band_samples_csv,
     write_energy_csv,
 )
+
+from band_reference import cosine_series, evaluate
 
 
 class TestEnergyCsv:
@@ -67,7 +70,25 @@ class TestBandJson:
         assert len(rows) == 64
         for row in rows:
             k_str, v_str = row.split(",")
-            assert abs(float(v_str) - band.evaluate(float(k_str))) < 1e-9
+            assert abs(float(v_str) - evaluate(band, float(k_str))) < 1e-9
+
+    def test_samples_of_a_long_series_take_no_dense_table(self, tmp_path):
+        # a dense cos(n*k) table would hold 1024 x 16384 doubles (134 MB)
+        band = FourierBand(2.0, np.random.default_rng(5).standard_normal(1024) / 1024)
+        path = tmp_path / "samples.csv"
+        with open(path, "w") as fh:
+            tracemalloc.start()
+            try:
+                write_band_samples_csv(band, fh, 16384)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert rows.shape == (16384, 2)
+        assert np.array_equal(rows[:, 0], np.linspace(0.0, 2.0 * np.pi, 16384, endpoint=False))
+        some = rows[::97]
+        assert np.allclose(some[:, 1], cosine_series(band.c0, band.coeffs, some[:, 0]), atol=1e-14)
 
     def test_band_round_trip(self):
         entry = {
@@ -98,7 +119,7 @@ class TestParsers:
         band = parse_band_spec("abs-sine:amplitude=1.5")
         assert band.evaluate(np.pi / 2) == pytest.approx(1.5)
         band = parse_band_spec("constant:c0=3")
-        assert band.evaluate(1.0) == pytest.approx(3.0)
+        assert evaluate(band, 1.0) == pytest.approx(3.0)
         band = parse_band_spec("fourier:c0=1,coeffs=0.5;0;-0.25")
         assert band.coeffs.tolist() == [0.5, 0.0, -0.25]
 
@@ -260,7 +281,7 @@ class TestCli:
         # data reproduced exactly; the band agrees up to the tail aliasing
         assert entry["l2_residual_forward"] < 1e-10
         k = np.linspace(0, 2 * np.pi, 257)
-        assert np.max(np.abs(band.evaluate(k) - source.evaluate(k))) < 0.1
+        assert np.max(np.abs(evaluate(band, k) - source.evaluate(k))) < 0.1
 
     def test_reconstruct_auto_emits_four_flagged_bands(self, tmp_path):
         energies = tmp_path / "heis.csv"

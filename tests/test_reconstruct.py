@@ -16,7 +16,7 @@ from bandrec import (
     reconstruct_band,
     synth_energy_series,
 )
-from bandrec.bands import AbsSineBand, FourierBand, uniform_grid
+from bandrec.bands import GRID_SIZE, AbsSineBand, FourierBand, sample
 from bandrec.inversion import SizeSet
 from bandrec.reconstruct import MODEL_EXPONENTIAL, MODEL_POWER_LAW_2
 from bandrec.riemann import EnergySeries
@@ -25,6 +25,10 @@ BOSON_PBC = Hypothesis(Statistics.BOSON, Twist.PBC)
 FERMION_PBC = Hypothesis(Statistics.FERMION, Twist.PBC)
 BOSON_ABC = Hypothesis(Statistics.BOSON, Twist.ABC)
 FERMION_ABC = Hypothesis(Statistics.FERMION, Twist.ABC)
+
+
+def on_grid(band):
+    return sample(band, GRID_SIZE, Twist.PBC)
 
 
 class TestReconstructBand:
@@ -37,8 +41,7 @@ class TestReconstructBand:
         assert result.l2_residual_forward < 1e-10  # the observed data is reproduced exactly
         # the recovered coefficients equal the true ones up to the tail of the
         # infinite cosine series aliasing into the finite window
-        k = uniform_grid()
-        dev = np.max(np.abs(result.band.evaluate(k) - band.evaluate(k)))
+        dev = np.max(np.abs(on_grid(result.band) - on_grid(band)))
         assert dev < 0.1
 
     def test_matched_synthetic_is_exact_for_finite_pi_periodic_band(self):
@@ -59,8 +62,7 @@ class TestReconstructBand:
         flipped = reconstruct_band(series, series.e_inf, 1.0, BOSON_PBC, SizeSet("even-only", 16))
         assert not flipped.admissible
         assert flipped.min_band_value < 0
-        k = uniform_grid()
-        assert np.max(np.abs(flipped.band.evaluate(k) + matched.band.evaluate(k))) < 1e-12
+        assert np.max(np.abs(on_grid(flipped.band) + on_grid(matched.band))) < 1e-12
 
     @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
@@ -95,8 +97,7 @@ class TestReconstructBand:
         res_plus = reconstruct_band(series, series.e_inf, 1.0, BOSON_PBC, size_set)
         res_minus = reconstruct_band(series, series.e_inf, 1.0, FERMION_PBC, size_set)
         assert res_plus.admissible and not res_minus.admissible
-        k = uniform_grid()
-        assert np.max(np.abs(res_plus.band.evaluate(k) + res_minus.band.evaluate(k))) < 1e-12
+        assert np.max(np.abs(on_grid(res_plus.band) + on_grid(res_minus.band))) < 1e-12
 
     def test_validation_errors(self):
         series = synth_energy_series(FourierBand(1.0), Statistics.BOSON, 1.0, Twist.PBC, [1, 2])
@@ -135,8 +136,7 @@ class TestClassify:
         results = {r.hypothesis: r for r in classify(series, series.e_inf, 1.0, size_set)}
         admissible = {h for h, r in results.items() if r.admissible}
         assert admissible == {BOSON_PBC, FERMION_ABC}
-        k = uniform_grid()
-        match = np.max(np.abs(results[BOSON_PBC].band.evaluate(k) - band.evaluate(k)))
+        match = np.max(np.abs(on_grid(results[BOSON_PBC].band) - on_grid(band)))
         assert match < 1e-8
 
     def test_classification_uses_data_twist_for_all_hypotheses(self):
