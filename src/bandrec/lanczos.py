@@ -24,10 +24,14 @@ the Ritz value must settle to TOL_ENERGY relative within MAX_ITER steps.
 The Ritz values of every step come from numpy's eigvalsh of the dense
 tridiagonal matrix: for eigenvalues alone LAPACK dsyevd leaves a
 tridiagonal matrix as it is and ends in dsterf, the tridiagonal QR
-routine.  The module needs numpy alone.  Once the loop ends, its working
-vectors are released before the Ritz vector is formed, and the Krylov
-rows before the residual product, so a solve's peak holds the rows and a
-few vectors of the operator's dimension.
+routine.  The module needs numpy alone.  A solve's working set is the
+Krylov rows, the operator and four vectors of its dimension: the two
+sketch rows, one work vector and the current product.  Start weights that
+the caller does not hold go once the start is formed, each product once
+it has become the next row, and a Gram-Schmidt pass forms its projection
+in the work vector.  Once the loop ends, its vectors are released before
+the Ritz vector is formed, and the Krylov rows before the residual
+product.
 """
 
 from __future__ import annotations
@@ -87,7 +91,8 @@ def lowest_eigenpair(
     ones keep the plain Gaussian start bit for bit.
     Raises NumericalError (with `best_estimate` attached) if the Ritz value
     has not settled within MAX_ITER iterations, or if the Krylov space
-    became invariant without the Ritz pair passing the residual bound; and
+    became invariant or reached the full dimension without the Ritz pair
+    passing the residual bound; and
     (without it) if LAPACK fails on the tridiagonal matrix.
     """
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -119,7 +124,7 @@ def lowest_eigenpair(
         # scaled to a largest weight of 1, so the norm can neither overflow
         # nor underflow
         start *= start_weights / start_weights.max()
-        del start_weights  # not held through the iterations
+        del start_weights  # freed here unless the caller still holds them
     start /= np.linalg.norm(start)
 
     # the sketch U = C Q of the stored rows, with C Gaussian from a stream of
@@ -157,7 +162,7 @@ def lowest_eigenpair(
                 before = beta
                 for k, blk in enumerate(blocks):
                     basis = blk[: j + 1 - k * block]
-                    w -= basis.T @ (basis @ w)
+                    w -= np.matmul(basis @ w, basis, out=work)
                 beta = float(np.linalg.norm(w))
                 if beta >= DGKS_RATIO * before:
                     break
@@ -175,7 +180,7 @@ def lowest_eigenpair(
         if beta <= 1e-14 * norm_est:
             exhausted = True  # the Krylov space looks invariant: T is exact on it
             break
-        if stable >= 2 and steps >= 3:
+        if stable >= 2:
             # the Ritz value has settled; accept once the residual bound
             # |beta * y_last| guarantees the eigenpair itself is converged
             _, y = _ground_ritz_pair(alphas, betas[:j])
@@ -186,12 +191,10 @@ def lowest_eigenpair(
             if (j + 1) % block == 0:
                 blocks.append(np.empty((block, dim)))
             np.divide(w, beta, out=row(j + 1))  # beta > 0: the exhaustion stop came first
+            del w  # spent: the next matvec does not run beside it
             store(j + 1)
             betas.append(beta)
     del w, sketch  # the loop's vectors go before the Ritz vector is formed
-
-    if steps == dim and not exhausted:
-        converged = True  # full Krylov basis reached
 
     theta, y = _ground_ritz_pair(alphas, betas[: steps - 1])
     parts = np.split(y, range(block, steps, block))  # one part of y per block
@@ -204,9 +207,10 @@ def lowest_eigenpair(
     residual_vector -= np.multiply(vector, theta, out=work)
     residual = float(np.linalg.norm(residual_vector))
 
-    if exhausted:
+    if exhausted or (steps == dim and not converged):
         # beta was judged against the widest Ritz value, so a very wide
-        # spectrum can stop here far from the ground state: check the pair
+        # spectrum can stop here far from the ground state; and a full
+        # Krylov basis is exact only while it stays orthogonal: check the pair
         converged = residual <= 0.5e-8 * max(1.0, abs(theta))
     if not converged:
         err = NumericalError(

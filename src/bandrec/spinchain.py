@@ -310,8 +310,10 @@ def energy_series(
     and the basis is freed before the solves; every further twist flips the
     twist-bond hops in place, so the energies equal those of separate
     `build_hamiltonian` calls bit for bit.  Every solve starts from `seed`'s
-    Gaussian vector scaled by the size's `SectorHamiltonian.start_weights`,
-    derived once: the twist leaves the diagonal and |A| as they are.
+    Gaussian vector scaled by `SectorHamiltonian.start_weights`, derived
+    afresh for each solve and held by no one else, so the solver frees them
+    once the start is formed; the twist leaves the diagonal and |A| as they
+    are, so every twist's weights are the same bytes.
     """
     sizes = sorted(set(int(s) for s in sizes))
     twists = tuple(twists)
@@ -327,11 +329,13 @@ def energy_series(
     spec = SpinModelSpec(model, twists[0])
     for L in sizes:
         ham = build_hamiltonian(spec, L, SectorBasis.build(L, model.local_dim))
-        weights = ham.start_weights()
         for i, twist in enumerate(twists):
             if i:
                 _negate_twist_bond(ham)
-            result = lowest_eigenpair(ham.matvec, ham.diag.size, seed, start_weights=weights)[0]
+            # weights held by no name here: the solve frees them with its start
+            result = lowest_eigenpair(
+                ham.matvec, ham.diag.size, seed, start_weights=ham.start_weights()
+            )[0]
             series.add(L, twist, result.energy)  # the ground vector is dropped at once
-        del ham, weights  # freed before the next size is built
+        del ham  # freed before the next size is built
     return series

@@ -548,6 +548,16 @@ class TestLanczosSolver:
             lowest_eigenpair(lambda x: diag * x, diag.size)
         assert excinfo.value.best_estimate == pytest.approx(0.2298, abs=1e-4)
 
+    def test_full_basis_without_a_converged_pair_is_not_accepted(self, monkeypatch):
+        # with Gram-Schmidt off, the five near-degenerate values below the
+        # gap cost the 20 rows their orthogonality: the full-basis Ritz value
+        # reads -0.99991 with residual 3.3e-4 against the exact -1
+        diag = np.concatenate(([-1.0], -1.0 + 1e-3 * np.arange(1, 6), np.linspace(0.0, 50.0, 14)))
+        monkeypatch.setattr(lanczos, "SEMI_ORTHOGONAL", np.inf)
+        with pytest.raises(NumericalError, match="in 20 iterations") as excinfo:
+            lowest_eigenpair(lambda x: diag * x, diag.size, 0)
+        assert excinfo.value.best_estimate == pytest.approx(-0.99991, abs=1e-5)
+
     @pytest.mark.parametrize("entry", [2.5, -3.0, 0.0, 1e-300, -7.25e10])
     @pytest.mark.parametrize("seed", [0, 1, 4, 7])
     def test_dimension_one(self, entry, seed):
@@ -574,10 +584,12 @@ class TestLanczosSolver:
         assert peak < lanczos.MAX_ITER * dim * 8 / 4
         assert result.iterations < lanczos.KRYLOV_BLOCK
         # besides the block of rows, the loop holds the two sketch rows, the
-        # work row, w and the next product: 5 vectors (8 when the loop's
-        # vectors outlived it into the Ritz vector and the residual)
+        # work row and one product, Gram-Schmidt steps included: 4 vectors
+        # (5 if it kept the spent product or a Gram-Schmidt temporary, 8 if
+        # its vectors outlived it into the Ritz vector and the residual)
         vectors = (peak - lanczos.KRYLOV_BLOCK * dim * 8) / (dim * 8)
-        assert vectors < 6, vectors
+        assert result.reorth_steps >= 1
+        assert vectors < 5, vectors
 
     def test_krylov_blocks_keep_the_result(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -717,9 +729,11 @@ class TestStartWeights:
         shifted = dataclasses.replace(ref, diag=ref.diag + 3.0)
         assert np.allclose(shifted.start_weights(), ref.start_weights(), rtol=1e-13, atol=0)
 
-    def test_weights_are_derived_once_per_size(self, monkeypatch):
-        # both twists' solves get the size's one array, freed before the next build
-        refs = []
+    def test_each_solve_gets_weights_that_no_caller_holds(self, monkeypatch):
+        # every solve gets its own array, bit-equal across the twists, which
+        # no local of energy_series holds, so the solver alone decides when
+        # it goes; none is alive at the next build
+        refs, copies = [], []
         build = spinchain.build_hamiltonian
 
         def build_after_release(*args):
@@ -728,15 +742,20 @@ class TestStartWeights:
 
         def solve(matvec, dim, seed=0, start_weights=None):
             assert start_weights.shape == (dim,)
+            caller = sys._getframe(1)
+            assert caller.f_code is energy_series.__code__
+            assert not any(value is start_weights for value in caller.f_locals.values())
             if len(refs) % 2:
-                assert refs[-1]() is start_weights
+                assert refs[-1]() is None  # the first twist's array went with its solve
+                assert np.array_equal(start_weights, copies[-1])
             refs.append(weakref.ref(start_weights))
+            copies.append(start_weights.copy())
             return lanczos.LanczosResult(0.0, 0.0, False, 1, 0), None
 
         monkeypatch.setattr(spinchain, "build_hamiltonian", build_after_release)
         monkeypatch.setattr(spinchain, "lowest_eigenpair", solve)
         energy_series(SpinChain("single-ion", 1.0, D=7.4), [3, 4], (Twist.PBC, Twist.ABC))
-        assert len(refs) == 4
+        assert len(refs) == 4 and all(ref() is None for ref in refs)
 
     def test_single_ion_series_takes_fewer_steps(self, monkeypatch):
         # the D = 7.4 ground state sits on the configurations of lowest diagonal
