@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 import os as _os
 import sys as _sys
 
-# The BLAS products of the ED path (Lanczos dot products and projections) are
+# The BLAS calls of the ED path (the Lanczos dot products and norms) are
 # memory-bound: a second thread costs far more CPU time than it saves in wall
 # time, and the summation order it brings makes the energies depend on the
 # core count. The pool size is fixed when numpy loads, so the default can only

@@ -336,6 +336,6 @@ def energy_series(
             result = lowest_eigenpair(
                 ham.matvec, ham.diag.size, seed, start_weights=ham.start_weights()
             )[0]
-            series.add(L, twist, result.energy)  # the ground vector is dropped at once
+            series.add(L, twist, result.energy)
         del ham  # freed before the next size is built
     return series

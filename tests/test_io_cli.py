@@ -190,8 +190,8 @@ class TestCli:
         assert f"{flag} is required" in capsys.readouterr().err
 
     def test_ed_maps_an_unconverged_solve_to_exit_3(self, monkeypatch, capsys):
-        # every sector is replaced by a spectrum that stops the Lanczos
-        # iteration early at a wrong energy; the solver must refuse it
+        # every sector is replaced by a spectrum on which the Lanczos
+        # iteration ends at a wrong energy; the solver must refuse it
         from bandrec import lanczos, spinchain
 
         diag = np.concatenate(([-1.0], np.linspace(0.0, 1.0, 298), [1e14]))

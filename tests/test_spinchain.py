@@ -467,58 +467,27 @@ class TestGroundEnergy:
         for L in (8, 12):
             r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0), Twist.PBC), L)
             assert r.residual_norm <= 1e-8 * (abs(r.energy) + 1.0)
-            assert 0 <= r.reorth_steps <= r.iterations
             assert r.iterations >= 3
 
 
 class TestLanczosSolver:
-    def test_degeneracy_warning_on_near_degenerate_ground_state(self):
-        # a gap below 1e-10 between the two lowest Ritz values raises the flag;
-        # the tiny space exhausts the Krylov basis, making the Ritz values exact
-        # (exactly degenerate copies are invisible to a single Krylov sequence)
+    def test_near_degenerate_full_space_is_refused(self):
+        # three steps span the whole space, but without reorthogonalization
+        # the pair 0, 3e-11 leaves the Ritz vector an explicit residual of
+        # 5.3e-7: the solve fails rather than return a plausible number
         diag = np.array([0.0, 3e-11, 1.0])
-        result, _ = lowest_eigenpair(lambda x: diag * x, diag.size)
-        assert result.energy == pytest.approx(0.0, abs=1e-12)
-        assert result.degeneracy_warning
+        with pytest.raises(NumericalError, match="in 3 iterations") as excinfo:
+            lowest_eigenpair(lambda x: diag * x, diag.size)
+        assert excinfo.value.best_estimate == pytest.approx(0.0, abs=1e-10)
 
-    def test_no_warning_on_separated_spectrum(self):
-        diag = np.linspace(0.0, 4.0, 50)
-        result, _ = lowest_eigenpair(lambda x: diag * x, diag.size)
-        assert not result.degeneracy_warning
-
-    def test_dgks_second_pass_removes_a_large_component_in_the_krylov_span(self):
-        # every product carries 1e5 times a multiple of the start vector, which
-        # the three-term recurrence leaves in w; one Gram-Schmidt pass leaves a
-        # rounding residue of it that corrupts the next alphas, so the DGKS test
-        # must see w shrink and run the second pass. In exact arithmetic the
-        # term lies in the Krylov span and the Ritz values are those of diag.
-        dim = 200
-        diag = np.concatenate(([-1.0], np.linspace(0.0, 1.0, dim - 1)))
-        g = np.random.default_rng(1).standard_normal(dim)
-        start = []
-
-        def matvec(x):
-            if not start:
-                start.append(x.copy())
-                g[:] -= (g @ x) * x  # alpha_0 stays v0 . diag v0
-            return diag * x + 1e5 * (g @ x) * start[0]
-
-        result, _ = lowest_eigenpair(matvec, dim)
-        assert result.energy == pytest.approx(np.linalg.eigvalsh(np.diag(diag))[0], abs=1e-10)
-        assert not result.degeneracy_warning
-        # the sketch sees the large overlap with the start vector on every step
-        assert result.reorth_steps == result.iterations - 1
-
-    def test_sketch_reorthogonalizes_once_an_outlier_has_converged(self):
+    def test_ground_state_behind_an_outlier_that_converged_first(self):
         # the isolated top eigenvalue converges within a few steps, and later
         # vectors regain a component along its Ritz vector; the ground state
         # at the edge of the dense part needs well over 150 steps
         diag = np.concatenate((np.linspace(0.0, 1.0, 999), [10.0]))
         result, _ = lowest_eigenpair(lambda x: diag * x, diag.size)
         assert result.iterations > 150
-        assert result.reorth_steps >= 1
         assert result.energy == pytest.approx(np.linalg.eigvalsh(np.diag(diag))[0], abs=1e-10)
-        assert not result.degeneracy_warning
 
     def test_nonconvergence_carries_best_estimate(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -541,19 +510,20 @@ class TestLanczosSolver:
             lowest_eigenpair(lambda x: A @ x, 10)
 
     def test_early_stop_on_a_wide_spectrum_is_not_accepted(self):
-        # beta is judged against the widest Ritz value (1e14), so the solve
-        # stops after 3 steps at 0.2298 with residual 0.19; exact E0 is -1
+        # beta is judged against the widest Ritz value (1e14), and the
+        # vectors lose their orthogonality to its converged Ritz vector: the
+        # solve runs all 300 steps without settling and its Ritz pair reads
+        # -1.0199 with residual 0.021; exact E0 is -1
         diag = np.concatenate(([-1.0], np.linspace(0.0, 1.0, 298), [1e14]))
-        with pytest.raises(NumericalError) as excinfo:
+        with pytest.raises(NumericalError, match="in 300 iterations") as excinfo:
             lowest_eigenpair(lambda x: diag * x, diag.size)
-        assert excinfo.value.best_estimate == pytest.approx(0.2298, abs=1e-4)
+        assert excinfo.value.best_estimate == pytest.approx(-1.0199, abs=1e-4)
 
-    def test_full_basis_without_a_converged_pair_is_not_accepted(self, monkeypatch):
-        # with Gram-Schmidt off, the five near-degenerate values below the
-        # gap cost the 20 rows their orthogonality: the full-basis Ritz value
-        # reads -0.99991 with residual 3.3e-4 against the exact -1
+    def test_full_basis_without_a_converged_pair_is_not_accepted(self):
+        # the five near-degenerate values below the gap cost the 20 Lanczos
+        # vectors their orthogonality: the full-basis Ritz value reads
+        # -0.99991 with residual 3.3e-4 against the exact -1
         diag = np.concatenate(([-1.0], -1.0 + 1e-3 * np.arange(1, 6), np.linspace(0.0, 50.0, 14)))
-        monkeypatch.setattr(lanczos, "SEMI_ORTHOGONAL", np.inf)
         with pytest.raises(NumericalError, match="in 20 iterations") as excinfo:
             lowest_eigenpair(lambda x: diag * x, diag.size, 0)
         assert excinfo.value.best_estimate == pytest.approx(-0.99991, abs=1e-5)
@@ -562,49 +532,54 @@ class TestLanczosSolver:
     @pytest.mark.parametrize("seed", [0, 1, 4, 7])
     def test_dimension_one(self, entry, seed):
         # the general loop: one step, beta = 0 exhausts the space, and the
-        # Ritz pair is exact; the vector's sign is the start vector's, as in
-        # every dimension (seed 4 draws a negative start)
-        result, vec = lowest_eigenpair(lambda x: entry * x, 1, seed)
-        assert result == lanczos.LanczosResult(entry, 0.0, False, 1, 0)
-        assert vec.shape == (1,) and np.array_equal(np.abs(vec), [1.0])
+        # replayed Ritz pair is exact whatever the start's sign (seed 4
+        # draws a negative start)
+        result, y = lowest_eigenpair(lambda x: entry * x, 1, seed)
+        assert result == lanczos.LanczosResult(entry, 0.0, 1)
+        assert np.array_equal(y, [1.0])
 
-    def test_krylov_storage_grows_with_the_iterations(self):
-        # a wide gap settles in a few steps; MAX_ITER * dim rows would be 400 MB
+    def test_working_set_does_not_grow_with_the_iterations(self):
+        # the start, v_{j-1}, v_j, the work vector and the product: five
+        # vectors at 9 steps and at 43 (the kept rows would add one per step)
         dim = 100_000
-        diag = np.linspace(0.0, 1.0, dim)
-        diag[0] = -10.0
-        lowest_eigenpair(lambda x: diag[:10] * x, 10)  # numpy.random imported before tracing
-        tracemalloc.start()
-        try:
-            result, _ = lowest_eigenpair(lambda x: diag * x, dim)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result.energy == pytest.approx(-10.0, abs=1e-10)
-        assert peak < lanczos.MAX_ITER * dim * 8 / 4
-        assert result.iterations < lanczos.KRYLOV_BLOCK
-        # besides the block of rows, the loop holds the two sketch rows, the
-        # work row and one product, Gram-Schmidt steps included: 4 vectors
-        # (5 if it kept the spent product or a Gram-Schmidt temporary, 8 if
-        # its vectors outlived it into the Ritz vector and the residual)
-        vectors = (peak - lanczos.KRYLOV_BLOCK * dim * 8) / (dim * 8)
-        assert result.reorth_steps >= 1
-        assert vectors < 5, vectors
+        lowest_eigenpair(lambda x: 2.5 * x, 10)  # numpy.random imported before tracing
+        held = {}
+        for gap in (10.0, 0.1):
+            diag = np.linspace(0.0, 1.0, dim)
+            diag[0] = -gap
+            tracemalloc.start()
+            try:
+                result, _ = lowest_eigenpair(lambda x: diag * x, dim)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.energy == pytest.approx(-gap, abs=1e-10)
+            held[result.iterations] = peak / (dim * 8)
+        assert min(held) < 10 and max(held) >= 40, held
+        assert max(held.values()) < 5.5, held
+        assert max(held.values()) - min(held.values()) < 0.25, held
 
-    def test_krylov_blocks_keep_the_result(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        A = rng.standard_normal((300, 300))
-        A = A + A.T
-        r1, v1 = lowest_eigenpair(lambda x: A @ x, 300)
-        monkeypatch.setattr(lanczos, "KRYLOV_BLOCK", 7)
-        r2, v2 = lowest_eigenpair(lambda x: A @ x, 300)
-        assert r1.iterations == r2.iterations > 7
-        assert r2.energy == pytest.approx(r1.energy, rel=1e-13)
-        assert r2.energy == pytest.approx(np.linalg.eigvalsh(A)[0], rel=1e-10)
-        assert np.allclose(v1, v2, atol=1e-10)
-        # a semi-orthogonal basis needs Gram-Schmidt on few steps
-        assert r1.energy == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
-        assert r1.reorth_steps <= r1.iterations / 4
+    def test_replay_feeds_the_operator_the_same_vectors(self):
+        # four distinct eigenvalues: the Krylov space is exhausted after four
+        # steps, and the replay that forms the Ritz vector hands the operator
+        # pass one's first three vectors again, then the Ritz vector
+        diag = np.repeat([-2.0, 0.5, 1.0, 3.0], 250)
+        seen = []
+
+        def matvec(x):
+            seen.append(x.copy())
+            return diag * x
+
+        result, y = lowest_eigenpair(matvec, diag.size, 5)
+        assert result.iterations == 4
+        assert result.energy == pytest.approx(-2.0, abs=1e-12)
+        assert result.residual_norm <= 1e-8
+        assert len(seen) == 2 * result.iterations
+        for first, replayed in zip(seen[:3], seen[4:7]):
+            assert np.array_equal(first, replayed)
+            assert np.array_equal(np.signbit(first), np.signbit(replayed))
+        assert np.linalg.norm(seen[-1][250:]) <= 1e-8  # the Ritz vector lies on the -2 block
+        assert y.shape == (4,)
 
     @pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
     def test_seed_other_than_a_non_negative_integer_rejected(self, seed):
@@ -750,7 +725,7 @@ class TestStartWeights:
                 assert np.array_equal(start_weights, copies[-1])
             refs.append(weakref.ref(start_weights))
             copies.append(start_weights.copy())
-            return lanczos.LanczosResult(0.0, 0.0, False, 1, 0), None
+            return lanczos.LanczosResult(0.0, 0.0, 1), None
 
         monkeypatch.setattr(spinchain, "build_hamiltonian", build_after_release)
         monkeypatch.setattr(spinchain, "lowest_eigenpair", solve)
@@ -869,7 +844,7 @@ class TestSharedAssembly:
             solved.append(
                 (ham.diag.copy(), ham.indptr.copy(), ham.indices.copy(), ham.data.copy())
             )
-            return lanczos.LanczosResult(0.0, 0.0, False, 1, 0), None
+            return lanczos.LanczosResult(0.0, 0.0, 1), None
 
         monkeypatch.setattr(spinchain, "lowest_eigenpair", record)
         energy_series(model, _sizes(model), twists)
@@ -901,7 +876,7 @@ class TestSharedAssembly:
             ]
             assert alive == [], [(b.L, b.dim) for b in alive]
             solves.append(dim)
-            return lanczos.LanczosResult(0.0, 0.0, False, 1, 0), None
+            return lanczos.LanczosResult(0.0, 0.0, 1), None
 
         monkeypatch.setattr(spinchain, "lowest_eigenpair", solve)
         energy_series(SpinChain("single-ion", 1.0, D=7.4), [2, 3, 4], twists)
