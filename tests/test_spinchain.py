@@ -489,6 +489,45 @@ class TestLanczosSolver:
         assert result.iterations > 150
         assert result.energy == pytest.approx(np.linalg.eigvalsh(np.diag(diag))[0], abs=1e-10)
 
+    def test_separated_spectrum_takes_one_product_per_step(self):
+        # a solve accepted on the Ritz estimate forms no Ritz vector and takes
+        # no residual product: the operator runs once per Lanczos step
+        diag = np.linspace(0.0, 4.0, 50)
+        calls = []
+
+        def matvec(x):
+            calls.append(1)
+            return diag * x
+
+        result, y = lowest_eigenpair(matvec, diag.size)
+        assert result.iterations < diag.size
+        assert len(calls) == result.iterations
+        assert result.energy == pytest.approx(0.0, abs=1e-10)
+        assert 0.0 < result.residual_norm <= 0.5e-8 * 4.0
+        assert y.shape == (result.iterations,)
+
+    def test_ritz_estimate_is_the_residual_of_the_ritz_vector(self):
+        # the operator's inputs are the Lanczos vectors v_j; the Ritz vector
+        # V^T y built from them is unit, and its explicit residual is the
+        # reported beta |y_last|, though no step was reorthogonalized
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((300, 300))
+        A = A + A.T
+        seen = []
+
+        def matvec(x):
+            seen.append(x.copy())
+            return A @ x
+
+        result, y = lowest_eigenpair(matvec, 300)
+        assert len(seen) == result.iterations == y.size < 300
+        assert result.energy == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
+        x = np.array(seen).T @ y
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        explicit = np.linalg.norm(A @ x - result.energy * x)
+        assert explicit == pytest.approx(result.residual_norm, rel=1e-6)
+        assert result.residual_norm <= 0.5e-8 * np.linalg.norm(A, 2)
+
     def test_nonconvergence_carries_best_estimate(self, monkeypatch):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((400, 400))
