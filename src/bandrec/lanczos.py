@@ -116,12 +116,8 @@ def lowest_eigenpair(
     exhausted = False
 
     for j in range(max_steps):
-        w = matvec(v)
-        alpha = float(v @ w)
+        w, alpha = _step(matvec, v, v_prev, betas[-1] if j else 0.0, work)
         alphas.append(alpha)
-        w -= np.multiply(v, alpha, out=work)
-        if j > 0:
-            w -= np.multiply(v_prev, betas[-1], out=work)
         beta = float(np.linalg.norm(w))
 
         ritz_vals = _tridiagonal_eig(np.linalg.eigvalsh, alphas, betas)
@@ -181,16 +177,13 @@ def _replayed_residual(
     """|H x - theta x| for the normalized Ritz vector x = sum_j y_j v_j.
 
     The Lanczos vectors v_j are formed again from the start by pass one's
-    recurrence with its stored coefficients, so the operator sees the same
+    `_step` with its stored coefficients, so the operator sees the same
     vectors bit for bit.
     """
     x = start * y[0]
     v_prev, v = None, start
     for j, beta in enumerate(betas):
-        w = matvec(v)
-        w -= np.multiply(v, alphas[j], out=work)
-        if j > 0:
-            w -= np.multiply(v_prev, betas[j - 1], out=work)
+        w, _ = _step(matvec, v, v_prev, betas[j - 1] if j else 0.0, work, alphas[j])
         v_prev, v = v, np.divide(w, beta, out=w)
         del w
         x += np.multiply(v, y[j + 1], out=work)
@@ -199,6 +192,22 @@ def _replayed_residual(
     residual = matvec(x)
     residual -= np.multiply(x, theta, out=work)
     return float(np.linalg.norm(residual))
+
+
+def _step(matvec: Callable, v: np.ndarray, v_prev, beta_prev: float, work, alpha=None):
+    """w = H v - alpha v - beta_prev v_prev, the unnormalized next Lanczos vector.
+
+    alpha is v.w unless given: the replay passes pass one's, so both passes
+    run the same operations in the same order through `work`, and dividing
+    w by the stored beta in place gives the same v_{j+1} bit for bit.
+    """
+    w = matvec(v)
+    if alpha is None:
+        alpha = float(v @ w)
+    w -= np.multiply(v, alpha, out=work)
+    if v_prev is not None:
+        w -= np.multiply(v_prev, beta_prev, out=work)
+    return w, alpha
 
 
 def _tridiagonal_eig(eig: Callable, alphas: list[float], betas: list[float]):

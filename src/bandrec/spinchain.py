@@ -195,11 +195,22 @@ class SectorHamiltonian:
         the lowest carries little of a ground state near the diagonal
         minimum, so it starts with little weight.  The weights depend on
         D / max|A| alone: scaling or shifting H leaves them as they are, and
-        so does the twist.  They are floored at the smallest normal float, so
-        no component of the start vanishes, and are all ones when A has no
-        nonzero entry (a diagonal H).
+        so does the twist above two sites (the two-site ring keeps both
+        bonds' hops at one position, the twist bond's right after bond 0's in
+        the row; they add up to A_ij, and the abc twist cancels them).  They
+        are floored at the smallest normal float, so no component of the
+        start vanishes, and are all ones when A has no nonzero entry (a
+        diagonal H).
         """
-        scale = max(self.data.max(initial=0.0), -self.data.min(initial=0.0))  # no |data| copy
+        data, twist = self.data, self.twist_entries
+        # twist hops with the column of the entry before them in their row
+        twist = twist[self.indices[twist - 1] == self.indices[twist]]
+        twist = twist[twist > self.indptr[np.searchsorted(self.indptr, twist, "right") - 1]]
+        if twist.size:
+            data = data.copy()
+            data[twist - 1] += data[twist]
+            data[twist] = 0.0
+        scale = max(data.max(initial=0.0), -data.min(initial=0.0))  # no |data| copy
         if not scale:
             return np.ones(self.diag.size)
         weights = np.subtract(self.diag.min(), self.diag)
@@ -312,8 +323,8 @@ def energy_series(
     `build_hamiltonian` calls bit for bit.  Every solve starts from `seed`'s
     Gaussian vector scaled by `SectorHamiltonian.start_weights`, derived
     afresh for each solve and held by no one else, so the solver frees them
-    once the start is formed; the twist leaves the diagonal and |A| as they
-    are, so every twist's weights are the same bytes.
+    once the start is formed; above two sites the twist leaves the diagonal
+    and |A| as they are, so every twist's weights are the same bytes.
     """
     sizes = sorted(set(int(s) for s in sizes))
     twists = tuple(twists)

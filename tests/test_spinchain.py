@@ -464,10 +464,27 @@ class TestGroundEnergy:
             assert r.energy == pytest.approx(dense_min, abs=1e-10), (model.kind, twist, L)
 
     def test_residual_bound(self):
+        # the reported residual is the Ritz estimate beta |y_last|; the Ritz
+        # vector V^T y built from the operator's inputs, the Lanczos vectors,
+        # is unit and its explicit residual passes the bound and equals the
+        # estimate, though no step was reorthogonalized
+        spec = SpinModelSpec(SpinChain("heisenberg", 1.0), Twist.PBC)
         for L in (8, 12):
-            r = ground_energy(SpinModelSpec(SpinChain("heisenberg", 1.0), Twist.PBC), L)
-            assert r.residual_norm <= 1e-8 * (abs(r.energy) + 1.0)
-            assert r.iterations >= 3
+            ham = hamiltonian(spec, L)
+            seen = []
+
+            def matvec(x):
+                seen.append(x.copy())
+                return ham.matvec(x)
+
+            r, y = lowest_eigenpair(matvec, ham.diag.size, start_weights=ham.start_weights())
+            assert r.energy == ground_energy(spec, L).energy
+            assert len(seen) == r.iterations == y.size >= 3
+            x = np.array(seen).T @ y
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+            explicit = np.linalg.norm(ham.matvec(x) - r.energy * x)
+            assert explicit <= 1e-8 * (abs(r.energy) + 1.0)
+            assert explicit == pytest.approx(r.residual_norm, rel=1e-6)
 
 
 class TestLanczosSolver:
@@ -657,11 +674,21 @@ class TestLanczosSolver:
         diag[0] = -1.0
         weights = np.full(400, 1e-12)
         weights[0] = 1.0
+        seen = []
+
+        def matvec(x):
+            seen.append(x.copy())
+            return diag * x
+
         plain, _ = lowest_eigenpair(lambda x: diag * x, 400)
-        steered, vec = lowest_eigenpair(lambda x: diag * x, 400, start_weights=weights)
+        steered, y = lowest_eigenpair(matvec, 400, start_weights=weights)
         assert steered.energy == pytest.approx(-1.0, abs=1e-12)
         assert steered.iterations < plain.iterations
-        assert abs(vec[0]) == pytest.approx(1.0, abs=1e-12)
+        # the start, the operator's first input, lies on coordinate 0, and so
+        # do the Ritz vector V^T y and its first Krylov coordinate y[0]
+        assert abs(seen[0][0]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(y[0]) == pytest.approx(1.0, abs=1e-12)
+        assert abs((np.array(seen).T @ y)[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_start_weights_are_scale_free(self):
         # only the ratios matter: no weight scale overflows or underflows the norm
@@ -830,6 +857,26 @@ class TestStartWeights:
         for twist in twists:
             e = _dense_min(model, 8, twist)
             assert series.E(8, twist) == pytest.approx(e, abs=1e-10 * max(1.0, abs(e))), twist
+
+    @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_scale_is_the_largest_matrix_entry(self, L, twist):
+        # the two-site ring keeps both bonds' hops at one position: they add
+        # up at pbc and cancel at abc, where H is diagonal
+        ham = hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=-8.0), twist), L)
+        scale = np.abs(dense(ham) - np.diag(ham.diag)).max()
+        expected = np.exp(-(ham.diag - ham.diag.min()) / scale) if scale else np.ones(ham.diag.size)
+        assert np.allclose(ham.start_weights(), expected, rtol=1e-14, atol=0)
+        assert (scale == 0) == (L == 2 and twist is Twist.ABC)
+
+    def test_two_site_abc_ring_with_a_degenerate_ground_pair(self):
+        # H = diag(2D - 2, 0, 2D - 2): a start weighted by the stored hops
+        # lay within about 1e-8 of the ground pair, and these solves were
+        # refused; the plain start of a diagonal H exhausts in two steps
+        for D in (-8.99, -8.65, -8.3, -7.5, -6.49):
+            for seed in range(5):
+                series = energy_series(SpinChain("single-ion", 1.0, D=D), [2], (Twist.ABC,), seed)
+                assert series.E(2, Twist.ABC) == pytest.approx(2 * D - 2, abs=1e-12)
 
     def test_underflowing_weights_are_floored(self):
         # at D = 1000 most configurations lie 1000 hop amplitudes above the
