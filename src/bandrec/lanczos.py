@@ -3,8 +3,9 @@
 A solve keeps no Krylov rows.  The three-term recurrence reads only the two
 latest Lanczos vectors, and the ground energy comes from the tridiagonal
 matrix T of the coefficients (alpha, beta) alone, so the loop holds the
-normalized start vector, v_{j-1}, v_j, the current product, one work vector
-and those coefficients, whatever the iteration count.  The vectors are not
+normalized start vector, v_{j-1}, v_j, the current product and those
+coefficients, whatever the iteration count: four vectors and a scratch of
+2^15 doubles for the scaled ones subtracted.  The vectors are not
 reorthogonalized: a solve stops as soon as its ground Ritz value settles,
 and Paige (J. Inst. Math. Appl. 18, 341, 1976) ties the loss of
 orthogonality to Ritz pairs that have converged, which leaves a solve that
@@ -106,7 +107,7 @@ def lowest_eigenpair(
     start /= np.linalg.norm(start)
 
     max_steps = min(MAX_ITER, dim)
-    work = np.empty(dim)
+    work = np.empty(min(dim, 2**15))  # the scratch of `_axpy`
     alphas: list[float] = []
     betas: list[float] = []
     v_prev, v = None, start
@@ -142,7 +143,7 @@ def lowest_eigenpair(
         if j + 1 < max_steps:
             # beta > 0: the exhaustion stop came first
             v_prev, v = v, np.divide(w, beta, out=w)
-            del w  # now v: the next matvec runs beside start, v_prev, v and work alone
+            del w  # now v: the next matvec runs beside start, v_prev and v alone
             betas.append(beta)
     steps = len(alphas)
     del v_prev, v, w  # pass one's vectors go before any replay
@@ -186,12 +187,19 @@ def _replayed_residual(
         w, _ = _step(matvec, v, v_prev, betas[j - 1] if j else 0.0, work, alphas[j])
         v_prev, v = v, np.divide(w, beta, out=w)
         del w
-        x += np.multiply(v, y[j + 1], out=work)
+        _axpy(np.add, x, v, y[j + 1], work)
     del v_prev, v  # and before the residual product
     x /= np.linalg.norm(x)
     residual = matvec(x)
-    residual -= np.multiply(x, theta, out=work)
+    _axpy(np.subtract, residual, x, theta, work)
     return float(np.linalg.norm(residual))
+
+
+def _axpy(op: np.ufunc, out: np.ndarray, v: np.ndarray, scale: float, work: np.ndarray) -> None:
+    """out = op(out, v * scale) in place through `work`, chunk by chunk, with the same bytes."""
+    for lo in range(0, out.size, work.size):
+        hi = min(lo + work.size, out.size)
+        op(out[lo:hi], np.multiply(v[lo:hi], scale, out=work[: hi - lo]), out=out[lo:hi])
 
 
 def _step(matvec: Callable, v: np.ndarray, v_prev, beta_prev: float, work, alpha=None):
@@ -204,9 +212,9 @@ def _step(matvec: Callable, v: np.ndarray, v_prev, beta_prev: float, work, alpha
     w = matvec(v)
     if alpha is None:
         alpha = float(v @ w)
-    w -= np.multiply(v, alpha, out=work)
+    _axpy(np.subtract, w, v, alpha, work)
     if v_prev is not None:
-        w -= np.multiply(v_prev, beta_prev, out=work)
+        _axpy(np.subtract, w, v_prev, beta_prev, work)
     return w, alpha
 
 

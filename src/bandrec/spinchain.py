@@ -8,8 +8,12 @@ codes.  The real symmetric sector Hamiltonian is held once, as
 H = D + A + A^T: its diagonal D and three numpy arrays, the CSR form (int32
 offsets and indices) of its strictly lower triangle A, one hop per bond and
 state (the sector ED of Sandvik, AIP Conf. Proc. 1297, 135, 2010,
-arXiv:1101.3281).  Only SciPy's `_sparsetools` extension is loaded, for its
-two CSR kernels, and no `scipy` module is left in `sys.modules`.
+arXiv:1101.3281).  The build reads the codes once into int8 rows of 2 S^z
+per site, ranks each hop's target with Lin's two tables and gathers the
+values from an int8 bond id per entry: beyond the finished matrix it holds
+under one int64 vector of the sector.  Only SciPy's `_sparsetools`
+extension is loaded, for its two CSR kernels, and no `scipy` module is left
+in `sys.modules`.
 
 Antiperiodic boundary conditions flip the sign of the transverse part of
 the boundary bond (S+_L S-_1) and leave S^z_L S^z_1 unchanged: the abc
@@ -111,7 +115,7 @@ class SectorBasis:
 
     Configurations are encoded as base-`local_dim` integers whose digit at
     site i is the local level (0 .. d-1, level = m + s).  `states` is sorted
-    ascending, so a code's index is found by binary search.
+    ascending; `_rank_tables` gives a code's index in it.
     """
 
     L: int
@@ -131,10 +135,6 @@ class SectorBasis:
     @property
     def dim(self) -> int:
         return self.states.size
-
-    def digits(self, site: int) -> np.ndarray:
-        """Local level of every basis state at one site."""
-        return (self.states // self.local_dim**site) % self.local_dim
 
 
 @functools.cache
@@ -227,6 +227,20 @@ def _row_pointers(row_nnz: np.ndarray, L: int) -> np.ndarray:
     return indptr.astype(np.int32)
 
 
+def _rank_tables(L: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lin's int32 tables (Phys. Rev. B 42, 6561, 1990): with h = L // 2, a sector code's
+    rank is first[code // d**h] + within[code % d**h], where within[lo] ranks lo among
+    the low parts of its digit sum and first[hi] counts the states of smaller high part."""
+    sums = sum(np.arange(d ** (L - L // 2)) // d**i % d for i in range(L - L // 2))
+    low = sums[: d ** (L // 2)]  # the digit sums of the high parts, and of the low ones
+    count = np.bincount(low, minlength=L * (d - 1) + 1)  # low parts by digit sum
+    starts = count.cumsum() - count  # where each digit sum begins in the stable sort
+    within = (np.argsort(np.argsort(low, kind="stable")) - starts[low]).astype(np.int32)
+    need = L * (d - 1) - 2 * sums  # twice the digit sum each high part leaves to its low part
+    per_high = np.where((need >= 0) & (need % 2 == 0), count[need.clip(0) // 2], 0)
+    return np.concatenate(([0], per_high[:-1].cumsum())).astype(np.int32), within
+
+
 def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> SectorHamiltonian:
     """The sector-restricted Hamiltonian of one model, as D + A + A^T.
 
@@ -248,45 +262,51 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
     s2 = d - 1  # twice the site spin
     couplings = model.bond_couplings(L)
 
-    digits = [sector.digits(i).astype(np.int8) for i in range(L)]
-    # S^z of each level, looked up bond by bond: float64 whatever numpy's
-    # promotion of int8 arrays with Python floats, and no per-site arrays
-    m_of_level = np.arange(d) - s2 / 2.0
+    # twice the S^z of every site and state, one int8 row per site
+    m2 = np.empty((L, sector.dim), dtype=np.int8)
+    codes = sector.states.copy()
+    for site in range(L):  # codes //= d in place, and its remainder into the site's row
+        np.divmod(codes, d, out=(codes, m2[site]), casting="unsafe")
+    del codes
+    m2 *= 2
+    m2 -= s2
 
+    # S^z is 0, +-1/2 or +-1, so (J/4) (2 S^z_b)(2 S^z_b+1) is J S^z_b S^z_b+1 exactly
     diag = np.zeros(sector.dim)
     for b in range(L):
-        diag += couplings[b] * m_of_level[digits[b]] * m_of_level[digits[(b + 1) % L]]
-    onsite = model.J * model.D
-    if onsite:
+        diag += (0.25 * couplings[b]) * (m2[b] * m2[(b + 1) % L])
+    if onsite := model.J * model.D:
         for i in range(L):
-            diag += onsite * m_of_level[digits[i]] ** 2
+            diag += np.float64(0.25 * onsite) * (m2[i] * m2[i])
 
     # <m+1|S+|m> = sqrt(s(s+1) - m(m+1)) is sqrt(2s) for every m of spin 1/2
     # and of spin 1, so each hop has one amplitude (amp * r) * r
     raise_amp = math.sqrt(s2)
+    amps = 0.5 * couplings * raise_amp * raise_amp
 
-    # (code shift, amplitude, source-state mask) in bond order, each hop raising
-    # its bond's less significant site; the masks give the row lengths
-    hops, row_nnz = [], np.zeros(sector.dim, dtype=np.int64)
-    for b in range(L):
-        up_site, down_site = (b, b + 1) if b < L - 1 else (0, L - 1)
-        mask = (digits[up_site] < d - 1) & (digits[down_site] > 0)
-        hops.append((d**up_site - d**down_site, 0.5 * couplings[b], mask))
-        row_nnz += mask
-    del digits  # L arrays, freed before the matrix is allocated
+    # each bond's hop raises its less significant site: (raised, lowered) sites
+    bonds = [(b, b + 1) if b < L - 1 else (0, L - 1) for b in range(L)]
+    row_nnz = np.zeros(sector.dim, dtype=np.int8)
+    for up, down in bonds:  # the states each bond's hop leaves in the sector, bond by bond
+        row_nnz += (m2[up] < s2) & (m2[down] > -s2)
     indptr = _row_pointers(row_nnz, L)
     del row_nnz
+    first, within = _rank_tables(L, d)
     indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
+    bond_of = np.empty(indptr[-1], dtype=np.int8)
     slot = indptr[:-1].copy()  # next free position of every row
-    for shift, amp, mask in hops:
-        src = np.flatnonzero(mask)
+    for b, (up, down) in enumerate(bonds):
+        src = np.flatnonzero((m2[up] < s2) & (m2[down] > -s2))
         at = slot[src]
-        indices[at] = np.searchsorted(sector.states, sector.states[src] + shift)
-        data[at] = amp * raise_amp * raise_amp
-        slot[src] += 1
+        high = sector.states[src]
+        high += d**up - d**down  # the target, split in place into its high and low parts
+        high, low = np.divmod(high, d ** (L // 2), out=(high, None))
+        indices[at] = first[high] + within[low]
+        bond_of[at] = b
+        slot[src] = at + 1
+    del m2, slot, src, high, low  # before the data is gathered
     # the loop ends on bond L-1, so `at` holds the twist bond's positions
-    ham = SectorHamiltonian(diag, indptr, indices, data, twist_entries=at)
+    ham = SectorHamiltonian(diag, indptr, indices, amps[bond_of], twist_entries=at)
     if spec.boundary_twist is Twist.ABC:
         _negate_twist_bond(ham)
     return ham

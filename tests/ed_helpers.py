@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from bandrec.core import Twist
 from bandrec.lanczos import lowest_eigenpair
-from bandrec.spinchain import SectorBasis, build_hamiltonian
+from bandrec.spinchain import SectorBasis, SectorHamiltonian, build_hamiltonian
 
 
 def hamiltonian(spec, L):
@@ -26,3 +27,46 @@ def dense(ham):
     lower = np.zeros((n, n))
     np.add.at(lower, (np.repeat(np.arange(n), np.diff(ham.indptr)), ham.indices), ham.data)
     return np.diag(ham.diag) + lower + lower.T
+
+
+def reference_hamiltonian(spec, L, sector):
+    """The sector matrix built the plain way, the byte reference of `build_hamiltonian`.
+
+    Per-site levels from `states // d**site % d`, S^z looked up as floats, a
+    binary search over the sorted states for every hop's target, and each
+    hop's amplitude written as it is found.
+    """
+    model = spec.model
+    d = model.local_dim
+    s2 = d - 1
+    couplings = model.bond_couplings(L)
+    digits = [(sector.states // d**site % d).astype(np.int8) for site in range(L)]
+    m_of_level = np.arange(d) - s2 / 2.0
+    diag = np.zeros(sector.dim)
+    for b in range(L):
+        diag += couplings[b] * m_of_level[digits[b]] * m_of_level[digits[(b + 1) % L]]
+    onsite = model.J * model.D
+    if onsite:
+        for i in range(L):
+            diag += onsite * m_of_level[digits[i]] ** 2
+    raise_amp = np.sqrt(s2)
+    hops, row_nnz = [], np.zeros(sector.dim, dtype=np.int64)
+    for b in range(L):
+        up_site, down_site = (b, b + 1) if b < L - 1 else (0, L - 1)
+        mask = (digits[up_site] < d - 1) & (digits[down_site] > 0)
+        hops.append((d**up_site - d**down_site, 0.5 * couplings[b], mask))
+        row_nnz += mask
+    indptr = np.concatenate(([0], np.cumsum(row_nnz))).astype(np.int32)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    slot = indptr[:-1].copy()
+    for shift, amp, mask in hops:
+        src = np.flatnonzero(mask)
+        at = slot[src]
+        indices[at] = np.searchsorted(sector.states, sector.states[src] + shift)
+        data[at] = amp * raise_amp * raise_amp
+        slot[src] += 1
+    ham = SectorHamiltonian(diag, indptr, indices, data, twist_entries=at)
+    if spec.boundary_twist is Twist.ABC:
+        ham.data[at] = -ham.data[at]
+    return ham
