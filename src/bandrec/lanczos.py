@@ -2,37 +2,41 @@
 
 A solve keeps no Krylov rows.  The three-term recurrence reads only the two
 latest Lanczos vectors, and the ground energy comes from the tridiagonal
-matrix T of the coefficients (alpha, beta) alone, so the loop holds the
-normalized start vector, v_{j-1}, v_j, the current product and those
-coefficients, whatever the iteration count: four vectors and a scratch of
-2^15 doubles for the scaled ones subtracted.  The vectors are not
-reorthogonalized: a solve stops as soon as its ground Ritz value settles,
-and Paige (J. Inst. Math. Appl. 18, 341, 1976) ties the loss of
-orthogonality to Ritz pairs that have converged, which leaves a solve that
-stops at convergence little room for ghost copies of its eigenvalue.  The
-stopping rule is fixed by module constants: the ground Ritz value must
-settle to TOL_ENERGY relative within MAX_ITER steps, and its Ritz estimate
-beta |y_last| of the residual, with y the ground eigenvector of T, must pass
-0.5e-8 of the widest Ritz value.  That estimate is the reported residual;
+matrix T of the coefficients (alpha, beta) alone, so the loop holds
+v_{j-1}, v_j, the current product and those coefficients, whatever the
+iteration count: three vectors and a scratch of 2^15 doubles for the scaled
+ones subtracted.  No name keeps the start: it is v_0, and goes once the
+recurrence has moved past it.  The vectors are not reorthogonalized: a
+solve stops as soon as its ground Ritz value settles, and Paige (J. Inst.
+Math. Appl. 18, 341, 1976) ties the loss of orthogonality to Ritz pairs
+that have converged, which leaves a solve that stops at convergence little
+room for ghost copies of its eigenvalue.  The stopping rule is fixed by
+module constants: the ground Ritz value must settle to TOL_ENERGY relative
+within MAX_ITER steps, and its Ritz estimate beta |y_last| of the residual,
+with y the ground eigenvector of T, must pass 0.5e-8 of the widest Ritz
+value.  That estimate is the reported residual;
 no vector of the full space is formed and no residual product is taken.
 
 A solve whose Krylov space looks exhausted, or that ran as many steps as the
 operator has dimensions without settling, is not taken on the estimate:
 beta was judged against the widest Ritz value, and a full basis is exact
-only while it stays orthogonal.  Such a solve replays the recurrence from
-the kept start with the stored coefficients, which forms pass one's vectors
-again bit for bit, adds y_j v_j into the Ritz vector and judges its explicit
-residual against 0.5e-8 max(1, |theta|).
+only while it stays orthogonal.  Such a solve forms the start again, by the
+one helper pass one used, and replays the recurrence from it with the stored
+coefficients, which forms pass one's vectors again bit for bit, adds y_j v_j
+into the Ritz vector and judges its explicit residual against
+0.5e-8 max(1, |theta|).
 
 The start vector is drawn from the seed's Gaussian stream, so runs are
 reproducible.  A caller that knows where the ground state lies may scale
-the start's Gaussian components by positive weights: `spinchain` weights
-each configuration by its diagonal energy, so a ground state near the
-diagonal minimum starts with most of the start vector's weight.  Start
-weights that the caller does not hold go once the start is formed.  The
-Ritz values of every step come from numpy's eigvalsh of the dense
-tridiagonal matrix: for eigenvalues alone LAPACK dsyevd leaves a
-tridiagonal matrix as it is and ends in dsterf, the tridiagonal QR routine.
+the start's Gaussian components by positive weights, passed as a
+zero-argument callable that returns them: `spinchain` passes the bound
+method that weights each configuration by its diagonal energy, so a ground
+state near the diagonal minimum starts with most of the start vector's
+weight.  The solve calls it whenever it forms the start, once, or twice
+with a replay, and keeps no array of weights past the start.  The Ritz
+values of every step come from numpy's eigvalsh of the dense tridiagonal
+matrix: for eigenvalues alone LAPACK dsyevd leaves a tridiagonal matrix as
+it is and ends in dsterf, the tridiagonal QR routine.
 The module needs numpy alone.
 """
 
@@ -66,16 +70,19 @@ def lowest_eigenpair(
     matvec: Callable[[np.ndarray], np.ndarray],
     dim: int,
     seed: int = 0,
-    start_weights: np.ndarray | None = None,
+    start_weights: Callable[[], np.ndarray] | None = None,
 ) -> tuple[LanczosResult, np.ndarray]:
     """Ground eigenvalue of a real symmetric operator, and its Ritz pair's y.
 
     y is the ground eigenvector of the tridiagonal matrix: the Ritz vector in
     the coordinates of the Lanczos vectors, which the solve does not keep.
     `seed`, a non-negative integer, fixes the start vector.
-    `start_weights`, finite and positive of shape (dim,), multiply the start
-    vector's Gaussian components; only their ratios matter, and None or all
-    ones keep the plain Gaussian start bit for bit.
+    `start_weights`, None or a zero-argument callable, returns weights that
+    multiply the start vector's Gaussian components: finite and positive of
+    shape (dim,).  Only their ratios matter, and None or all ones keep the
+    plain Gaussian start bit for bit.  The start is formed again for a
+    replay, so the callable runs once or twice and must return the same
+    weights each time.
     Raises NumericalError (with `best_estimate` attached) if the Ritz value
     has not settled within MAX_ITER iterations, or if the Krylov space
     became invariant or reached the full dimension without the Ritz pair
@@ -86,31 +93,18 @@ def lowest_eigenpair(
         raise ValidationError(f"seed must be a non-negative integer, not {seed!r}")
     if dim < 1:
         raise ValidationError("operator dimension must be >= 1")
-    if start_weights is not None:
-        try:
-            start_weights = np.asarray(start_weights, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"start weights must be real numbers ({exc})") from exc
-        if start_weights.shape != (dim,):
-            raise ValidationError(
-                f"start weights must have shape ({dim},), not {start_weights.shape}"
-            )
-        if not (np.isfinite(start_weights).all() and (start_weights > 0).all()):
-            raise ValidationError("start weights must be finite and > 0")
-
-    start = np.random.default_rng(seed).standard_normal(dim)
-    if start_weights is not None:
-        # scaled to a largest weight of 1, so the norm can neither overflow
-        # nor underflow
-        start *= start_weights / start_weights.max()
-        del start_weights  # freed here unless the caller still holds them
-    start /= np.linalg.norm(start)
+    if start_weights is not None and not callable(start_weights):
+        raise ValidationError(
+            "start weights must be None or a zero-argument callable that returns them, "
+            f"not {type(start_weights).__name__}"
+        )
 
     max_steps = min(MAX_ITER, dim)
     work = np.empty(min(dim, 2**15))  # the scratch of `_axpy`
     alphas: list[float] = []
     betas: list[float] = []
-    v_prev, v = None, start
+    # no name keeps the start: it goes once v_prev moves past it
+    v_prev, v = None, _start(dim, seed, start_weights)
     prev_theta = np.inf
     stable = 0
     converged = False
@@ -143,7 +137,7 @@ def lowest_eigenpair(
         if j + 1 < max_steps:
             # beta > 0: the exhaustion stop came first
             v_prev, v = v, np.divide(w, beta, out=w)
-            del w  # now v: the next matvec runs beside start, v_prev and v alone
+            del w  # now v: the next matvec runs beside v_prev and v alone
             betas.append(beta)
     steps = len(alphas)
     del v_prev, v, w  # pass one's vectors go before any replay
@@ -154,7 +148,9 @@ def lowest_eigenpair(
         # beta was judged against the widest Ritz value, so a very wide
         # spectrum can stop here far from the ground state; and a full
         # Krylov basis is exact only while it stays orthogonal: check the pair
-        residual = _replayed_residual(matvec, start, work, alphas, betas, y, theta)
+        residual = _replayed_residual(
+            matvec, dim, seed, start_weights, work, alphas, betas, y, theta
+        )
         converged = residual <= 0.5e-8 * max(1.0, abs(theta))
     if not converged:
         err = NumericalError(
@@ -166,9 +162,31 @@ def lowest_eigenpair(
     return LanczosResult(theta, residual, steps), y
 
 
+def _start(dim: int, seed: int, start_weights: Callable[[], np.ndarray] | None) -> np.ndarray:
+    """The normalized start: seed's Gaussian vector, scaled by the checked weights."""
+    start = np.random.default_rng(seed).standard_normal(dim)
+    if start_weights is not None:
+        weights = start_weights()
+        try:
+            weights = np.asarray(weights, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"start weights must be real numbers ({exc})") from exc
+        if weights.shape != (dim,):
+            raise ValidationError(f"start weights must have shape ({dim},), not {weights.shape}")
+        if not (np.isfinite(weights).all() and (weights > 0).all()):
+            raise ValidationError("start weights must be finite and > 0")
+        # scaled to a largest weight of 1, so the norm can neither overflow
+        # nor underflow
+        start *= weights / weights.max()
+    start /= np.linalg.norm(start)
+    return start
+
+
 def _replayed_residual(
     matvec: Callable[[np.ndarray], np.ndarray],
-    start: np.ndarray,
+    dim: int,
+    seed: int,
+    start_weights: Callable[[], np.ndarray] | None,
     work: np.ndarray,
     alphas: list[float],
     betas: list[float],
@@ -177,12 +195,12 @@ def _replayed_residual(
 ) -> float:
     """|H x - theta x| for the normalized Ritz vector x = sum_j y_j v_j.
 
-    The Lanczos vectors v_j are formed again from the start by pass one's
-    `_step` with its stored coefficients, so the operator sees the same
-    vectors bit for bit.
+    The Lanczos vectors v_j are formed again from the start, rebuilt as pass
+    one built it, by pass one's `_step` with its stored coefficients, so the
+    operator sees the same vectors bit for bit.
     """
-    x = start * y[0]
-    v_prev, v = None, start
+    v_prev, v = None, _start(dim, seed, start_weights)
+    x = v * y[0]
     for j, beta in enumerate(betas):
         w, _ = _step(matvec, v, v_prev, betas[j - 1] if j else 0.0, work, alphas[j])
         v_prev, v = v, np.divide(w, beta, out=w)

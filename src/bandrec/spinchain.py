@@ -337,14 +337,18 @@ def energy_series(
 ) -> EnergySeries:
     """Ground-state energy series of one model over sizes and twists.
 
-    Each size's basis and Hamiltonian are built once, with the first twist,
-    and the basis is freed before the solves; every further twist flips the
-    twist-bond hops in place, so the energies equal those of separate
-    `build_hamiltonian` calls bit for bit.  Every solve starts from `seed`'s
-    Gaussian vector scaled by `SectorHamiltonian.start_weights`, derived
-    afresh for each solve and held by no one else, so the solver frees them
-    once the start is formed; above two sites the twist leaves the diagonal
-    and |A| as they are, so every twist's weights are the same bytes.
+    The sizes are built and solved largest first, so each smaller size
+    reuses heap that a larger one freed rather than being built on top of
+    another size's leftovers; the series iterates by ascending size all the
+    same.  Each size's basis and Hamiltonian are built once, with the first
+    twist, and the basis is freed before the solves; every further twist
+    flips the twist-bond hops in place, so the energies equal those of
+    separate `build_hamiltonian` calls bit for bit.  Every solve starts from
+    `seed`'s Gaussian vector scaled by the weights of the bound method
+    `SectorHamiltonian.start_weights`, which the solver calls when it forms
+    the start (and again for a replay), so no array of weights outlives the
+    start; above two sites the twist leaves the diagonal and |A| as they
+    are, so every twist's weights are the same bytes.
     """
     sizes = sorted(set(int(s) for s in sizes))
     twists = tuple(twists)
@@ -358,14 +362,13 @@ def energy_series(
         _check_size(model, L)
     series = EnergySeries(nu=model.nu_hint, model=model.kind)
     spec = SpinModelSpec(model, twists[0])
-    for L in sizes:
+    for L in reversed(sizes):
         ham = build_hamiltonian(spec, L, SectorBasis.build(L, model.local_dim))
         for i, twist in enumerate(twists):
             if i:
                 _negate_twist_bond(ham)
-            # weights held by no name here: the solve frees them with its start
             result = lowest_eigenpair(
-                ham.matvec, ham.diag.size, seed, start_weights=ham.start_weights()
+                ham.matvec, ham.diag.size, seed, start_weights=ham.start_weights
             )[0]
             series.add(L, twist, result.energy)
         del ham  # freed before the next size is built

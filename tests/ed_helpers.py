@@ -1,4 +1,9 @@
-"""Direct single-sector solves and dense matrices, the references the ED is checked against."""
+"""Direct single-sector solves and dense matrices, the references the ED is checked against.
+
+Also `traced_peak`, the tracemalloc measurement the memory bounds of the tests read.
+"""
+
+import tracemalloc
 
 import numpy as np
 
@@ -18,7 +23,17 @@ def ground_energy(spec, L):
     The start is weighted as `energy_series` weights it, so the two agree bit for bit.
     """
     ham = hamiltonian(spec, L)
-    return lowest_eigenpair(ham.matvec, ham.diag.size, start_weights=ham.start_weights())[0]
+    return lowest_eigenpair(ham.matvec, ham.diag.size, start_weights=ham.start_weights)[0]
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory tracemalloc traced while fn ran, in bytes)."""
+    tracemalloc.start()
+    try:
+        value = fn()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def dense(ham):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from bandrec.riemann import residual_series, riemann_sum
 from bandrec.seriesio import parse_band_spec
 
 from band_reference import cosine_series
+from ed_helpers import traced_peak
 
 
 def random_band(rng, degree, pi_periodic=False):
@@ -196,12 +195,9 @@ class TestInversionMemory:
         M = 100_000
         pairs = int(np.sum(M // np.arange(1, M + 1)))
         residuals = dict(zip(range(1, M + 1), np.random.default_rng(1).normal(size=M).tolist()))
-        tracemalloc.start()
-        try:
-            invert_coefficients(residuals, Twist.ABC, SizeSet("all-from-1", M))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(
+            lambda: invert_coefficients(residuals, Twist.ABC, SizeSet("all-from-1", M))
+        )
         assert peak <= 36 * pairs, peak / pairs
 
 
@@ -257,12 +253,9 @@ class TestConvergenceCurve:
 
     def test_no_dense_cosine_table(self):
         # a cos(n*k) table for cutoffs up to 512 on the grid would hold 16 MB
-        tracemalloc.start()
-        try:
-            convergence_curve(MassiveSineBand(1.0, 0.05), range(16, 513, 16))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(
+            lambda: convergence_curve(MassiveSineBand(1.0, 0.05), range(16, 513, 16))
+        )
         assert peak < 2 * 2**20, peak
 
     def test_bad_cutoffs(self):

@@ -1,7 +1,6 @@
 import io
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from bandrec.seriesio import (
 )
 
 from band_reference import cosine_series, evaluate
+from ed_helpers import traced_peak
 
 
 class TestEnergyCsv:
@@ -77,12 +77,7 @@ class TestBandJson:
         band = FourierBand(2.0, np.random.default_rng(5).standard_normal(1024) / 1024)
         path = tmp_path / "samples.csv"
         with open(path, "w") as fh:
-            tracemalloc.start()
-            try:
-                write_band_samples_csv(band, fh, 16384)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(lambda: write_band_samples_csv(band, fh, 16384))
         assert peak < 4 * 2**20, peak
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         assert rows.shape == (16384, 2)
@@ -204,6 +199,52 @@ class TestCli:
         )
         assert main(["ed", "--model", "heisenberg", "--sizes", "4"]) == 3
         assert "did not converge" in capsys.readouterr().err
+
+    def test_ed_stops_at_the_largest_failing_size(self, monkeypatch, capsys):
+        # L=4 and L=8 (dims 6 and 70) are replaced by wide spectra on which
+        # the solve runs the full basis and refuses the Ritz pair; sizes are
+        # solved largest first, so the message is L=8's and L=4 never runs
+        from bandrec import lanczos, spinchain
+
+        dims = []
+
+        def solve(matvec, dim, seed, start_weights):
+            dims.append(dim)
+            diag = np.concatenate(([-1.0], np.linspace(0.0, 1.0, dim - 2), [1e14]))
+            return lanczos.lowest_eigenpair(lambda x: diag * x, dim, seed)
+
+        monkeypatch.setattr(spinchain, "lowest_eigenpair", solve)
+        assert main(["ed", "--model", "heisenberg", "--sizes", "4,8"]) == 3
+        assert "did not converge in 70 iterations" in capsys.readouterr().err
+        assert dims == [70]
+
+    def test_ed_builds_the_largest_size_first_with_the_bytes_of_single_size_runs(
+        self, tmp_path, monkeypatch
+    ):
+        from bandrec import spinchain
+
+        built = []
+        build = spinchain.build_hamiltonian
+
+        def record(spec, L, sector):
+            built.append(L)
+            return build(spec, L, sector)
+
+        monkeypatch.setattr(spinchain, "build_hamiltonian", record)
+        args = ["ed", "--model", "single-ion", "--D", "7.4", "--twist", "both", "--seed", "3"]
+        assert main(args + ["--sizes", "2:13", "--out", str(tmp_path / "all.csv")]) == 0
+        assert built == list(range(13, 1, -1))
+        head, rows = [], {"pbc": [], "abc": []}  # rows of the single-size runs
+        for L in range(2, 14):
+            path = tmp_path / f"{L}.csv"
+            assert main(args + ["--sizes", str(L), "--out", str(path)]) == 0
+            lines = path.read_bytes().splitlines(keepends=True)
+            head = [line for line in lines if not line[:1].isdigit()]
+            for line in lines[len(head):]:
+                rows[line.split(b",")[1].decode()].append(line)
+        assert [len(r) for r in rows.values()] == [12, 12]
+        assembled = b"".join(head + rows["pbc"] + rows["abc"])
+        assert (tmp_path / "all.csv").read_bytes() == assembled
 
     @pytest.mark.parametrize(
         "args, message",

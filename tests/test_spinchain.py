@@ -2,7 +2,6 @@ import dataclasses
 import gc
 import re
 import sys
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -18,7 +17,7 @@ from bandrec import (
     lowest_eigenpair,
 )
 from bandrec.spinchain import SectorBasis, SpinModelSpec, build_hamiltonian
-from ed_helpers import dense, ground_energy, hamiltonian, reference_hamiltonian
+from ed_helpers import dense, ground_energy, hamiltonian, reference_hamiltonian, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +205,7 @@ class TestSectorBasis:
         assert np.array_equal(states, codes[2 * digit_sum == L * (d - 1)])
 
     def test_build_does_not_allocate_the_full_space(self):
-        tracemalloc.start()
-        try:
-            basis = SectorBasis.build(13, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        basis, peak = traced_peak(lambda: SectorBasis.build(13, 3))
         assert basis.dim == 212_941  # central trinomial coefficient of 13
         assert peak < 8 * 3**13
 
@@ -387,12 +381,8 @@ class TestHamiltonian:
         # gathered into the data last (about 0.7); per-site int64 digits, the
         # L hop masks and the float scatter held 3.5-3.8
         basis = SectorBasis.build(L, model.local_dim)
-        tracemalloc.start()
-        try:
-            ham = build_hamiltonian(SpinModelSpec(model, Twist.PBC), L, basis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        spec = SpinModelSpec(model, Twist.PBC)
+        ham, peak = traced_peak(lambda: build_hamiltonian(spec, L, basis))
         matrix = sum(a.nbytes for a in (ham.diag, ham.indptr, ham.indices, ham.data, ham.twist_entries))
         assert (peak - matrix) / (8 * basis.dim) < 1.5, (peak, matrix, basis.dim)
 
@@ -530,7 +520,7 @@ class TestGroundEnergy:
                 seen.append(x.copy())
                 return ham.matvec(x)
 
-            r, y = lowest_eigenpair(matvec, ham.diag.size, start_weights=ham.start_weights())
+            r, y = lowest_eigenpair(matvec, ham.diag.size, start_weights=ham.start_weights)
             assert r.energy == ground_energy(spec, L).energy
             assert len(seen) == r.iterations == y.size >= 3
             x = np.array(seen).T @ y
@@ -647,40 +637,48 @@ class TestLanczosSolver:
         assert result == lanczos.LanczosResult(entry, 0.0, 1)
         assert np.array_equal(y, [1.0])
 
-    def test_working_set_does_not_grow_with_the_iterations(self):
-        # the start, v_{j-1}, v_j and the product: four vectors, and a scratch
-        # of 2^15 doubles, at 9 steps and at 43 (the kept rows would add one
-        # per step, a full-length work vector one in all)
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_working_set_does_not_grow_with_the_iterations(self, weighted):
+        # v_{j-1}, v_j and the product: three vectors, and a scratch of 2^15
+        # doubles, at 9 steps and at 43.  A weighted start is formed beside
+        # the weights and their scaled copy, three vectors too, and nothing
+        # keeps the start (a kept start would add one vector, the kept rows
+        # one per step, a full-length work vector one in all)
         dim = 100_000
         lowest_eigenpair(lambda x: 2.5 * x, 10)  # numpy.random imported before tracing
+        weights = (lambda: np.linspace(1.0, 0.5, dim)) if weighted else None
         held = {}
         for gap in (10.0, 0.1):
             diag = np.linspace(0.0, 1.0, dim)
             diag[0] = -gap
-            tracemalloc.start()
-            try:
-                result, _ = lowest_eigenpair(lambda x: diag * x, dim)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            (result, _), peak = traced_peak(
+                lambda: lowest_eigenpair(lambda x: diag * x, dim, start_weights=weights)
+            )
             assert result.energy == pytest.approx(-gap, abs=1e-10)
             held[result.iterations] = peak / (dim * 8)
         assert min(held) < 10 and max(held) >= 40, held
-        assert max(held.values()) < 4.5, held
+        assert max(held.values()) < 3.5, held
         assert max(held.values()) - min(held.values()) < 0.25, held
 
-    def test_replay_feeds_the_operator_the_same_vectors(self):
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_replay_feeds_the_operator_the_same_vectors(self, weighted):
         # four distinct eigenvalues: the Krylov space is exhausted after four
         # steps, and the replay that forms the Ritz vector hands the operator
-        # pass one's first three vectors again, then the Ritz vector
+        # pass one's first three vectors again, then the Ritz vector.  The
+        # replay forms the start anew: the weights are asked for once more
         diag = np.repeat([-2.0, 0.5, 1.0, 3.0], 250)
-        seen = []
+        seen, asked = [], []
 
         def matvec(x):
             seen.append(x.copy())
             return diag * x
 
-        result, y = lowest_eigenpair(matvec, diag.size, 5)
+        def weights():
+            asked.append(1)
+            return np.linspace(2.0, 0.5, diag.size)
+
+        start_weights = weights if weighted else None
+        result, y = lowest_eigenpair(matvec, diag.size, 5, start_weights=start_weights)
         assert result.iterations == 4
         assert result.energy == pytest.approx(-2.0, abs=1e-12)
         assert result.residual_norm <= 1e-8
@@ -690,6 +688,12 @@ class TestLanczosSolver:
             assert np.array_equal(np.signbit(first), np.signbit(replayed))
         assert np.linalg.norm(seen[-1][250:]) <= 1e-8  # the Ritz vector lies on the -2 block
         assert y.shape == (4,)
+        assert len(asked) == 2 * weighted
+        # a solve accepted on the Ritz estimate asks for them once
+        asked[:] = []
+        diag = np.linspace(-1.0, 1.0, diag.size)
+        result, _ = lowest_eigenpair(lambda x: diag * x, diag.size, 5, start_weights=start_weights)
+        assert result.iterations < diag.size and len(asked) == weighted
 
     @pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
     def test_seed_other_than_a_non_negative_integer_rejected(self, seed):
@@ -717,7 +721,7 @@ class TestLanczosSolver:
         A = rng.standard_normal((60, 60))
         A = A + A.T
         plain = lowest_eigenpair(lambda x: A @ x, 60, 3)
-        for weights in (None, np.ones(60)):
+        for weights in (None, lambda: np.ones(60)):
             result, vec = lowest_eigenpair(lambda x: A @ x, 60, 3, start_weights=weights)
             assert result == plain[0]
             assert np.array_equal(vec, plain[1])
@@ -735,7 +739,7 @@ class TestLanczosSolver:
             return diag * x
 
         plain, _ = lowest_eigenpair(lambda x: diag * x, 400)
-        steered, y = lowest_eigenpair(matvec, 400, start_weights=weights)
+        steered, y = lowest_eigenpair(matvec, 400, start_weights=lambda: weights)
         assert steered.energy == pytest.approx(-1.0, abs=1e-12)
         assert steered.iterations < plain.iterations
         # the start, the operator's first input, lies on coordinate 0, and so
@@ -750,9 +754,11 @@ class TestLanczosSolver:
         A = rng.standard_normal((40, 40))
         A = A + A.T
         weights = rng.uniform(0.5, 2.0, 40)
-        ref = lowest_eigenpair(lambda x: A @ x, 40, start_weights=weights)
+        ref = lowest_eigenpair(lambda x: A @ x, 40, start_weights=lambda: weights)
         for scale in (1e-300, 1e300):
-            result, vec = lowest_eigenpair(lambda x: A @ x, 40, start_weights=scale * weights)
+            result, vec = lowest_eigenpair(
+                lambda x: A @ x, 40, start_weights=lambda: scale * weights
+            )
             assert result.iterations == ref[0].iterations
             assert result.energy == pytest.approx(ref[0].energy, rel=1e-13)
             assert np.allclose(vec, ref[1], atol=1e-10)
@@ -774,8 +780,13 @@ class TestLanczosSolver:
         ],
     )
     def test_bad_start_weights_rejected(self, weights):
+        # returned by the callable, they fail its checks; passed bare, they
+        # fail the callable contract, and so do good weights
         with pytest.raises(ValidationError, match="start weights"):
-            lowest_eigenpair(lambda x: 2.5 * x, 3, start_weights=weights)
+            lowest_eigenpair(lambda x: 2.5 * x, 3, start_weights=lambda: weights)
+        for bare in (weights, np.ones(3)):
+            with pytest.raises(ValidationError, match="zero-argument callable"):
+                lowest_eigenpair(lambda x: 2.5 * x, 3, start_weights=bare)
 
 
 class TestEnergySeries:
@@ -824,33 +835,56 @@ class TestStartWeights:
         shifted = dataclasses.replace(ref, diag=ref.diag + 3.0)
         assert np.allclose(shifted.start_weights(), ref.start_weights(), rtol=1e-13, atol=0)
 
-    def test_each_solve_gets_weights_that_no_caller_holds(self, monkeypatch):
-        # every solve gets its own array, bit-equal across the twists, which
-        # no local of energy_series holds, so the solver alone decides when
-        # it goes; none is alive at the next build
-        refs, copies = [], []
-        build = spinchain.build_hamiltonian
-
-        def build_after_release(*args):
-            assert all(ref() is None for ref in refs)
-            return build(*args)
+    def test_each_solve_gets_the_weights_method_of_its_matrix(self, monkeypatch):
+        # the solver calls it when it forms the start, so no array of weights
+        # is made before the solve or outlives it; the twists' weights are
+        # the same bytes
+        copies = []
 
         def solve(matvec, dim, seed=0, start_weights=None):
-            assert start_weights.shape == (dim,)
-            caller = sys._getframe(1)
-            assert caller.f_code is energy_series.__code__
-            assert not any(value is start_weights for value in caller.f_locals.values())
-            if len(refs) % 2:
-                assert refs[-1]() is None  # the first twist's array went with its solve
-                assert np.array_equal(start_weights, copies[-1])
-            refs.append(weakref.ref(start_weights))
-            copies.append(start_weights.copy())
+            ham = matvec.__self__
+            assert start_weights.__self__ is ham and dim == ham.diag.size
+            assert start_weights.__func__ is spinchain.SectorHamiltonian.start_weights
+            if len(copies) % 2:
+                assert np.array_equal(start_weights(), copies[-1])
+            copies.append(start_weights())
             return lanczos.LanczosResult(0.0, 0.0, 1), None
 
-        monkeypatch.setattr(spinchain, "build_hamiltonian", build_after_release)
         monkeypatch.setattr(spinchain, "lowest_eigenpair", solve)
         energy_series(SpinChain("single-ion", 1.0, D=7.4), [3, 4], (Twist.PBC, Twist.ABC))
-        assert len(refs) == 4 and all(ref() is None for ref in refs)
+        assert [w.size for w in copies] == [19, 19, 7, 7]
+
+    def test_a_wrapper_holding_the_arguments_keeps_no_weights_or_start(self, monkeypatch):
+        # a tracer's span holds a solve's *args and **kwargs for the whole
+        # call; they hold the bound weights method, not an array, so at the
+        # third product neither the weights nor the start are alive
+        def span(fn, *args, **kwargs):
+            return fn(*args, **kwargs)
+
+        checks = []
+
+        def traced(matvec, dim, *args, **kwargs):
+            weights, refs, products = kwargs["start_weights"], [], []
+
+            def recorded_weights():
+                w = weights()
+                refs.append(weakref.ref(w))
+                return w
+
+            def traced_matvec(x):
+                products.append(x.size)
+                if len(products) == 1:
+                    refs.append(weakref.ref(x))  # the start
+                elif len(products) == 3:
+                    checks.append([ref() is None for ref in refs])
+                return span(matvec, x)
+
+            kwargs["start_weights"] = recorded_weights
+            return span(lowest_eigenpair, traced_matvec, dim, *args, **kwargs)
+
+        monkeypatch.setattr(spinchain, "lowest_eigenpair", traced)
+        energy_series(SpinChain("single-ion", 1.0, D=7.4), [6], (Twist.PBC, Twist.ABC))
+        assert checks == [[True, True], [True, True]]
 
     def test_single_ion_series_takes_fewer_steps(self, monkeypatch):
         # the D = 7.4 ground state sits on the configurations of lowest diagonal
@@ -945,15 +979,6 @@ def _sizes(model):
     return range(2, 11, 2) if model.local_dim == 2 else range(2, 11)
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # both orders, so the in-place sign flip is exercised from either twist
 TWIST_ORDERS = [(Twist.PBC, Twist.ABC), (Twist.ABC, Twist.PBC), (Twist.ABC,), (Twist.PBC,)]
 
@@ -980,7 +1005,7 @@ class TestSharedAssembly:
         def record(matvec, dim, seed=0, start_weights=None):
             ham = matvec.__self__
             assert dim == ham.diag.size
-            assert np.array_equal(start_weights, ham.start_weights())
+            assert np.array_equal(start_weights(), ham.start_weights())
             solved.append(
                 (ham.diag.copy(), ham.indptr.copy(), ham.indices.copy(), ham.data.copy())
             )
@@ -988,10 +1013,10 @@ class TestSharedAssembly:
 
         monkeypatch.setattr(spinchain, "lowest_eigenpair", record)
         energy_series(model, _sizes(model), twists)
-        # solved size by size, each size in the order of `twists`
+        # solved size by size, largest first, each size in the order of `twists`
         expected = [
             hamiltonian(SpinModelSpec(model, twist), L)
-            for L in _sizes(model)
+            for L in reversed(_sizes(model))
             for twist in twists
         ]
         assert len(solved) == len(expected)
@@ -1020,7 +1045,7 @@ class TestSharedAssembly:
 
         monkeypatch.setattr(spinchain, "lowest_eigenpair", solve)
         energy_series(SpinChain("single-ion", 1.0, D=7.4), [2, 3, 4], twists)
-        assert solves == [3] * len(twists) + [7] * len(twists) + [19] * len(twists)
+        assert solves == [19] * len(twists) + [7] * len(twists) + [3] * len(twists)
 
     def test_no_twists_rejected_before_any_build(self, monkeypatch):
         def build(*args, **kwargs):
@@ -1038,6 +1063,6 @@ class TestSharedAssembly:
         # a second copy of the matrix data kept through the abc solve adds ~10%
         model = SpinChain("single-ion", 1.0, D=7.4)
         ground_energy(SpinModelSpec(model, Twist.PBC), 4)  # SciPy imported before tracing
-        single = _traced_peak(lambda: ground_energy(SpinModelSpec(model, Twist.PBC), 11))
-        both = _traced_peak(lambda: energy_series(model, [11], (Twist.PBC, Twist.ABC)))
+        _, single = traced_peak(lambda: ground_energy(SpinModelSpec(model, Twist.PBC), 11))
+        _, both = traced_peak(lambda: energy_series(model, [11], (Twist.PBC, Twist.ABC)))
         assert both <= 1.05 * single, (both, single)
