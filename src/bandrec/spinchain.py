@@ -3,13 +3,14 @@
 One spec, `SpinChain`, names the spin-1/2 exchange ring, its bond-alternating
 variant and the spin-1 ring with a single-ion (S^z)^2 term.  All conserve
 total S^z; the S^z = 0 sector's configurations are the base-d codes with a
-fixed digit sum, built in ascending order without visiting the other d^L
-codes.  The real symmetric sector Hamiltonian is held once, as
+fixed digit sum, listed in ascending order and ranked from one split of
+the code at L // 2 digits, without visiting the other d^L codes.  The
+real symmetric sector Hamiltonian is held once, as
 H = D + A + A^T: its diagonal D and three numpy arrays, the CSR form (int32
 offsets and indices) of its strictly lower triangle A, one hop per bond and
 state (the sector ED of Sandvik, AIP Conf. Proc. 1297, 135, 2010,
 arXiv:1101.3281).  The build reads the codes once into int8 rows of 2 S^z
-per site, ranks each hop's target with Lin's two tables and gathers the
+per site, ranks each hop's target with the basis's tables and gathers the
 values from an int8 bond id per entry: beyond the finished matrix it holds
 under one int64 vector of the sector.  Only SciPy's `_sparsetools`
 extension is loaded, for its two CSR kernels, and no `scipy` module is left
@@ -91,46 +92,43 @@ class SpinModelSpec:
     boundary_twist: Twist
 
 
-def _codes_with_digit_sum(L: int, d: int, total: int) -> np.ndarray:
-    """Ascending L-digit base-d codes whose digits sum to `total`.
-
-    The n+1-digit codes of sum s are, for top digit t = 0 .. d-1 in turn,
-    t*d^n + (n-digit codes of sum s-t); each part is ascending and lies
-    below the next, so their concatenation is sorted.  Only the sums
-    from which `total` is still reachable are kept at each length.
-    """
-    by_sum = {0: np.zeros(1, dtype=np.int64)}
-    for n in range(L):
-        lowest = total - (L - n - 1) * (d - 1)
-        by_sum = {
-            s: np.concatenate([t * d**n + by_sum[s - t] for t in range(d) if s - t in by_sum])
-            for s in range(max(lowest, 0), min(total, (n + 1) * (d - 1)) + 1)
-        }
-    return by_sum.get(total, np.empty(0, dtype=np.int64))
-
-
 @dataclass(frozen=True)
 class SectorBasis:
-    """Ranked enumeration of the configurations with total S^z = 0.
+    """The configurations with total S^z = 0 and Lin's tables (PRB 42, 6561) that rank them.
 
-    Configurations are encoded as base-`local_dim` integers whose digit at
-    site i is the local level (0 .. d-1, level = m + s).  `states` is sorted
-    ascending; `_rank_tables` gives a code's index in it.
+    Codes are base-`local_dim` integers whose digit at site i is the local
+    level (0 .. d-1, level = m + s).  With h = L // 2, a code's index in the
+    sorted `states` is first[code // d^h] + within[code % d^h] (int32).
     """
 
     L: int
     local_dim: int
     states: np.ndarray
+    first: np.ndarray
+    within: np.ndarray
 
     @classmethod
     def build(cls, L: int, local_dim: int) -> "SectorBasis":
-        target = L * (local_dim - 1)  # twice the digit sum
-        if target % 2:  # odd spin-1/2 rings have no S^z = 0 state
-            states = np.empty(0, dtype=np.int64)
-        else:
-            states = _codes_with_digit_sum(L, local_dim, target // 2)
+        d, h = local_dim, L // 2
+        sums = np.zeros(1, dtype=np.int64)
+        for _ in range(L - h):  # the digit sums of the high parts; the first d^h are the low parts'
+            sums = (np.arange(d)[:, None] + sums).ravel()
+        order = np.argsort(sums[: d**h], kind="stable")  # the low parts grouped by digit sum
+        count = np.bincount(sums[: d**h], minlength=L * (d - 1) + 1)
+        starts = count.cumsum() - count  # where each digit sum's group begins in `order`
+        need = L * (d - 1) - 2 * sums  # twice the digit sum each high part leaves to its low part
+        # the low parts' digit sum under each high part, or L (d-1), which none has
+        low_sum = np.where((need >= 0) & (need % 2 == 0), need // 2, L * (d - 1))
+        per_high = count[low_sum]
+        within = np.empty(d**h, dtype=np.int32)
+        within[order] = np.arange(d**h) - np.repeat(starts, count)  # inverse of the sort
+        # each high part in turn, then the low parts that complete its digit sum
+        states = np.repeat(np.arange(d ** (L - h)) * d**h, per_high)
+        groups = np.split(order, starts[1:])
+        states += np.concatenate([groups[s] for s in low_sum.tolist()])
         states.setflags(write=False)
-        return cls(L=L, local_dim=local_dim, states=states)
+        first = np.concatenate(([0], per_high[:-1].cumsum())).astype(np.int32)
+        return cls(L=L, local_dim=d, states=states, first=first, within=within)
 
     @property
     def dim(self) -> int:
@@ -227,26 +225,13 @@ def _row_pointers(row_nnz: np.ndarray, L: int) -> np.ndarray:
     return indptr.astype(np.int32)
 
 
-def _rank_tables(L: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lin's int32 tables (Phys. Rev. B 42, 6561, 1990): with h = L // 2, a sector code's
-    rank is first[code // d**h] + within[code % d**h], where within[lo] ranks lo among
-    the low parts of its digit sum and first[hi] counts the states of smaller high part."""
-    sums = sum(np.arange(d ** (L - L // 2)) // d**i % d for i in range(L - L // 2))
-    low = sums[: d ** (L // 2)]  # the digit sums of the high parts, and of the low ones
-    count = np.bincount(low, minlength=L * (d - 1) + 1)  # low parts by digit sum
-    starts = count.cumsum() - count  # where each digit sum begins in the stable sort
-    within = (np.argsort(np.argsort(low, kind="stable")) - starts[low]).astype(np.int32)
-    need = L * (d - 1) - 2 * sums  # twice the digit sum each high part leaves to its low part
-    per_high = np.where((need >= 0) & (need % 2 == 0), count[need.clip(0) // 2], 0)
-    return np.concatenate(([0], per_high[:-1].cumsum())).astype(np.int32), within
-
-
 def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> SectorHamiltonian:
     """The sector-restricted Hamiltonian of one model, as D + A + A^T.
 
     Each bond stores one hop: the one that raises its less significant site
     and lowers the other.  That hop lowers the code, so its entry lies below
-    the diagonal, in the row of the source state.  The matrix keeps the
+    the diagonal, in the row of the source state; its column is the
+    target's rank from the basis's tables.  The matrix keeps the
     positions of bond L-1's hops (raise site 0, lower site L-1); with the
     abc twist, `_negate_twist_bond` then gives them the antiperiodic sign.
     """
@@ -291,7 +276,6 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
         row_nnz += (m2[up] < s2) & (m2[down] > -s2)
     indptr = _row_pointers(row_nnz, L)
     del row_nnz
-    first, within = _rank_tables(L, d)
     indices = np.empty(indptr[-1], dtype=np.int32)
     bond_of = np.empty(indptr[-1], dtype=np.int8)
     slot = indptr[:-1].copy()  # next free position of every row
@@ -299,9 +283,9 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
         src = np.flatnonzero((m2[up] < s2) & (m2[down] > -s2))
         at = slot[src]
         high = sector.states[src]
-        high += d**up - d**down  # the target, split in place into its high and low parts
-        high, low = np.divmod(high, d ** (L // 2), out=(high, None))
-        indices[at] = first[high] + within[low]
+        high += d**up - d**down  # the target, split in place at the basis's table sizes
+        high, low = np.divmod(high, sector.within.size, out=(high, None))
+        indices[at] = sector.first[high] + sector.within[low]
         bond_of[at] = b
         slot[src] = at + 1
     del m2, slot, src, high, low  # before the data is gathered
@@ -322,11 +306,27 @@ def _negate_twist_bond(ham: SectorHamiltonian) -> None:
     ham.data[ham.twist_entries] = -ham.data[ham.twist_entries]
 
 
+def _stored_pairs(L: int, d: int) -> int:
+    """A's entries in the S^z = 0 sector: one per bond and state whose raised site's level
+    is a < d - 1 and lowered site's b >= 1; strings[s] counts the other sites' sum s."""
+    strings = [1]
+    for _ in range(L - 2):
+        strings = [sum(strings[max(s - d + 1, 0) : s + 1]) for s in range(len(strings) + d - 1)]
+    sums = [L * (d - 1) // 2 - a - b for a in range(d - 1) for b in range(1, d)]
+    return L * sum(strings[s] for s in sums if 0 <= s < len(strings))
+
+
 def _check_size(model: SpinChain, L: int) -> None:
     if L < 2:
         raise ValidationError(f"sizes must be >= 2, got {L}")
     if model.local_dim == 2 and L % 2:
         raise ValidationError(f"spin-1/2 sizes must be even (odd L has no S^z=0 sector), got L={L}")
+    d = model.local_dim
+    # the central count of the other sites is at least their mean: far larger L goes uncounted
+    if (L - 2) * math.log2(d) - math.log2((L - 2) * (d - 1) + 1) >= 31:
+        raise ValidationError(f"L={L}: over 2^31 stored pairs overflow int32 offsets")
+    if (stored := _stored_pairs(L, d)) >= 2**31:
+        raise ValidationError(f"L={L}: {stored} stored pairs overflow int32 offsets")
 
 
 def energy_series(

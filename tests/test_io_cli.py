@@ -152,6 +152,17 @@ class TestCli:
         assert "even" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "model, message",
+        [
+            (["heisenberg", "--sizes", "32"], "L=32: 4963760640 stored pairs"),
+            (["single-ion", "--D", "1", "--sizes", "20"], "L=20: 3462993240 stored pairs"),
+        ],
+    )
+    def test_ed_refuses_a_sector_beyond_int32_offsets(self, model, message, capsys):
+        assert main(["ed", "--model", *model]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "model, nu",
         [
             (["heisenberg"], "1"),

@@ -179,7 +179,7 @@ class TestSectorBasis:
         assert SectorBasis.build(3, 2).dim == 0  # odd spin-1/2 chain, Sz=0 empty
 
     def test_rank_unrank_roundtrip(self):
-        # the states are sorted, so binary search ranks a code; build_hamiltonian's
+        # the states are sorted, so binary search ranks a code; the basis's
         # two tables must agree with it (TestRankTables)
         basis = SectorBasis.build(6, 3)
         assert (np.diff(basis.states) > 0).all()
@@ -194,7 +194,7 @@ class TestSectorBasis:
             assert sum(d - 1 for d in digits) == 0  # total S^z = 0
 
     @pytest.mark.parametrize(
-        "d, L", [(2, L) for L in range(1, 13)] + [(3, L) for L in range(1, 10)]
+        "d, L", [(2, L) for L in range(1, 17)] + [(3, L) for L in range(1, 12)]
     )
     def test_matches_filtered_full_space(self, d, L):
         # odd spin-1/2 rings give the empty sector
@@ -205,9 +205,12 @@ class TestSectorBasis:
         assert np.array_equal(states, codes[2 * digit_sum == L * (d - 1)])
 
     def test_build_does_not_allocate_the_full_space(self):
+        # in int64 vectors of the sector: the states and the low parts gathered
+        # into them, beside tables of 3^7 and 3^6 entries; the digit-sum
+        # recursion held 3.00
         basis, peak = traced_peak(lambda: SectorBasis.build(13, 3))
         assert basis.dim == 212_941  # central trinomial coefficient of 13
-        assert peak < 8 * 3**13
+        assert peak < 2.5 * 8 * basis.dim
 
 
 class TestRankTables:
@@ -216,8 +219,8 @@ class TestRankTables:
     )
     def test_tables_rank_every_state_as_binary_search_does(self, d, L):
         # odd spin-1/2 rings give the empty sector, whose tables rank nothing
-        states = SectorBasis.build(L, d).states
-        first, within = spinchain._rank_tables(L, d)
+        basis = SectorBasis.build(L, d)
+        states, first, within = basis.states, basis.first, basis.within
         assert first.dtype == within.dtype == np.int32
         assert (first.size, within.size) == (d ** (L - L // 2), d ** (L // 2))
         high, low = np.divmod(states, d ** (L // 2))
@@ -807,6 +810,49 @@ class TestEnergySeries:
     def test_sizes_below_two_rejected(self):
         with pytest.raises(ValidationError):
             energy_series(SpinChain("single-ion", 1.0, D=5.0), [1, 2], (Twist.PBC,))
+
+    @pytest.mark.parametrize(
+        "model, sizes",
+        [
+            (SpinChain("heisenberg"), range(2, 17, 2)),
+            (SpinChain("dimerized", delta=0.3), range(2, 17, 2)),
+            (SpinChain("single-ion", D=7.4), range(2, 11)),
+        ],
+    )
+    def test_pairs_counted_without_a_basis_are_the_stored_ones(self, model, sizes):
+        for L in sizes:
+            ham = hamiltonian(SpinModelSpec(model, Twist.PBC), L)
+            assert spinchain._stored_pairs(L, model.local_dim) == ham.indptr[-1], L
+
+    @pytest.mark.parametrize(
+        "model, L, pairs",
+        [(SpinChain("heisenberg"), 32, 4_963_760_640), (SpinChain("single-ion", D=7.4), 20, 3_462_993_240)],
+    )
+    def test_a_size_beyond_int32_offsets_is_refused_before_anything_is_allocated(
+        self, model, L, pairs
+    ):
+        def refused():
+            with pytest.raises(ValidationError, match=f"L={L}: {pairs} stored pairs overflow int32"):
+                energy_series(model, [4, L])
+
+        _, peak = traced_peak(refused)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "model, largest", [(SpinChain("heisenberg"), 30), (SpinChain("single-ion", D=7.4), 19)]
+    )
+    def test_sizes_are_refused_exactly_where_the_pairs_reach_two_to_the_31(self, model, largest):
+        # the mean bound that refuses large rings uncounted never refuses one that fits
+        d = model.local_dim
+        step = 2 if d == 2 else 1  # spin-1/2 rings are even
+        assert spinchain._stored_pairs(largest, d) < 2**31 <= spinchain._stored_pairs(largest + step, d)
+        for L in range(2, largest + 1, step):
+            spinchain._check_size(model, L)
+        for L in range(largest + step, 80, step):
+            with pytest.raises(ValidationError, match=f"L={L}: "):
+                spinchain._check_size(model, L)
+        with pytest.raises(ValidationError, match=r"L=10000: over 2\^31 stored pairs"):
+            spinchain._check_size(model, 10_000)
 
     def test_nu_hints(self):
         assert energy_series(SpinChain("dimerized", 1.0, delta=0.1), [2, 4]).nu == 3.0
