@@ -3,24 +3,32 @@
 One spec, `SpinChain`, names the spin-1/2 exchange ring, its bond-alternating
 variant and the spin-1 ring with a single-ion (S^z)^2 term.  All conserve
 total S^z; the S^z = 0 sector's configurations are the base-d codes with a
-fixed digit sum, listed in ascending order and ranked from one split of
-the code at L // 2 digits, without visiting the other d^L codes.  The
-real symmetric sector Hamiltonian is held once, as
-H = D + A + A^T: its diagonal D and three numpy arrays, the CSR form (int32
-offsets and indices) of its strictly lower triangle A, one hop per bond and
-state (the sector ED of Sandvik, AIP Conf. Proc. 1297, 135, 2010,
-arXiv:1101.3281).  The build reads the codes once into int8 rows of 2 S^z
-per site, ranks each hop's target with the basis's tables and gathers the
-values from an int8 bond id per entry: beyond the finished matrix it holds
-under one int64 vector of the sector.  Only SciPy's `_sparsetools`
-extension is loaded, for its two CSR kernels, and no `scipy` module is left
-in `sys.modules`.
+fixed digit sum, built and ranked from one split of the code into a low
+part (the first h = L // 2 sites) and a high part, without visiting the
+other d^L codes.  The states are laid out class-major: the high parts
+grouped by digit sum, each followed by the low parts that complete it, so
+the high parts of one digit sum and their low parts form one row-major
+block X_s.  The real symmetric sector Hamiltonian is held as
+H = D + A + A^T + (+)_s C_s (x) 1 (the sector ED of Sandvik, AIP Conf.
+Proc. 1297, 135, 2010, arXiv:1101.3281).  D is its diagonal; A, in CSR form
+(int32 offsets and indices), holds one hop per state of each bond that
+touches the low half: the bonds inside it, the bond across the split and
+the twist bond.  A bond inside the high half changes the high part alone,
+so on each block it acts as one small matrix C_s on the rows of X_s, the
+superblock product of DMRG (White, PRB 48, 10345, 1993); C holds those
+hops once per high part instead of once per state.  The build reads each
+site's 2 S^z from int8 tables over one half's codes and ranks each hop's
+target with the basis's tables: beyond the finished matrix it holds under
+one int64 vector of the sector.  Only SciPy's `_sparsetools` extension is
+loaded, for its three CSR kernels, and no `scipy` module is left in
+`sys.modules`.
 
 Antiperiodic boundary conditions flip the sign of the transverse part of
 the boundary bond (S+_L S-_1) and leave S^z_L S^z_1 unchanged: the abc
-matrix is the pbc one with the boundary-bond hops, whose positions it
+matrix is the pbc one with the boundary-bond hops, whose positions A
 carries, negated in place (`_negate_twist_bond`): the exact flip that
-`energy_series` also uses, once it has released the basis.
+`energy_series` also uses, once it has released the basis.  The twist
+bond stays in A for that reason, and C is the same for both twists.
 """
 
 from __future__ import annotations
@@ -94,55 +102,76 @@ class SpinModelSpec:
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """The configurations with total S^z = 0 and Lin's tables (PRB 42, 6561) that rank them.
+    """The configurations with total S^z = 0, laid out class-major, and Lin's tables that rank them.
 
-    Codes are base-`local_dim` integers whose digit at site i is the local
-    level (0 .. d-1, level = m + s).  With h = L // 2, a code's index in the
-    sorted `states` is first[code // d^h] + within[code % d^h] (int32).
+    A code is the base-`local_dim` integer whose digit at site i is the
+    local level (0 .. d-1, level = m + s).  With h = L // 2 it splits into a
+    low part (sites 0 .. h-1) and a high part (sites h .. L-1), which `low`
+    and `high` hold for every state (int32 codes below d^h and d^(L-h)).
+    The high parts are grouped by digit sum, ascending, and by code within
+    a sum; each is followed by the low parts that complete the sector's
+    digit sum, ascending.  The high parts of one digit sum thus form a
+    class: one row-major block of |high parts| x |low parts| states, given
+    in `blocks` as (start, stop, row length).  The state (hi, lo) has index
+    first[hi] + within[lo] (int32; H. Q. Lin, PRB 42, 6561, 1990).
     """
 
     L: int
     local_dim: int
-    states: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
     first: np.ndarray
     within: np.ndarray
+    blocks: tuple[tuple[int, int, int], ...]
 
     @classmethod
     def build(cls, L: int, local_dim: int) -> "SectorBasis":
         d, h = local_dim, L // 2
+        _check_pairs(L, d)
         sums = np.zeros(1, dtype=np.int64)
         for _ in range(L - h):  # the digit sums of the high parts; the first d^h are the low parts'
             sums = (np.arange(d)[:, None] + sums).ravel()
-        order = np.argsort(sums[: d**h], kind="stable")  # the low parts grouped by digit sum
-        count = np.bincount(sums[: d**h], minlength=L * (d - 1) + 1)
-        starts = count.cumsum() - count  # where each digit sum's group begins in `order`
-        need = L * (d - 1) - 2 * sums  # twice the digit sum each high part leaves to its low part
-        # the low parts' digit sum under each high part, or L (d-1), which none has
-        low_sum = np.where((need >= 0) & (need % 2 == 0), need // 2, L * (d - 1))
-        per_high = count[low_sum]
-        within = np.empty(d**h, dtype=np.int32)
-        within[order] = np.arange(d**h) - np.repeat(starts, count)  # inverse of the sort
-        # each high part in turn, then the low parts that complete its digit sum
-        states = np.repeat(np.arange(d ** (L - h)) * d**h, per_high)
-        groups = np.split(order, starts[1:])
-        states += np.concatenate([groups[s] for s in low_sum.tolist()])
-        states.setflags(write=False)
-        first = np.concatenate(([0], per_high[:-1].cumsum())).astype(np.int32)
-        return cls(L=L, local_dim=d, states=states, first=first, within=within)
+        # the codes by digit sum, then by code: the low parts of a sum come first
+        order = np.argsort(sums, kind="stable").astype(np.int32)
+        count = np.bincount(sums)
+        starts = count.cumsum() - count
+        rank = np.empty(sums.size, dtype=np.int32)  # a code's place among the codes of its sum
+        rank[order] = np.arange(sums.size) - np.repeat(starts, count)
+        need = L * (d - 1) - 2 * np.arange(count.size)  # twice the low sum each high sum leaves
+        low_sum = np.where((need >= 0) & (need % 2 == 0), need // 2, -1)
+        width = np.bincount(sums[: d**h], minlength=count.size)[low_sum]  # low parts per row
+        width[low_sum < 0] = 0
+        size = count * width
+        offset = size.cumsum() - size
+        first = (offset[sums] + rank * width[sums]).astype(np.int32)
+        high = np.empty(size.sum(), dtype=np.int32)
+        low = np.empty(size.sum(), dtype=np.int32)
+        classes = np.flatnonzero(size).tolist()
+        for s in classes:  # a high part per row, the low parts of the complementary sum across
+            rows = high[offset[s] : offset[s] + size[s]].reshape(count[s], width[s])
+            rows[:] = order[starts[s] : starts[s] + count[s], None]
+            rows = low[offset[s] : offset[s] + size[s]].reshape(count[s], width[s])
+            rows[:] = order[starts[low_sum[s]] : starts[low_sum[s]] + width[s]]
+        high.setflags(write=False)
+        low.setflags(write=False)
+        blocks = tuple((int(offset[s]), int(offset[s] + size[s]), int(width[s])) for s in classes)
+        return cls(L, d, high, low, first, rank[: d**h], blocks)
 
     @property
     def dim(self) -> int:
-        return self.states.size
+        return self.high.size
 
 
 @functools.cache
 def _csr_kernels():
-    """SciPy's `csr_matvec` and `csc_matvec`, from the `_sparsetools` extension's file.
+    """SciPy's `csr_matvec`, `csc_matvec` and `csr_matvecs`, from the `_sparsetools` file.
 
-    The extension enters itself in `sys.modules` as it loads, before any
-    `scipy.sparse` package exists; that entry is removed again and the
-    module is held only here, so a later `import scipy.sparse` loads it as
-    its own attribute.
+    The first two add A v and A^T v from A's CSR arrays; `csr_matvecs` adds
+    C_s X for a row-major block X of vectors, each class's product with the
+    high half's bonds.  The extension enters itself in `sys.modules` as it
+    loads, before any `scipy.sparse` package exists; that entry is removed
+    again and the module is held only here, so a later `import scipy.sparse`
+    loads it as its own attribute.
     """
     name = "scipy.sparse._sparsetools"
     if name in sys.modules:  # SciPy's own import came first
@@ -157,17 +186,29 @@ def _csr_kernels():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules.pop(name, None)
-    return module.csr_matvec, module.csc_matvec
+    return module.csr_matvec, module.csc_matvec, module.csr_matvecs
 
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """A real symmetric sector Hamiltonian H = D + A + A^T.
+    """A real symmetric sector Hamiltonian H = D + A + A^T + (+)_s C_s (x) 1.
 
     `diag` holds D; `indptr`, `indices` (int32) and `data` are the CSR arrays
-    of the strictly lower triangle A, in bond order within a row, and
-    `twist_entries` (int32) the positions in `data` of the twist bond L-1's
-    hops.  The L=2 ring's two bonds share one position; both products sum them.
+    of the strictly lower triangle A, which holds the bonds that touch the
+    low half: the h-1 bonds inside it, the bond (h-1, h) that straddles the
+    split and the twist bond (0, L-1), in bond order within a row.
+    `twist_entries` (int32) are the positions in `data` of the twist bond's
+    hops; the L=2 ring's two bonds share one position, and both products sum
+    them.  The L-h-1 bonds inside the high half change the high part alone,
+    so on class s, the row-major block X_s of the basis, they act as C_s X_s.
+    `high_indptr`, `high_indices` (int32) and `high_data` are the CSR arrays,
+    both triangles, of the block-diagonal C over the classes' high parts,
+    in class order, with columns counted from the class's first row; each of
+    `classes` is (first row, end row, start, stop): one class's rows of C
+    and its states.  The twist bond stays in A, where `_negate_twist_bond`
+    flips it, so C is the same for both twists.  `code_first` (int32) gives,
+    for each row of C, the place of its high part's first state among the
+    sector's codes in ascending order, which `start_order` reads.
     """
 
     diag: np.ndarray
@@ -175,30 +216,41 @@ class SectorHamiltonian:
     indices: np.ndarray
     data: np.ndarray
     twist_entries: np.ndarray
+    high_indptr: np.ndarray
+    high_indices: np.ndarray
+    high_data: np.ndarray
+    classes: tuple[tuple[int, int, int, int], ...]
+    code_first: np.ndarray
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """H v as one new array: D v, then A v and A^T v added into it."""
-        csr_matvec, csc_matvec = _csr_kernels()
+        """H v as one new array: D v, then A v, A^T v and each class's C_s X_s added into it."""
+        csr_matvec, csc_matvec, csr_matvecs = _csr_kernels()
         out = self.diag * v
         n, lower = self.diag.size, (self.indptr, self.indices, self.data)
         csr_matvec(n, n, *lower, v, out)
         # A's arrays read as compressed columns are A^T
         csc_matvec(n, n, *lower, v, out)
+        for row, end, start, stop in self.classes:
+            rows = end - row
+            csr_matvecs(
+                rows, rows, (stop - start) // rows, self.high_indptr[row : end + 1],
+                self.high_indices, self.high_data, v[start:stop], out[start:stop],
+            )
         return out
 
     def start_weights(self) -> np.ndarray:
-        """Lanczos start weights exp(-(H_ii - min H_ii) / max|A_ij|).
+        """Lanczos start weights exp(-(H_ii - min H_ii) / max|H_ij|), i != j.
 
         A configuration whose diagonal energy lies many hop amplitudes above
         the lowest carries little of a ground state near the diagonal
-        minimum, so it starts with little weight.  The weights depend on
-        D / max|A| alone: scaling or shifting H leaves them as they are, and
-        so does the twist above two sites (the two-site ring keeps both
-        bonds' hops at one position, the twist bond's right after bond 0's in
-        the row; they add up to A_ij, and the abc twist cancels them).  They
-        are floored at the smallest normal float, so no component of the
-        start vanishes, and are all ones when A has no nonzero entry (a
-        diagonal H).
+        minimum, so it starts with little weight.  The largest hop is read
+        from A and C alike.  The weights depend on D / max|H_ij| alone:
+        scaling or shifting H leaves them as they are, and so does the twist
+        above two sites (the two-site ring keeps both bonds' hops at one
+        position of A, the twist bond's right after bond 0's in the row; they
+        add up to A_ij, and the abc twist cancels them).  They are floored at
+        the smallest normal float, so no component of the start vanishes,
+        and are all ones when H has no nonzero off-diagonal entry.
         """
         data, twist = self.data, self.twist_entries
         # twist hops with the column of the entry before them in their row
@@ -208,13 +260,31 @@ class SectorHamiltonian:
             data = data.copy()
             data[twist - 1] += data[twist]
             data[twist] = 0.0
-        scale = max(data.max(initial=0.0), -data.min(initial=0.0))  # no |data| copy
+        scale = max(  # no |data| copy
+            data.max(initial=0.0), -data.min(initial=0.0),
+            self.high_data.max(initial=0.0), -self.high_data.min(initial=0.0),
+        )
         if not scale:
             return np.ones(self.diag.size)
         weights = np.subtract(self.diag.min(), self.diag)
         weights /= scale
         np.exp(weights, out=weights)
         return np.maximum(weights, np.finfo(float).tiny, out=weights)
+
+    def start_order(self) -> np.ndarray:
+        """Each state's place among the sector's codes in ascending order.
+
+        The Lanczos start takes its seed's Gaussian draws in this order, so
+        each configuration gets the same draw whatever the layout of the
+        basis: a high part's states, one row of its class, are a run of
+        consecutive codes.  The places are intp, the index type the draws
+        are gathered with, so the gather makes no converted copy.
+        """
+        order = np.empty(self.diag.size, dtype=np.intp)
+        for row, end, start, stop in self.classes:
+            run = np.arange((stop - start) // (end - row))
+            order[start:stop].reshape(end - row, run.size)[:] = self.code_first[row:end, None] + run
+        return order
 
 
 def _row_pointers(row_nnz: np.ndarray, L: int) -> np.ndarray:
@@ -226,14 +296,20 @@ def _row_pointers(row_nnz: np.ndarray, L: int) -> np.ndarray:
 
 
 def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> SectorHamiltonian:
-    """The sector-restricted Hamiltonian of one model, as D + A + A^T.
+    """The sector-restricted Hamiltonian of one model, as D + A + A^T + (+)_s C_s (x) 1.
 
-    Each bond stores one hop: the one that raises its less significant site
-    and lowers the other.  That hop lowers the code, so its entry lies below
-    the diagonal, in the row of the source state; its column is the
-    target's rank from the basis's tables.  The matrix keeps the
-    positions of bond L-1's hops (raise site 0, lower site L-1); with the
-    abc twist, `_negate_twist_bond` then gives them the antiperiodic sign.
+    Each bond in A stores one hop: the one that raises its less significant
+    site and lowers the other.  That hop lowers the low part's code, or
+    moves a unit of digit sum from the high part to the low one, so its
+    target comes earlier in the basis and its entry lies below the
+    diagonal, in the row of the source state.  Its column is
+    first[hi + dh] + within[lo + dl], the shifted parts ranked by the
+    basis's tables.  A site's 2 S^z is read from a table over one half's
+    codes, gathered by the state's part.  C holds both hops of each bond
+    inside the high half, from every high part of a class to the row of its
+    target in that class.  The matrix keeps the positions of bond L-1's
+    hops (raise site 0, lower site L-1); with the abc twist,
+    `_negate_twist_bond` then gives them the antiperiodic sign.
     """
     model = spec.model
     if L < 2:
@@ -243,54 +319,99 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
             f"sector (L={sector.L}, d={sector.local_dim}) does not match "
             f"model (L={L}, d={model.local_dim})"
         )
-    d = model.local_dim
+    d, h = model.local_dim, L // 2
     s2 = d - 1  # twice the site spin
     couplings = model.bond_couplings(L)
-
-    # twice the S^z of every site and state, one int8 row per site
-    m2 = np.empty((L, sector.dim), dtype=np.int8)
-    codes = sector.states.copy()
-    for site in range(L):  # codes //= d in place, and its remainder into the site's row
-        np.divmod(codes, d, out=(codes, m2[site]), casting="unsafe")
-    del codes
-    m2 *= 2
-    m2 -= s2
-
-    # S^z is 0, +-1/2 or +-1, so (J/4) (2 S^z_b)(2 S^z_b+1) is J S^z_b S^z_b+1 exactly
-    diag = np.zeros(sector.dim)
-    for b in range(L):
-        diag += (0.25 * couplings[b]) * (m2[b] * m2[(b + 1) % L])
-    if onsite := model.J * model.D:
-        for i in range(L):
-            diag += np.float64(0.25 * onsite) * (m2[i] * m2[i])
-
     # <m+1|S+|m> = sqrt(s(s+1) - m(m+1)) is sqrt(2s) for every m of spin 1/2
     # and of spin 1, so each hop has one amplitude (amp * r) * r
     raise_amp = math.sqrt(s2)
     amps = 0.5 * couplings * raise_amp * raise_amp
 
-    # each bond's hop raises its less significant site: (raised, lowered) sites
-    bonds = [(b, b + 1) if b < L - 1 else (0, L - 1) for b in range(L)]
+    # twice the S^z of each site of every low part and every high part, one int8 row per site
+    halves = []
+    for sites in (h, L - h):
+        codes = np.arange(d**sites)
+        halves.append(np.array([codes // d**k % d * 2 - s2 for k in range(sites)], dtype=np.int8))
+    low_m2, high_m2 = halves
+
+    def half(site):  # the site's row over its half's codes, and each state's code in that half
+        return (low_m2[site], sector.low) if site < h else (high_m2[site - h], sector.high)
+
+    def per_state(f, i, j):  # f of the rows of sites i and j in every state
+        (row_i, part_i), (row_j, part_j) = half(i), half(j)
+        if part_i is part_j:  # one half: f over its codes, gathered once
+            return np.take(f(row_i, row_j), part_i)
+        return f(np.take(row_i, part_i), np.take(row_j, part_j))
+
+    def step(site):  # (high, low) code change of raising one site's level
+        return (0, d**site) if site < h else (d ** (site - h), 0)
+
+    # S^z is 0, +-1/2 or +-1, so (J/4) (2 S^z_b)(2 S^z_b+1) is J S^z_b S^z_b+1 exactly;
+    # the terms are added bond by bond, then site by site
+    diag = np.zeros(sector.dim)
+    for b in range(L):
+        diag += per_state(lambda m, n: (0.25 * couplings[b]) * (m * n), b, (b + 1) % L)
+    if onsite := model.J * model.D:
+        for i in range(L):
+            diag += per_state(lambda m, n: np.float64(0.25 * onsite) * (m * n), i, i)
+
+    def can_hop(m, n):  # the level of 2 S^z = m can rise and that of n fall
+        return (m < s2) & (n > -s2)
+
+    # A: the bonds inside the low half, the one across the split, then the twist bond,
+    # each as (bond, raised site, lowered site)
+    bonds = [(b, b, b + 1) for b in range(h)] + [(L - 1, 0, L - 1)]
     row_nnz = np.zeros(sector.dim, dtype=np.int8)
-    for up, down in bonds:  # the states each bond's hop leaves in the sector, bond by bond
-        row_nnz += (m2[up] < s2) & (m2[down] > -s2)
+    for _, up, down in bonds:  # the states each bond's hop leaves in the sector, bond by bond
+        row_nnz += per_state(can_hop, up, down)
     indptr = _row_pointers(row_nnz, L)
     del row_nnz
     indices = np.empty(indptr[-1], dtype=np.int32)
     bond_of = np.empty(indptr[-1], dtype=np.int8)
     slot = indptr[:-1].copy()  # next free position of every row
-    for b, (up, down) in enumerate(bonds):
-        src = np.flatnonzero((m2[up] < s2) & (m2[down] > -s2))
+    for b, up, down in bonds:
+        src = np.flatnonzero(per_state(can_hop, up, down))
         at = slot[src]
-        high = sector.states[src]
-        high += d**up - d**down  # the target, split in place at the basis's table sizes
-        high, low = np.divmod(high, sector.within.size, out=(high, None))
-        indices[at] = sector.first[high] + sector.within[low]
+        (high_up, low_up), (high_down, low_down) = step(up), step(down)
+        target = np.take(sector.first, np.take(sector.high, src) + (high_up - high_down))
+        target += np.take(sector.within, np.take(sector.low, src) + (low_up - low_down))
+        indices[at] = target
         bond_of[at] = b
         slot[src] = at + 1
-    del m2, slot, src, high, low  # before the data is gathered
+    del slot, src, target  # before the data is gathered
     # the loop ends on bond L-1, so `at` holds the twist bond's positions
-    ham = SectorHamiltonian(diag, indptr, indices, amps[bond_of], twist_entries=at)
+    data = np.empty(indptr[-1])
+    for lo in range(0, data.size, 2**16):  # take reads its indices as intp: a chunk at a time
+        np.take(amps, bond_of[lo : lo + 2**16], out=data[lo : lo + 2**16])
+    del bond_of
+
+    # C: both hops of every bond inside the high half, one row per high part in class order
+    parts = [sector.high[start:stop:width] for start, stop, width in sector.blocks]
+    sizes = [part.size for part in parts]
+    row_of = np.cumsum([0] + sizes)  # each class's first row of C, then the row count
+    rows = np.concatenate([np.zeros(0, dtype=np.int32), *parts])
+    column = np.zeros(d ** (L - h), dtype=np.int32)  # a high part's row within its class
+    column[rows] = np.arange(rows.size) - np.repeat(row_of[:-1], sizes)
+    found = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.intp))]
+    for b in range(h, L - 1):
+        for up, down in ((b - h, b + 1 - h), (b + 1 - h, b - h)):
+            src = np.flatnonzero(can_hop(high_m2[up][rows], high_m2[down][rows]))
+            found.append((src, column[rows[src] + (d**up - d**down)], np.full(src.size, b)))
+    hop_rows, hop_cols, hop_bonds = map(np.concatenate, zip(*found))
+    by_row = np.argsort(hop_rows, kind="stable")  # bond by bond within a row
+    high_indptr = np.concatenate(([0], np.bincount(hop_rows, minlength=rows.size).cumsum()))
+    classes = tuple(
+        (row, end, start, stop)
+        for row, end, (start, stop, _) in zip(row_of.tolist(), row_of[1:].tolist(), sector.blocks)
+    )
+    # in code order, the states of every smaller high code come before a high part's
+    per_high = np.zeros(d ** (L - h), dtype=np.int64)
+    per_high[rows] = np.repeat([width for _, _, width in sector.blocks], sizes)
+    code_first = (per_high.cumsum() - per_high)[rows].astype(np.int32)
+    ham = SectorHamiltonian(
+        diag, indptr, indices, data, at, high_indptr.astype(np.int32), hop_cols[by_row],
+        amps[hop_bonds[by_row]], classes, code_first,
+    )
     if spec.boundary_twist is Twist.ABC:
         _negate_twist_bond(ham)
     return ham
@@ -307,8 +428,8 @@ def _negate_twist_bond(ham: SectorHamiltonian) -> None:
 
 
 def _stored_pairs(L: int, d: int) -> int:
-    """A's entries in the S^z = 0 sector: one per bond and state whose raised site's level
-    is a < d - 1 and lowered site's b >= 1; strings[s] counts the other sites' sum s."""
+    """The S^z = 0 sector's lower-triangle pairs: one per bond and state whose raised site's
+    level is a < d - 1 and lowered site's b >= 1; strings[s] counts the other sites' sum s."""
     strings = [1]
     for _ in range(L - 2):
         strings = [sum(strings[max(s - d + 1, 0) : s + 1]) for s in range(len(strings) + d - 1)]
@@ -316,17 +437,24 @@ def _stored_pairs(L: int, d: int) -> int:
     return L * sum(strings[s] for s in sums if 0 <= s < len(strings))
 
 
+def _check_pairs(L: int, d: int) -> None:
+    """Refuse a sector whose lower-triangle pairs reach 2^31, before anything is allocated.
+
+    The count bounds A's entries (a part of the pairs), the states and every
+    offset into them, so int32 holds them all.
+    """
+    # the central count of the other sites is at least their mean: far larger L goes uncounted
+    if L > 2 and (L - 2) * math.log2(d) - math.log2((L - 2) * (d - 1) + 1) >= 31:
+        raise ValidationError(f"L={L}: over 2^31 lower-triangle pairs overflow int32 offsets")
+    if (pairs := _stored_pairs(L, d)) >= 2**31:
+        raise ValidationError(f"L={L}: {pairs} lower-triangle pairs overflow int32 offsets")
+
+
 def _check_size(model: SpinChain, L: int) -> None:
     if L < 2:
         raise ValidationError(f"sizes must be >= 2, got {L}")
     if model.local_dim == 2 and L % 2:
         raise ValidationError(f"spin-1/2 sizes must be even (odd L has no S^z=0 sector), got L={L}")
-    d = model.local_dim
-    # the central count of the other sites is at least their mean: far larger L goes uncounted
-    if (L - 2) * math.log2(d) - math.log2((L - 2) * (d - 1) + 1) >= 31:
-        raise ValidationError(f"L={L}: over 2^31 stored pairs overflow int32 offsets")
-    if (stored := _stored_pairs(L, d)) >= 2**31:
-        raise ValidationError(f"L={L}: {stored} stored pairs overflow int32 offsets")
 
 
 def energy_series(
@@ -344,11 +472,14 @@ def energy_series(
     twist, and the basis is freed before the solves; every further twist
     flips the twist-bond hops in place, so the energies equal those of
     separate `build_hamiltonian` calls bit for bit.  Every solve starts from
-    `seed`'s Gaussian vector scaled by the weights of the bound method
-    `SectorHamiltonian.start_weights`, which the solver calls when it forms
-    the start (and again for a replay), so no array of weights outlives the
-    start; above two sites the twist leaves the diagonal and |A| as they
-    are, so every twist's weights are the same bytes.
+    `seed`'s Gaussian draws, each configuration taking the draw of its place
+    in code order (the bound method `SectorHamiltonian.start_order`), so the
+    start does not depend on the basis's layout, scaled by the weights of
+    the bound method `SectorHamiltonian.start_weights`.  The solver calls
+    both when it forms the start (and again for a replay), so no array of
+    weights or places outlives the start; above two sites the twist leaves
+    the diagonal and |A| as they are, so every twist's weights are the same
+    bytes.
     """
     sizes = sorted(set(int(s) for s in sizes))
     twists = tuple(twists)
@@ -368,7 +499,8 @@ def energy_series(
             if i:
                 _negate_twist_bond(ham)
             result = lowest_eigenpair(
-                ham.matvec, ham.diag.size, seed, start_weights=ham.start_weights
+                ham.matvec, ham.diag.size, seed,
+                start_weights=ham.start_weights, start_order=ham.start_order,
             )[0]
             series.add(L, twist, result.energy)
         del ham  # freed before the next size is built

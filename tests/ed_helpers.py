@@ -20,10 +20,12 @@ def hamiltonian(spec, L):
 def ground_energy(spec, L):
     """Lanczos result of the S^z = 0 sector of one model, twist and size, built anew.
 
-    The start is weighted as `energy_series` weights it, so the two agree bit for bit.
+    The start is weighted and ordered as `energy_series` forms it, so the two agree bit for bit.
     """
     ham = hamiltonian(spec, L)
-    return lowest_eigenpair(ham.matvec, ham.diag.size, start_weights=ham.start_weights)[0]
+    return lowest_eigenpair(
+        ham.matvec, ham.diag.size, start_weights=ham.start_weights, start_order=ham.start_order
+    )[0]
 
 
 def traced_peak(fn):
@@ -36,26 +38,55 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def dense(ham):
-    """H = D + A + A^T as a dense array; entries of A at one position add up (the L=2 ring)."""
+def codes(sector):
+    """Each state's base-d code (int64), joined from its high and low parts."""
+    return sector.high.astype(np.int64) * sector.local_dim ** (sector.L // 2) + sector.low
+
+
+def entries(ham):
+    """(rows, columns, values) of every off-diagonal entry of A + A^T + (+)_s C_s (x) 1.
+
+    Entry (i, j) of C_s couples the states (i, k) and (j, k) of class s's
+    row-major block, for every column k.
+    """
     n = ham.diag.size
-    lower = np.zeros((n, n))
-    np.add.at(lower, (np.repeat(np.arange(n), np.diff(ham.indptr)), ham.indices), ham.data)
-    return np.diag(ham.diag) + lower + lower.T
+    rows = np.repeat(np.arange(n), np.diff(ham.indptr))
+    parts = [(rows, ham.indices, ham.data), (ham.indices, rows, ham.data)]
+    for row, end, start, stop in ham.classes:
+        width = (stop - start) // (end - row)
+        at = slice(ham.high_indptr[row], ham.high_indptr[end])
+        i = np.repeat(np.arange(end - row), np.diff(ham.high_indptr[row : end + 1]))
+        k = np.arange(width)
+        parts.append((
+            (start + i[:, None] * width + k).ravel(),
+            (start + ham.high_indices[at, None] * width + k).ravel(),
+            np.repeat(ham.high_data[at], width),
+        ))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def dense(ham):
+    """H as a dense array; entries at one position add up (the L=2 ring)."""
+    out = np.diag(ham.diag)
+    rows, cols, values = entries(ham)
+    np.add.at(out, (rows, cols), values)
+    return out
 
 
 def reference_hamiltonian(spec, L, sector):
-    """The sector matrix built the plain way, the byte reference of `build_hamiltonian`.
+    """The sector matrix built the plain way, in code order: the reference of `build_hamiltonian`.
 
-    Per-site levels from `states // d**site % d`, S^z looked up as floats, a
-    binary search over the sorted states for every hop's target, and each
-    hop's amplitude written as it is found.
+    The states are the basis's codes sorted, and A holds one hop of every
+    bond.  Per-site levels from `states // d**site % d`, S^z looked up as
+    floats, a binary search over the sorted states for every hop's target,
+    and each hop's amplitude written as it is found.
     """
     model = spec.model
     d = model.local_dim
     s2 = d - 1
     couplings = model.bond_couplings(L)
-    digits = [(sector.states // d**site % d).astype(np.int8) for site in range(L)]
+    states = np.sort(codes(sector))
+    digits = [(states // d**site % d).astype(np.int8) for site in range(L)]
     m_of_level = np.arange(d) - s2 / 2.0
     diag = np.zeros(sector.dim)
     for b in range(L):
@@ -78,10 +109,11 @@ def reference_hamiltonian(spec, L, sector):
     for shift, amp, mask in hops:
         src = np.flatnonzero(mask)
         at = slot[src]
-        indices[at] = np.searchsorted(sector.states, sector.states[src] + shift)
+        indices[at] = np.searchsorted(states, states[src] + shift)
         data[at] = amp * raise_amp * raise_amp
         slot[src] += 1
-    ham = SectorHamiltonian(diag, indptr, indices, data, twist_entries=at)
+    no_c = np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)
+    ham = SectorHamiltonian(diag, indptr, indices, data, at, *no_c, (), np.zeros(0, dtype=np.int32))
     if spec.boundary_twist is Twist.ABC:
         ham.data[at] = -ham.data[at]
     return ham

@@ -1,7 +1,8 @@
 """The command line starts on numpy alone; ED loads only SciPy's CSR kernels.
 
-ED loads the `scipy.sparse._sparsetools` extension, for the two products of
-its matvec, and no SciPy package: Lanczos runs on numpy alone.  The
+ED loads the `scipy.sparse._sparsetools` extension, for the three products
+of its matvec (A v, A^T v and each class's C_s X_s), and no SciPy package:
+Lanczos runs on numpy alone.  The
 extension is held privately, so no `scipy` module is left in `sys.modules`
 and a later `import scipy.sparse` finds its own kernel module.
 
@@ -64,20 +65,34 @@ def test_import_and_number_commands_load_no_scipy():
     assert run_python(SCRIPT) == ""
 
 
+# runs the command line, then prints the SciPy modules it loaded, and the
+# module and the names of the kernels ED holds
+CLI_KERNELS = CLI_SCIPY + """
+from bandrec.spinchain import _csr_kernels
+kernels = _csr_kernels()
+print(*{k.__self__.__name__ for k in kernels}, ",".join(k.__name__ for k in kernels))
+"""
+
+
 def test_ed_loads_only_the_csr_kernels(tmp_path):
     # the kernel module is loaded from its file and held privately: no SciPy
-    # package is imported and no scipy module is left in sys.modules
+    # package is imported and no scipy module is left in sys.modules.  The
+    # 4-site ring's bond (2, 3) lies inside the high half, so csr_matvecs ran
     out = tmp_path / "ed.csv"
-    loaded = run_python(CLI_SCIPY, "ed", "--model", "heisenberg", "--sizes", "4", "--out", str(out))
+    *loaded, kernels = run_python(
+        CLI_KERNELS, "ed", "--model", "heisenberg", "--sizes", "4", "--out", str(out)
+    ).split("\n")
     rows = out.read_text().splitlines()
     assert rows[-1].startswith("4,pbc,")
     assert abs(float(rows[-1].split(",")[2]) + 2.0) < 1e-12  # 4-site ring: E0 = -2J
-    assert loaded == ""
+    assert loaded == []
+    assert kernels == "scipy.sparse._sparsetools csr_matvec,csc_matvec,csr_matvecs"
 
 
 # runs ED, with scipy.sparse imported before it or not, then checks the
 # matvec of both twists of one sector matrix against SciPy's kernel module,
-# reached as the attribute scipy.sparse._sparsetools
+# reached as the attribute scipy.sparse._sparsetools, and each class's
+# csr_matvecs product against SciPy's own csr_matrix @ X
 KERNEL_IDENTITY = """
 import sys
 import numpy as np
@@ -108,8 +123,23 @@ for ham, v, product in zip(hams, vs, products):
     out = ham.diag * v
     tools.csr_matvec(n, n, A.indptr, A.indices, A.data, v, out)
     tools.csc_matvec(n, n, A.indptr, A.indices, A.data, v, out)
+    expected = A @ v + A.T @ v + ham.diag * v
+    assert len(ham.classes) > 1
+    for row, end, start, stop in ham.classes:
+        ptr = ham.high_indptr[row : end + 1]
+        C = scipy.sparse.csr_matrix(
+            (ham.high_data[ptr[0] : ptr[-1]], ham.high_indices[ptr[0] : ptr[-1]], ptr - ptr[0]),
+            shape=(end - row, end - row),
+        )
+        X = v[start:stop].reshape(end - row, -1)
+        Y = np.zeros_like(X)
+        high = (end - row, end - row, X.shape[1], ptr, ham.high_indices, ham.high_data, X)
+        tools.csr_matvecs(*high, Y)
+        assert np.array_equal(Y, C @ X)
+        tools.csr_matvecs(*high, out[start:stop])
+        expected[start:stop] += Y.ravel()
     assert np.array_equal(ham.matvec(v), out) and np.array_equal(product, out)
-    assert np.abs(A @ v + A.T @ v + ham.diag * v - out).max() <= 1e-12 * np.abs(out).max()
+    assert np.abs(expected - out).max() <= 1e-12 * np.abs(out).max()
 print("ok")
 """
 

@@ -154,8 +154,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "model, message",
         [
-            (["heisenberg", "--sizes", "32"], "L=32: 4963760640 stored pairs"),
-            (["single-ion", "--D", "1", "--sizes", "20"], "L=20: 3462993240 stored pairs"),
+            (["heisenberg", "--sizes", "32"], "L=32: 4963760640 lower-triangle pairs"),
+            (["single-ion", "--D", "1", "--sizes", "20"], "L=20: 3462993240 lower-triangle pairs"),
         ],
     )
     def test_ed_refuses_a_sector_beyond_int32_offsets(self, model, message, capsys):
@@ -204,7 +204,7 @@ class TestCli:
         monkeypatch.setattr(
             spinchain,
             "lowest_eigenpair",
-            lambda matvec, dim, seed, start_weights: lanczos.lowest_eigenpair(
+            lambda matvec, dim, seed, start_weights, start_order: lanczos.lowest_eigenpair(
                 lambda x: diag * x, diag.size, seed
             ),
         )
@@ -219,7 +219,7 @@ class TestCli:
 
         dims = []
 
-        def solve(matvec, dim, seed, start_weights):
+        def solve(matvec, dim, seed, start_weights, start_order):
             dims.append(dim)
             diag = np.concatenate(([-1.0], np.linspace(0.0, 1.0, dim - 2), [1e14]))
             return lanczos.lowest_eigenpair(lambda x: diag * x, dim, seed)

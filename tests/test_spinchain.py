@@ -17,7 +17,15 @@ from bandrec import (
     lowest_eigenpair,
 )
 from bandrec.spinchain import SectorBasis, SpinModelSpec, build_hamiltonian
-from ed_helpers import dense, ground_energy, hamiltonian, reference_hamiltonian, traced_peak
+from ed_helpers import (
+    codes,
+    dense,
+    entries,
+    ground_energy,
+    hamiltonian,
+    reference_hamiltonian,
+    traced_peak,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +87,7 @@ def projected_kron_oracle(model, L, twist, sign_bond=-1):
     """
     d = model.local_dim
     full_indices = []
-    for code in SectorBasis.build(L, d).states:
+    for code in codes(SectorBasis.build(L, d)):
         idx = 0
         for site in range(L):
             level = (code // d**site) % d
@@ -119,13 +127,30 @@ def literal_couplings(model, L):
     return np.full(L, model.J)
 
 
-def _assert_same_bytes(spec, L):
+def _code_order_entries(ham, rank):
+    """Every off-diagonal entry as (row, column, value) in code order, sorted, value bits last."""
+    rows, cols, values = entries(ham)
+    rows, cols = rank[rows], rank[cols]
+    order = np.lexsort((values.view(np.int64), cols, rows))
+    return rows[order], cols[order], values[order]
+
+
+def _assert_same_entries(spec, L):
+    # A + A^T + (+)_s C_s (x) 1 and the reference's A + A^T, both in code order:
+    # the same positions with the same value bytes, and the same diagonal bytes
     basis = SectorBasis.build(L, spec.model.local_dim)
     ham, ref = build_hamiltonian(spec, L, basis), reference_hamiltonian(spec, L, basis)
-    for name in ("diag", "indptr", "indices", "data", "twist_entries"):
-        built, expected = getattr(ham, name), getattr(ref, name)
-        assert built.dtype == expected.dtype, (name, L)
-        assert built.tobytes() == expected.tobytes(), (name, L)
+    by_code = np.argsort(codes(basis))
+    rank = np.empty(basis.dim, dtype=np.int64)
+    rank[by_code] = np.arange(basis.dim)
+    assert ham.diag.dtype == ref.diag.dtype and ham.diag[by_code].tobytes() == ref.diag.tobytes(), L
+    for name in ("indptr", "indices", "twist_entries", "high_indptr", "high_indices"):
+        assert getattr(ham, name).dtype == np.int32, (name, L)
+    assert ham.data.dtype == ham.high_data.dtype == np.float64
+    built = _code_order_entries(ham, rank)
+    expected = _code_order_entries(ref, np.arange(basis.dim))
+    assert np.array_equal(built[0], expected[0]) and np.array_equal(built[1], expected[1]), L
+    assert built[2].tobytes() == expected[2].tobytes(), L
 
 
 class TestSpinChain:
@@ -179,17 +204,18 @@ class TestSectorBasis:
         assert SectorBasis.build(3, 2).dim == 0  # odd spin-1/2 chain, Sz=0 empty
 
     def test_rank_unrank_roundtrip(self):
-        # the states are sorted, so binary search ranks a code; the basis's
-        # two tables must agree with it (TestRankTables)
+        # the codes are distinct, and the tables rank a code to its place (TestRankTables)
         basis = SectorBasis.build(6, 3)
-        assert (np.diff(basis.states) > 0).all()
+        code = codes(basis)
+        assert np.unique(code).size == basis.dim
         idx = np.arange(0, basis.dim, 7)
-        assert np.array_equal(np.searchsorted(basis.states, basis.states[idx]), idx)
+        high, low = np.divmod(code[idx], 3**3)
+        assert np.array_equal(basis.first[high] + basis.within[low], idx)
 
     def test_all_states_have_target_magnetization(self):
         basis = SectorBasis.build(5, 3)
         assert basis.dim == 51  # central trinomial of 5
-        for code in basis.states:
+        for code in codes(basis):
             digits = [code // 3**site % 3 for site in range(5)]
             assert sum(d - 1 for d in digits) == 0  # total S^z = 0
 
@@ -197,20 +223,24 @@ class TestSectorBasis:
         "d, L", [(2, L) for L in range(1, 17)] + [(3, L) for L in range(1, 12)]
     )
     def test_matches_filtered_full_space(self, d, L):
-        # odd spin-1/2 rings give the empty sector
-        codes = np.arange(d**L)
-        digit_sum = sum((codes // d**site) % d for site in range(L))
-        states = SectorBasis.build(L, d).states
-        assert states.dtype == np.int64
-        assert np.array_equal(states, codes[2 * digit_sum == L * (d - 1)])
+        # odd spin-1/2 rings give the empty sector.  Class-major: by the high
+        # part's digit sum, then by code
+        full = np.arange(d**L)
+        digit_sum = sum((full // d**site) % d for site in range(L))
+        sector = full[2 * digit_sum == L * (d - 1)]
+        high_sum = sum((sector // d**site) % d for site in range(L // 2, L))
+        basis = SectorBasis.build(L, d)
+        assert basis.high.dtype == basis.low.dtype == np.int32
+        assert np.array_equal(codes(basis), sector[np.argsort(high_sum, kind="stable")])
 
     def test_build_does_not_allocate_the_full_space(self):
-        # in int64 vectors of the sector: the states and the low parts gathered
-        # into them, beside tables of 3^7 and 3^6 entries; the digit-sum
-        # recursion held 3.00
+        # in int64 vectors of the sector: the int32 high and low parts, filled
+        # class by class in place, beside tables of 3^7 and 3^6 entries; the
+        # int64 codes and the low parts gathered into them held 2.07, the
+        # digit-sum recursion 3.00
         basis, peak = traced_peak(lambda: SectorBasis.build(13, 3))
         assert basis.dim == 212_941  # central trinomial coefficient of 13
-        assert peak < 2.5 * 8 * basis.dim
+        assert peak < 1.25 * 8 * basis.dim
 
 
 class TestRankTables:
@@ -218,13 +248,24 @@ class TestRankTables:
         "d, L", [(2, L) for L in range(2, 17)] + [(3, L) for L in range(2, 11)]
     )
     def test_tables_rank_every_state_as_binary_search_does(self, d, L):
-        # odd spin-1/2 rings give the empty sector, whose tables rank nothing
+        # odd spin-1/2 rings give the empty sector, whose tables rank nothing.
+        # Binary search over the codes sorted by (high digit sum, code) ranks
+        # each state at its place, and so do the tables
         basis = SectorBasis.build(L, d)
-        states, first, within = basis.states, basis.first, basis.within
+        first, within = basis.first, basis.within
         assert first.dtype == within.dtype == np.int32
         assert (first.size, within.size) == (d ** (L - L // 2), d ** (L // 2))
-        high, low = np.divmod(states, d ** (L // 2))
-        assert np.array_equal(first[high] + within[low], np.searchsorted(states, states))
+        high_sum = sum((basis.high // d**k) % d for k in range(L - L // 2))
+        key = high_sum.astype(np.int64) * d**L + codes(basis)
+        assert np.array_equal(np.searchsorted(np.sort(key), key), np.arange(basis.dim))
+        assert np.array_equal(first[basis.high] + within[basis.low], np.arange(basis.dim))
+        # each block is one high digit sum: rows of one high part, each row every low part
+        for start, stop, width in basis.blocks:
+            high = basis.high[start:stop].reshape(-1, width)
+            low = basis.low[start:stop].reshape(-1, width)
+            assert (high == high[:, :1]).all() and (low == low[:1]).all()
+            assert np.unique(high_sum[start:stop]).size == 1
+        assert sum(stop - start for start, stop, _ in basis.blocks) == basis.dim
 
 
 class TestHamiltonian:
@@ -296,6 +337,9 @@ class TestHamiltonian:
             differ = np.flatnonzero(np.signbit(pbc.data) != np.signbit(abc.data))
             assert np.array_equal(differ, at), (model.kind, L)
             assert np.array_equal(np.abs(pbc.data), np.abs(abc.data))
+            # C holds no twist-bond hop
+            assert pbc.high_data.tobytes() == abc.high_data.tobytes()
+            assert pbc.classes == abc.classes
             if L == 2:
                 # each twist hop shares its matrix position with bond 0's, the entry before it
                 rows = np.repeat(np.arange(pbc.diag.size), np.diff(pbc.indptr))
@@ -352,7 +396,7 @@ class TestHamiltonian:
                 continue  # odd spin-1/2 rings have no S^z = 0 state
             basis = SectorBasis.build(L, model.local_dim)
             d = model.local_dim
-            m = [(basis.states // d**i) % d - (d - 1) / 2.0 for i in range(L)]
+            m = [(codes(basis) // d**i) % d - (d - 1) / 2.0 for i in range(L)]
             couplings = literal_couplings(model, L)
             expected = np.zeros(basis.dim)
             for b in range(L):
@@ -368,30 +412,34 @@ class TestHamiltonian:
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
     def test_arrays_equal_the_plain_build_byte_for_byte(self, model, twist):
         # per-site digits, float S^z, binary search and a per-hop amplitude
-        # (ed_helpers.reference_hamiltonian) give the same bytes
+        # (ed_helpers.reference_hamiltonian) give the same diagonal bytes and
+        # the same entries, value bytes included, in code order
         spec = SpinModelSpec(model, twist)
         for L in range(2, 13 if model.local_dim == 2 else 10):
-            _assert_same_bytes(spec, L)
+            _assert_same_entries(spec, L)
 
     def test_single_ion_fourteen_sites_equal_the_plain_build(self):
-        _assert_same_bytes(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4), Twist.ABC), 14)
+        _assert_same_entries(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4), Twist.ABC), 14)
 
     @pytest.mark.parametrize(
         "model, L", [(SpinChain("single-ion", 1.0, D=7.4), 13), (SpinChain("heisenberg"), 20)]
     )
     def test_build_holds_little_beyond_the_finished_matrix(self, model, L):
-        # in int64 vectors of the sector: the int8 bond id of every entry,
-        # gathered into the data last (about 0.7); per-site int64 digits, the
-        # L hop masks and the float scatter held 3.5-3.8
+        # in int64 vectors of the sector: the int8 bond id of every entry of
+        # A, gathered into the data last; per-site int64 digits, the L hop
+        # masks and the float scatter held 3.5-3.8.  C counts as matrix
         basis = SectorBasis.build(L, model.local_dim)
         spec = SpinModelSpec(model, Twist.PBC)
         ham, peak = traced_peak(lambda: build_hamiltonian(spec, L, basis))
-        matrix = sum(a.nbytes for a in (ham.diag, ham.indptr, ham.indices, ham.data, ham.twist_entries))
+        arrays = (ham.diag, ham.indptr, ham.indices, ham.data, ham.twist_entries)
+        arrays += (ham.high_indptr, ham.high_indices, ham.high_data)
+        matrix = sum(a.nbytes for a in arrays)
         assert (peak - matrix) / (8 * basis.dim) < 1.5, (peak, matrix, basis.dim)
 
     def test_each_offdiagonal_pair_is_stored_once(self):
         # diag (8 bytes a state), A's data and indices (12 bytes a pair) and
-        # its int32 row offsets; the pairs are counted combinatorially
+        # its int32 row offsets, beside the small C; the pairs are counted
+        # combinatorially, and each of A's h + 1 bonds holds 1/L of them
         L, d = 11, 3
         count = np.zeros((L + 1, L * (d - 1) + 1), dtype=np.int64)  # digit strings by sum
         count[0, 0] = 1
@@ -403,9 +451,31 @@ class TestHamiltonian:
         # a pair per bond and state whose raised site is below d-1 and lowered site above 0
         pairs = L * int(sum(count[L - 2, half - a - b] for a in range(d - 1) for b in range(1, d)))
         ham = hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4), Twist.PBC), L)
-        assert ham.diag.size == dim and ham.data.size == pairs
+        assert ham.diag.size == dim and ham.data.size * L == (L // 2 + 1) * pairs
+        # A + A^T + (+)_s C_s (x) 1 holds every pair at two positions, once each
+        rows, cols, _ = entries(ham)
+        assert rows.size == 2 * pairs and np.unique(rows * dim + cols).size == rows.size
+        high = ham.high_indptr.nbytes + ham.high_indices.nbytes + ham.high_data.nbytes
         stored = ham.diag.nbytes + ham.data.nbytes + ham.indices.nbytes + ham.indptr.nbytes
-        assert stored <= 8 * dim + 12 * pairs + 4 * (dim + 1), (stored, dim, pairs)
+        assert stored <= 8 * dim + 12 * ham.data.size + 4 * (dim + 1), (stored, dim, pairs)
+        assert high < 0.05 * stored, (high, stored)
+
+    def test_csr_holds_the_bonds_that_touch_the_low_half(self):
+        # single-ion L=13: A holds 7 of the 13 bonds (h - 1 inside the low
+        # half, the one across the split and the twist bond); every class's
+        # rows of C point into that class only
+        L, d = 13, 3
+        basis = SectorBasis.build(L, d)
+        ham = build_hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4), Twist.PBC), L, basis)
+        assert ham.indptr[-1] <= 0.55 * spinchain._stored_pairs(L, d)
+        assert ham.high_indptr.size - 1 == sum((stop - start) // row for start, stop, row in basis.blocks)
+        held = 0
+        for row, end, start, stop in ham.classes:
+            assert (start, stop) in {block[:2] for block in basis.blocks}
+            cols = ham.high_indices[ham.high_indptr[row] : ham.high_indptr[end]]
+            assert cols.min() >= 0 and cols.max() < end - row, (row, end)
+            held += cols.size
+        assert held == ham.high_indices.size > 0
 
     def test_row_offsets_refuse_a_pair_count_beyond_int32(self):
         # the counts are summed in int64, so 2**31 pairs are named, not wrapped
@@ -440,8 +510,9 @@ class TestHamiltonian:
         # conjugate by the cyclic site relabeling; dimerized couplings shift by
         # one bond, which maps delta -> -delta (same spectrum family)
         d = model.local_dim
-        rotated_codes = (basis.states // d) + (basis.states % d) * d ** (L - 1)
-        perm = np.searchsorted(basis.states, rotated_codes)
+        rotated_codes = (codes(basis) // d) + (codes(basis) % d) * d ** (L - 1)
+        high, low = np.divmod(rotated_codes, d ** (L // 2))
+        perm = basis.first[high] + basis.within[low]
         if model.kind == "dimerized":
             H_rot = dense_sector(dataclasses.replace(model, delta=-model.delta), L, Twist.PBC)
         else:
@@ -523,7 +594,9 @@ class TestGroundEnergy:
                 seen.append(x.copy())
                 return ham.matvec(x)
 
-            r, y = lowest_eigenpair(matvec, ham.diag.size, start_weights=ham.start_weights)
+            r, y = lowest_eigenpair(
+                matvec, ham.diag.size, start_weights=ham.start_weights, start_order=ham.start_order
+            )
             assert r.energy == ground_energy(spec, L).energy
             assert len(seen) == r.iterations == y.size >= 3
             x = np.array(seen).T @ y
@@ -729,6 +802,31 @@ class TestLanczosSolver:
             assert result == plain[0]
             assert np.array_equal(vec, plain[1])
 
+    def test_start_order_gives_each_component_its_draw(self):
+        # component i of the start takes draw order[i]: a permuted operator
+        # solved with the permutation sees the permuted start and settles at
+        # the same energy in as many steps
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((60, 60))
+        A = A + A.T
+        perm = rng.permutation(60)
+        seen = {}
+        for name, op, order in (("plain", A, None), ("ordered", A[np.ix_(perm, perm)], lambda: perm)):
+            def matvec(x, op=op, name=name):
+                seen.setdefault(name, x.copy())
+                return op @ x
+
+            seen[name + " result"] = lowest_eigenpair(matvec, 60, 3, start_order=order)[0]
+        np.testing.assert_allclose(seen["ordered"], seen["plain"][perm], rtol=1e-14, atol=0)
+        plain, ordered = seen["plain result"], seen["ordered result"]
+        assert ordered.iterations == plain.iterations
+        assert ordered.energy == pytest.approx(plain.energy, rel=1e-13)
+
+    @pytest.mark.parametrize("order", [lambda: np.arange(3.0), lambda: np.arange(4), np.arange(3)])
+    def test_bad_start_order_rejected(self, order):
+        with pytest.raises(ValidationError, match="start order"):
+            lowest_eigenpair(lambda x: 2.5 * x, 3, start_order=order)
+
     def test_start_weights_steer_the_start(self):
         # a start weighted onto the ground state's coordinate settles at once
         diag = np.linspace(0.0, 1.0, 400)
@@ -820,9 +918,10 @@ class TestEnergySeries:
         ],
     )
     def test_pairs_counted_without_a_basis_are_the_stored_ones(self, model, sizes):
+        # A + A^T + (+)_s C_s (x) 1 holds each lower-triangle pair twice
         for L in sizes:
             ham = hamiltonian(SpinModelSpec(model, Twist.PBC), L)
-            assert spinchain._stored_pairs(L, model.local_dim) == ham.indptr[-1], L
+            assert 2 * spinchain._stored_pairs(L, model.local_dim) == entries(ham)[0].size, L
 
     @pytest.mark.parametrize(
         "model, L, pairs",
@@ -832,8 +931,20 @@ class TestEnergySeries:
         self, model, L, pairs
     ):
         def refused():
-            with pytest.raises(ValidationError, match=f"L={L}: {pairs} stored pairs overflow int32"):
+            with pytest.raises(ValidationError, match=f"L={L}: {pairs} lower-triangle pairs overflow int32"):
                 energy_series(model, [4, L])
+
+        _, peak = traced_peak(refused)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("L, d", [(32, 2), (20, 3), (10_000, 2)])
+    def test_a_direct_basis_build_beyond_int32_offsets_is_refused_before_anything_is_allocated(
+        self, L, d
+    ):
+        # the basis itself counts the pairs: no caller reaches the allocation
+        def refused():
+            with pytest.raises(ValidationError, match=f"L={L}: .* lower-triangle pairs overflow int32"):
+                SectorBasis.build(L, d)
 
         _, peak = traced_peak(refused)
         assert peak < 2**20
@@ -847,12 +958,12 @@ class TestEnergySeries:
         step = 2 if d == 2 else 1  # spin-1/2 rings are even
         assert spinchain._stored_pairs(largest, d) < 2**31 <= spinchain._stored_pairs(largest + step, d)
         for L in range(2, largest + 1, step):
-            spinchain._check_size(model, L)
+            spinchain._check_pairs(L, d)
         for L in range(largest + step, 80, step):
             with pytest.raises(ValidationError, match=f"L={L}: "):
-                spinchain._check_size(model, L)
-        with pytest.raises(ValidationError, match=r"L=10000: over 2\^31 stored pairs"):
-            spinchain._check_size(model, 10_000)
+                spinchain._check_pairs(L, d)
+        with pytest.raises(ValidationError, match=r"L=10000: over 2\^31 lower-triangle pairs"):
+            spinchain._check_pairs(10_000, d)
 
     def test_nu_hints(self):
         assert energy_series(SpinChain("dimerized", 1.0, delta=0.1), [2, 4]).nu == 3.0
@@ -887,10 +998,12 @@ class TestStartWeights:
         # the same bytes
         copies = []
 
-        def solve(matvec, dim, seed=0, start_weights=None):
+        def solve(matvec, dim, seed=0, start_weights=None, start_order=None):
             ham = matvec.__self__
             assert start_weights.__self__ is ham and dim == ham.diag.size
             assert start_weights.__func__ is spinchain.SectorHamiltonian.start_weights
+            assert start_order.__self__ is ham
+            assert start_order.__func__ is spinchain.SectorHamiltonian.start_order
             if len(copies) % 2:
                 assert np.array_equal(start_weights(), copies[-1])
             copies.append(start_weights())
@@ -938,12 +1051,14 @@ class TestStartWeights:
         twists = (Twist.PBC, Twist.ABC)
         steps = []
 
-        def count(matvec, dim, seed=0, start_weights=None):
-            result = lowest_eigenpair(matvec, dim, seed, start_weights=start_weights)
+        def count(matvec, dim, seed=0, start_weights=None, start_order=None):
+            result = lowest_eigenpair(
+                matvec, dim, seed, start_weights=start_weights, start_order=start_order
+            )
             steps.append(result[0].iterations)
             return result
 
-        def count_unweighted(matvec, dim, seed=0, start_weights=None):
+        def count_unweighted(matvec, dim, seed=0, start_weights=None, start_order=None):
             return count(matvec, dim, seed)
 
         monkeypatch.setattr(spinchain, "lowest_eigenpair", count)
@@ -991,6 +1106,37 @@ class TestStartWeights:
         for twist in twists:
             e = _dense_min(model, 8, twist)
             assert series.E(8, twist) == pytest.approx(e, abs=1e-10 * max(1.0, abs(e))), twist
+
+    @pytest.mark.parametrize(
+        "model, L",
+        [(SpinChain("single-ion", 1.0, D=7.4), 9), (SpinChain("dimerized", 1.0, delta=0.048), 12)],
+        ids=["single-ion", "dimerized"],
+    )
+    def test_each_configuration_starts_with_its_draw_in_code_order(self, model, L):
+        # the class-major solve starts from the vector a solve of the matrix
+        # in code order starts from, configuration by configuration, and so
+        # reaches the same energy in as many steps
+        spec = SpinModelSpec(model, Twist.ABC)
+        basis = SectorBasis.build(L, model.local_dim)
+        ham, ref = build_hamiltonian(spec, L, basis), reference_hamiltonian(spec, L, basis)
+        assert not np.array_equal(codes(basis), np.sort(codes(basis)))
+
+        def solve(op, **order):  # the result, and the first vector the operator sees
+            first = []
+
+            def matvec(x):
+                first[:] = first or [x.copy()]
+                return op.matvec(x)
+
+            result = lowest_eigenpair(matvec, basis.dim, 7, start_weights=op.start_weights, **order)
+            return result[0], first[0]
+
+        (result, start), (expected, expected_start) = solve(ham, start_order=ham.start_order), solve(ref)
+        rank = np.argsort(np.argsort(codes(basis)))
+        np.testing.assert_allclose(start, expected_start[rank], rtol=1e-14, atol=0)
+        assert result.iterations == expected.iterations
+        assert result.energy == pytest.approx(expected.energy, rel=1e-14)
+        assert np.array_equal(ham.start_order(), rank)
 
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
     @pytest.mark.parametrize("L", [2, 3, 4])
@@ -1048,7 +1194,7 @@ class TestSharedAssembly:
         # entry shares its position with bond 0's
         solved = []
 
-        def record(matvec, dim, seed=0, start_weights=None):
+        def record(matvec, dim, seed=0, start_weights=None, start_order=None):
             ham = matvec.__self__
             assert dim == ham.diag.size
             assert np.array_equal(start_weights(), ham.start_weights())
@@ -1079,7 +1225,7 @@ class TestSharedAssembly:
         alive_before = {id(o) for o in gc.get_objects() if isinstance(o, SectorBasis)}
         solves = []
 
-        def solve(matvec, dim, seed=0, start_weights=None):
+        def solve(matvec, dim, seed=0, start_weights=None, start_order=None):
             gc.collect()
             alive = [
                 o for o in gc.get_objects()
