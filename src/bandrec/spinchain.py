@@ -206,9 +206,7 @@ class SectorHamiltonian:
     in class order, with columns counted from the class's first row; each of
     `classes` is (first row, end row, start, stop): one class's rows of C
     and its states.  The twist bond stays in A, where `_negate_twist_bond`
-    flips it, so C is the same for both twists.  `code_first` (int32) gives,
-    for each row of C, the place of its high part's first state among the
-    sector's codes in ascending order, which `start_order` reads.
+    flips it, so C is the same for both twists.
     """
 
     diag: np.ndarray
@@ -220,7 +218,6 @@ class SectorHamiltonian:
     high_indices: np.ndarray
     high_data: np.ndarray
     classes: tuple[tuple[int, int, int, int], ...]
-    code_first: np.ndarray
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H v as one new array: D v, then A v, A^T v and each class's C_s X_s added into it."""
@@ -270,29 +267,6 @@ class SectorHamiltonian:
         weights /= scale
         np.exp(weights, out=weights)
         return np.maximum(weights, np.finfo(float).tiny, out=weights)
-
-    def start_order(self) -> np.ndarray:
-        """Each state's place among the sector's codes in ascending order.
-
-        The Lanczos start takes its seed's Gaussian draws in this order, so
-        each configuration gets the same draw whatever the layout of the
-        basis: a high part's states, one row of its class, are a run of
-        consecutive codes.  The places are intp, the index type the draws
-        are gathered with, so the gather makes no converted copy.
-        """
-        order = np.empty(self.diag.size, dtype=np.intp)
-        for row, end, start, stop in self.classes:
-            run = np.arange((stop - start) // (end - row))
-            order[start:stop].reshape(end - row, run.size)[:] = self.code_first[row:end, None] + run
-        return order
-
-
-def _row_pointers(row_nnz: np.ndarray, L: int) -> np.ndarray:
-    """CSR row offsets as int32, refusing a pair count that would wrap."""
-    indptr = np.concatenate(([0], np.cumsum(row_nnz, dtype=np.int64)))
-    if indptr[-1] >= 2**31:
-        raise ValidationError(f"L={L}: {indptr[-1]} stored pairs overflow int32 offsets")
-    return indptr.astype(np.int32)
 
 
 def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> SectorHamiltonian:
@@ -364,7 +338,9 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
     row_nnz = np.zeros(sector.dim, dtype=np.int8)
     for _, up, down in bonds:  # the states each bond's hop leaves in the sector, bond by bond
         row_nnz += per_state(can_hop, up, down)
-    indptr = _row_pointers(row_nnz, L)
+    # int32 holds every offset: `SectorBasis.build` refused a sector whose pairs it would not
+    indptr = np.zeros(sector.dim + 1, dtype=np.int32)
+    np.cumsum(row_nnz, dtype=np.int32, out=indptr[1:])
     del row_nnz
     indices = np.empty(indptr[-1], dtype=np.int32)
     bond_of = np.empty(indptr[-1], dtype=np.int8)
@@ -404,13 +380,9 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
         (row, end, start, stop)
         for row, end, (start, stop, _) in zip(row_of.tolist(), row_of[1:].tolist(), sector.blocks)
     )
-    # in code order, the states of every smaller high code come before a high part's
-    per_high = np.zeros(d ** (L - h), dtype=np.int64)
-    per_high[rows] = np.repeat([width for _, _, width in sector.blocks], sizes)
-    code_first = (per_high.cumsum() - per_high)[rows].astype(np.int32)
     ham = SectorHamiltonian(
         diag, indptr, indices, data, at, high_indptr.astype(np.int32), hop_cols[by_row],
-        amps[hop_bonds[by_row]], classes, code_first,
+        amps[hop_bonds[by_row]], classes,
     )
     if spec.boundary_twist is Twist.ABC:
         _negate_twist_bond(ham)
@@ -455,6 +427,7 @@ def _check_size(model: SpinChain, L: int) -> None:
         raise ValidationError(f"sizes must be >= 2, got {L}")
     if model.local_dim == 2 and L % 2:
         raise ValidationError(f"spin-1/2 sizes must be even (odd L has no S^z=0 sector), got L={L}")
+    _check_pairs(L, model.local_dim)
 
 
 def energy_series(
@@ -468,18 +441,18 @@ def energy_series(
     The sizes are built and solved largest first, so each smaller size
     reuses heap that a larger one freed rather than being built on top of
     another size's leftovers; the series iterates by ascending size all the
-    same.  Each size's basis and Hamiltonian are built once, with the first
-    twist, and the basis is freed before the solves; every further twist
-    flips the twist-bond hops in place, so the energies equal those of
-    separate `build_hamiltonian` calls bit for bit.  Every solve starts from
-    `seed`'s Gaussian draws, each configuration taking the draw of its place
-    in code order (the bound method `SectorHamiltonian.start_order`), so the
-    start does not depend on the basis's layout, scaled by the weights of
-    the bound method `SectorHamiltonian.start_weights`.  The solver calls
-    both when it forms the start (and again for a replay), so no array of
-    weights or places outlives the start; above two sites the twist leaves
-    the diagonal and |A| as they are, so every twist's weights are the same
-    bytes.
+    same.  Every size is checked before anything is built, smallest first
+    and its pair count included, so of several sizes beyond int32 offsets
+    the smallest is named.  Each size's basis and Hamiltonian are built
+    once, with the first twist, and the basis is freed before the solves;
+    every further twist flips the twist-bond hops in place, so the energies
+    equal those of separate `build_hamiltonian` calls bit for bit.  Every
+    solve starts from `seed`'s Gaussian vector, in the basis's order,
+    scaled by the weights of the bound method
+    `SectorHamiltonian.start_weights`, which the solver calls when it forms
+    the start (and again for a replay), so no array of weights outlives the
+    start; above two sites the twist leaves the diagonal and |A| as they
+    are, so every twist's weights are the same bytes.
     """
     sizes = sorted(set(int(s) for s in sizes))
     twists = tuple(twists)
@@ -499,8 +472,7 @@ def energy_series(
             if i:
                 _negate_twist_bond(ham)
             result = lowest_eigenpair(
-                ham.matvec, ham.diag.size, seed,
-                start_weights=ham.start_weights, start_order=ham.start_order,
+                ham.matvec, ham.diag.size, seed, start_weights=ham.start_weights
             )[0]
             series.add(L, twist, result.energy)
         del ham  # freed before the next size is built

@@ -20,12 +20,10 @@ def hamiltonian(spec, L):
 def ground_energy(spec, L):
     """Lanczos result of the S^z = 0 sector of one model, twist and size, built anew.
 
-    The start is weighted and ordered as `energy_series` forms it, so the two agree bit for bit.
+    The start is weighted as `energy_series` weights it, so the two agree bit for bit.
     """
     ham = hamiltonian(spec, L)
-    return lowest_eigenpair(
-        ham.matvec, ham.diag.size, start_weights=ham.start_weights, start_order=ham.start_order
-    )[0]
+    return lowest_eigenpair(ham.matvec, ham.diag.size, start_weights=ham.start_weights)[0]
 
 
 def traced_peak(fn):
@@ -113,7 +111,7 @@ def reference_hamiltonian(spec, L, sector):
         data[at] = amp * raise_amp * raise_amp
         slot[src] += 1
     no_c = np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)
-    ham = SectorHamiltonian(diag, indptr, indices, data, at, *no_c, (), np.zeros(0, dtype=np.int32))
+    ham = SectorHamiltonian(diag, indptr, indices, data, at, *no_c, ())
     if spec.boundary_twist is Twist.ABC:
         ham.data[at] = -ham.data[at]
     return ham

@@ -204,7 +204,7 @@ class TestCli:
         monkeypatch.setattr(
             spinchain,
             "lowest_eigenpair",
-            lambda matvec, dim, seed, start_weights, start_order: lanczos.lowest_eigenpair(
+            lambda matvec, dim, seed, start_weights: lanczos.lowest_eigenpair(
                 lambda x: diag * x, diag.size, seed
             ),
         )
@@ -219,7 +219,7 @@ class TestCli:
 
         dims = []
 
-        def solve(matvec, dim, seed, start_weights, start_order):
+        def solve(matvec, dim, seed, start_weights):
             dims.append(dim)
             diag = np.concatenate(([-1.0], np.linspace(0.0, 1.0, dim - 2), [1e14]))
             return lanczos.lowest_eigenpair(lambda x: diag * x, dim, seed)

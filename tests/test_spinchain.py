@@ -477,13 +477,6 @@ class TestHamiltonian:
             held += cols.size
         assert held == ham.high_indices.size > 0
 
-    def test_row_offsets_refuse_a_pair_count_beyond_int32(self):
-        # the counts are summed in int64, so 2**31 pairs are named, not wrapped
-        with pytest.raises(ValidationError, match=r"L=17: 2147483648 stored pairs"):
-            spinchain._row_pointers(np.array([2**31 - 1, 1]), 17)
-        indptr = spinchain._row_pointers(np.array([2**31 - 2, 1]), 17)
-        assert indptr.dtype == np.int32 and indptr.tolist() == [0, 2**31 - 2, 2**31 - 1]
-
     def test_missing_kernel_file_names_its_path(self, tmp_path, monkeypatch):
         # a SciPy whose sparse directory lacks the extension
         (tmp_path / "scipy" / "sparse").mkdir(parents=True)
@@ -594,9 +587,7 @@ class TestGroundEnergy:
                 seen.append(x.copy())
                 return ham.matvec(x)
 
-            r, y = lowest_eigenpair(
-                matvec, ham.diag.size, start_weights=ham.start_weights, start_order=ham.start_order
-            )
+            r, y = lowest_eigenpair(matvec, ham.diag.size, start_weights=ham.start_weights)
             assert r.energy == ground_energy(spec, L).energy
             assert len(seen) == r.iterations == y.size >= 3
             x = np.array(seen).T @ y
@@ -639,7 +630,7 @@ class TestLanczosSolver:
         assert result.iterations < diag.size
         assert len(calls) == result.iterations
         assert result.energy == pytest.approx(0.0, abs=1e-10)
-        assert 0.0 < result.residual_norm <= 0.5e-8 * 4.0
+        assert 0.0 < result.residual_norm <= lanczos.TOL_RESIDUAL * 4.0
         assert y.shape == (result.iterations,)
 
     def test_ritz_estimate_is_the_residual_of_the_ritz_vector(self):
@@ -662,7 +653,7 @@ class TestLanczosSolver:
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
         explicit = np.linalg.norm(A @ x - result.energy * x)
         assert explicit == pytest.approx(result.residual_norm, rel=1e-6)
-        assert result.residual_norm <= 0.5e-8 * np.linalg.norm(A, 2)
+        assert result.residual_norm <= lanczos.TOL_RESIDUAL * np.linalg.norm(A, 2)
 
     def test_nonconvergence_carries_best_estimate(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -716,7 +707,7 @@ class TestLanczosSolver:
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     def test_working_set_does_not_grow_with_the_iterations(self, weighted):
         # v_{j-1}, v_j and the product: three vectors, and a scratch of 2^15
-        # doubles, at 9 steps and at 43.  A weighted start is formed beside
+        # doubles, at 10 steps and at 49.  A weighted start is formed beside
         # the weights and their scaled copy, three vectors too, and nothing
         # keeps the start (a kept start would add one vector, the kept rows
         # one per step, a full-length work vector one in all)
@@ -732,7 +723,7 @@ class TestLanczosSolver:
             )
             assert result.energy == pytest.approx(-gap, abs=1e-10)
             held[result.iterations] = peak / (dim * 8)
-        assert min(held) < 10 and max(held) >= 40, held
+        assert min(held) <= 10 and max(held) >= 40, held
         assert max(held.values()) < 3.5, held
         assert max(held.values()) - min(held.values()) < 0.25, held
 
@@ -801,31 +792,6 @@ class TestLanczosSolver:
             result, vec = lowest_eigenpair(lambda x: A @ x, 60, 3, start_weights=weights)
             assert result == plain[0]
             assert np.array_equal(vec, plain[1])
-
-    def test_start_order_gives_each_component_its_draw(self):
-        # component i of the start takes draw order[i]: a permuted operator
-        # solved with the permutation sees the permuted start and settles at
-        # the same energy in as many steps
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((60, 60))
-        A = A + A.T
-        perm = rng.permutation(60)
-        seen = {}
-        for name, op, order in (("plain", A, None), ("ordered", A[np.ix_(perm, perm)], lambda: perm)):
-            def matvec(x, op=op, name=name):
-                seen.setdefault(name, x.copy())
-                return op @ x
-
-            seen[name + " result"] = lowest_eigenpair(matvec, 60, 3, start_order=order)[0]
-        np.testing.assert_allclose(seen["ordered"], seen["plain"][perm], rtol=1e-14, atol=0)
-        plain, ordered = seen["plain result"], seen["ordered result"]
-        assert ordered.iterations == plain.iterations
-        assert ordered.energy == pytest.approx(plain.energy, rel=1e-13)
-
-    @pytest.mark.parametrize("order", [lambda: np.arange(3.0), lambda: np.arange(4), np.arange(3)])
-    def test_bad_start_order_rejected(self, order):
-        with pytest.raises(ValidationError, match="start order"):
-            lowest_eigenpair(lambda x: 2.5 * x, 3, start_order=order)
 
     def test_start_weights_steer_the_start(self):
         # a start weighted onto the ground state's coordinate settles at once
@@ -930,9 +896,10 @@ class TestEnergySeries:
     def test_a_size_beyond_int32_offsets_is_refused_before_anything_is_allocated(
         self, model, L, pairs
     ):
+        # the sizes are checked smallest first, though they are built largest first
         def refused():
             with pytest.raises(ValidationError, match=f"L={L}: {pairs} lower-triangle pairs overflow int32"):
-                energy_series(model, [4, L])
+                energy_series(model, [4, L + 2, L])
 
         _, peak = traced_peak(refused)
         assert peak < 2**20
@@ -998,12 +965,10 @@ class TestStartWeights:
         # the same bytes
         copies = []
 
-        def solve(matvec, dim, seed=0, start_weights=None, start_order=None):
+        def solve(matvec, dim, seed=0, start_weights=None):
             ham = matvec.__self__
             assert start_weights.__self__ is ham and dim == ham.diag.size
             assert start_weights.__func__ is spinchain.SectorHamiltonian.start_weights
-            assert start_order.__self__ is ham
-            assert start_order.__func__ is spinchain.SectorHamiltonian.start_order
             if len(copies) % 2:
                 assert np.array_equal(start_weights(), copies[-1])
             copies.append(start_weights())
@@ -1051,14 +1016,12 @@ class TestStartWeights:
         twists = (Twist.PBC, Twist.ABC)
         steps = []
 
-        def count(matvec, dim, seed=0, start_weights=None, start_order=None):
-            result = lowest_eigenpair(
-                matvec, dim, seed, start_weights=start_weights, start_order=start_order
-            )
+        def count(matvec, dim, seed=0, start_weights=None):
+            result = lowest_eigenpair(matvec, dim, seed, start_weights=start_weights)
             steps.append(result[0].iterations)
             return result
 
-        def count_unweighted(matvec, dim, seed=0, start_weights=None, start_order=None):
+        def count_unweighted(matvec, dim, seed=0, start_weights=None):
             return count(matvec, dim, seed)
 
         monkeypatch.setattr(spinchain, "lowest_eigenpair", count)
@@ -1101,42 +1064,16 @@ class TestStartWeights:
         ids=str,
     )
     def test_series_matches_the_dense_minimum(self, model):
+        # at every seed: at J = -1, D = 7.4 the ground state lies 5.5e-7
+        # below a doublet, and a Ritz value resting on a mixture of the three
+        # settles for a dozen steps at Ritz estimates down to 3e-9 of the
+        # Ritz width, which must not pass for convergence
         twists = (Twist.PBC, Twist.ABC)
-        series = energy_series(model, [8], twists)
-        for twist in twists:
-            e = _dense_min(model, 8, twist)
-            assert series.E(8, twist) == pytest.approx(e, abs=1e-10 * max(1.0, abs(e))), twist
-
-    @pytest.mark.parametrize(
-        "model, L",
-        [(SpinChain("single-ion", 1.0, D=7.4), 9), (SpinChain("dimerized", 1.0, delta=0.048), 12)],
-        ids=["single-ion", "dimerized"],
-    )
-    def test_each_configuration_starts_with_its_draw_in_code_order(self, model, L):
-        # the class-major solve starts from the vector a solve of the matrix
-        # in code order starts from, configuration by configuration, and so
-        # reaches the same energy in as many steps
-        spec = SpinModelSpec(model, Twist.ABC)
-        basis = SectorBasis.build(L, model.local_dim)
-        ham, ref = build_hamiltonian(spec, L, basis), reference_hamiltonian(spec, L, basis)
-        assert not np.array_equal(codes(basis), np.sort(codes(basis)))
-
-        def solve(op, **order):  # the result, and the first vector the operator sees
-            first = []
-
-            def matvec(x):
-                first[:] = first or [x.copy()]
-                return op.matvec(x)
-
-            result = lowest_eigenpair(matvec, basis.dim, 7, start_weights=op.start_weights, **order)
-            return result[0], first[0]
-
-        (result, start), (expected, expected_start) = solve(ham, start_order=ham.start_order), solve(ref)
-        rank = np.argsort(np.argsort(codes(basis)))
-        np.testing.assert_allclose(start, expected_start[rank], rtol=1e-14, atol=0)
-        assert result.iterations == expected.iterations
-        assert result.energy == pytest.approx(expected.energy, rel=1e-14)
-        assert np.array_equal(ham.start_order(), rank)
+        dense_min = {twist: _dense_min(model, 8, twist) for twist in twists}
+        for seed in range(20):
+            series = energy_series(model, [8], twists, seed=seed)
+            for twist, e in dense_min.items():
+                assert series.E(8, twist) == pytest.approx(e, abs=1e-10 * max(1.0, abs(e))), (seed, twist)
 
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
     @pytest.mark.parametrize("L", [2, 3, 4])
@@ -1194,7 +1131,7 @@ class TestSharedAssembly:
         # entry shares its position with bond 0's
         solved = []
 
-        def record(matvec, dim, seed=0, start_weights=None, start_order=None):
+        def record(matvec, dim, seed=0, start_weights=None):
             ham = matvec.__self__
             assert dim == ham.diag.size
             assert np.array_equal(start_weights(), ham.start_weights())
@@ -1225,7 +1162,7 @@ class TestSharedAssembly:
         alive_before = {id(o) for o in gc.get_objects() if isinstance(o, SectorBasis)}
         solves = []
 
-        def solve(matvec, dim, seed=0, start_weights=None, start_order=None):
+        def solve(matvec, dim, seed=0, start_weights=None):
             gc.collect()
             alive = [
                 o for o in gc.get_objects()
