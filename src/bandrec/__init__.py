@@ -30,7 +30,6 @@ from .core import (
     ValidationError,
 )
 from .inversion import convergence_curve, size_set_for
-from .lanczos import lowest_eigenpair
 from .numtheory import b_coefficients, moebius_table
 from .reconstruct import classify, criterion_check, extrapolate_e_inf, reconstruct_band
 from .riemann import synth_energy_series
@@ -52,7 +51,6 @@ __all__ = [
     "criterion_check",
     "energy_series",
     "extrapolate_e_inf",
-    "lowest_eigenpair",
     "moebius_table",
     "reconstruct_band",
     "size_set_for",

@@ -51,13 +51,12 @@ The module needs numpy alone.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import NumericalError, ValidationError
+from .core import NumericalError
 
 
 #: relative change of the ground Ritz value, on two steps running, that
@@ -89,29 +88,21 @@ def lowest_eigenpair(
 
     y is the ground eigenvector of the tridiagonal matrix: the Ritz vector in
     the coordinates of the Lanczos vectors, which the solve does not keep.
-    `seed`, a non-negative integer, fixes the start vector.
+    `dim` is at least 1, and `seed`, a non-negative integer, fixes the start
+    vector.
     `start_weights`, None or a zero-argument callable, returns weights that
-    multiply the start vector's Gaussian components: finite and positive of
-    shape (dim,).  Only their ratios matter, and None or all ones keep the
-    plain Gaussian start bit for bit.  The start is formed again for a
-    replay, so the callable runs once or twice and must return the same
-    weights each time.
+    multiply the start vector's Gaussian components: a float array of shape
+    (dim,), finite and positive.  Only their ratios matter, and None or all
+    ones keep the plain Gaussian start bit for bit.  The start is formed
+    again for a replay, so the callable runs once or twice and must return
+    the same weights each time.  None of this is checked: the caller,
+    `spinchain.energy_series`, meets it.
     Raises NumericalError (with `best_estimate` attached) if the Ritz value
     has not settled within MAX_ITER iterations, or if the Krylov space
     became invariant or reached the full dimension without the Ritz pair
     passing the residual bound; and
     (without it) if LAPACK fails on the tridiagonal matrix.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, not {seed!r}")
-    if dim < 1:
-        raise ValidationError("operator dimension must be >= 1")
-    if start_weights is not None and not callable(start_weights):
-        raise ValidationError(
-            "start weights must be None or a zero-argument callable that returns them, "
-            f"not {type(start_weights).__name__}"
-        )
-
     max_steps = min(MAX_ITER, dim)
     work = np.empty(min(dim, 2**15))  # the scratch of `_axpy`
     alphas: list[float] = []
@@ -176,21 +167,14 @@ def lowest_eigenpair(
 
 
 def _start(dim: int, seed: int, start_weights: Callable[[], np.ndarray] | None) -> np.ndarray:
-    """The normalized start: seed's Gaussian vector, scaled by the checked weights."""
+    """The normalized start: seed's Gaussian vector, scaled by the weights."""
     start = np.random.default_rng(seed).standard_normal(dim)
     if start_weights is not None:
         weights = start_weights()
-        try:
-            weights = np.asarray(weights, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"start weights must be real numbers ({exc})") from exc
-        if weights.shape != (dim,):
-            raise ValidationError(f"start weights must have shape ({dim},), not {weights.shape}")
-        if not (np.isfinite(weights).all() and (weights > 0).all()):
-            raise ValidationError("start weights must be finite and > 0")
         # scaled to a largest weight of 1, so the norm can neither overflow
-        # nor underflow
-        start *= weights / weights.max()
+        # nor underflow; in place, so no scaled copy of the weights is made
+        start /= weights.max()
+        start *= weights
     start /= np.linalg.norm(start)
     return start
 

@@ -26,8 +26,6 @@ def riemann_sum(band: Band, L: int, twist: Twist) -> float:
     Cosine-series bands are evaluated exactly through the aliasing sum;
     closed forms by averaging their samples.
     """
-    if L < 1:
-        raise ValidationError(f"riemann_sum requires L >= 1, got {L}")
     if isinstance(band, FourierBand):
         q = twist.q
         total = band.c0

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -283,16 +284,10 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
     inside the high half, from every high part of a class to the row of its
     target in that class.  The matrix keeps the positions of bond L-1's
     hops (raise site 0, lower site L-1); with the abc twist,
-    `_negate_twist_bond` then gives them the antiperiodic sign.
+    `_negate_twist_bond` then gives them the antiperiodic sign.  The caller
+    builds `sector` for the same L >= 2 and the model's local dimension.
     """
     model = spec.model
-    if L < 2:
-        raise ValidationError("chains below two sites are not supported")
-    if sector.L != L or sector.local_dim != model.local_dim:
-        raise ValidationError(
-            f"sector (L={sector.L}, d={sector.local_dim}) does not match "
-            f"model (L={L}, d={model.local_dim})"
-        )
     d, h = model.local_dim, L // 2
     s2 = d - 1  # twice the site spin
     couplings = model.bond_couplings(L)
@@ -443,7 +438,8 @@ def energy_series(
     another size's leftovers; the series iterates by ascending size all the
     same.  Every size is checked before anything is built, smallest first
     and its pair count included, so of several sizes beyond int32 offsets
-    the smallest is named.  Each size's basis and Hamiltonian are built
+    the smallest is named; the seed, a non-negative integer of any integer
+    type, is checked after them.  Each size's basis and Hamiltonian are built
     once, with the first twist, and the basis is freed before the solves;
     every further twist flips the twist-bond hops in place, so the energies
     equal those of separate `build_hamiltonian` calls bit for bit.  Every
@@ -464,6 +460,8 @@ def energy_series(
         raise ValidationError(f"duplicate twists {[str(t) for t in twists]}")
     for L in sizes:
         _check_size(model, L)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, not {seed!r}")
     series = EnergySeries(nu=model.nu_hint, model=model.kind)
     spec = SpinModelSpec(model, twists[0])
     for L in reversed(sizes):

@@ -52,10 +52,6 @@ class TestRiemannSum:
     def test_massless_two_points(self):
         assert riemann_sum(MassiveSineBand(1.0, 0.0), 2, Twist.PBC) == pytest.approx(0.5)
 
-    def test_domain_error(self):
-        with pytest.raises(ValidationError):
-            riemann_sum(FourierBand(1.0), 0, Twist.PBC)
-
     @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
     def test_exact_matches_direct_summation(self, twist):
         rng = np.random.default_rng(5)
