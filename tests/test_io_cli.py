@@ -270,6 +270,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
 
+    @pytest.mark.parametrize(
+        "model",
+        [["heisenberg"], ["dimerized", "--delta", "0.3"], ["single-ion", "--D", "7.4"]],
+        ids=lambda m: m[0],
+    )
+    def test_ed_refuses_sizes_below_two(self, model, capsys):
+        assert main(["ed", "--model", *model, "--sizes", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "sizes must be >= 2, got 1" in captured.err
+
     def test_ed_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["ed", "--model", "dimerized", "--delta", "0.2", "--sizes", "2:8:2", "--twist", "both"]

@@ -143,6 +143,13 @@ class TestEnergySeries:
         with pytest.raises(ValidationError):
             series.add(2, Twist.PBC, -1.0)
 
+    @pytest.mark.parametrize("L", [0, -1])
+    def test_sizes_below_one_rejected(self, L):
+        # riemann_sum takes L >= 1 on trust: reconstruct reaches it only
+        # through the sizes a series holds
+        with pytest.raises(ValidationError, match="size must be positive"):
+            EnergySeries().add(L, Twist.PBC, 1.0)
+
     def test_missing_lookup(self):
         with pytest.raises(ValidationError):
             EnergySeries().E(2, Twist.PBC)

@@ -850,7 +850,38 @@ class TestEnergySeries:
         with pytest.raises(ValidationError):
             energy_series(SpinChain("single-ion", 1.0, D=5.0), [1, 2], (Twist.PBC,))
 
-    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("sizes", [[1], [6, 1]], ids=["alone", "beside-a-good-size"])
+    def test_sizes_below_two_are_refused_before_any_build(self, model, sizes, monkeypatch):
+        # build_hamiltonian takes L >= 2 on trust: no size below two reaches it
+        def build(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(spinchain.SectorBasis, "build", build)
+        with pytest.raises(ValidationError, match="sizes must be >= 2, got 1"):
+            energy_series(model, sizes)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    def test_each_build_gets_a_sector_of_its_size_and_local_dimension(self, model, monkeypatch):
+        # build_hamiltonian takes the sector on trust: its one caller builds
+        # it for the same L and the model's local dimension
+        built = []
+        real = spinchain.build_hamiltonian
+
+        def checked(spec, L, sector):
+            assert (sector.L, sector.local_dim) == (L, spec.model.local_dim)
+            built.append(L)
+            return real(spec, L, sector)
+
+        monkeypatch.setattr(spinchain, "build_hamiltonian", checked)
+        energy_series(model, [2, 4, 6], (Twist.PBC, Twist.ABC))
+        assert built == [6, 4, 2]
+
+    @pytest.mark.parametrize(
+        "seed",
+        [-1, 2.5, True, "3", None, 3.0, np.int64(-1), np.float64(3.0), np.True_],
+        ids=["-1", "2.5", "True", "3", "None", "3.0", "int64(-1)", "float64(3.0)", "bool_(True)"],
+    )
     def test_seed_other_than_a_non_negative_integer_rejected(self, seed, monkeypatch):
         def build(*args, **kwargs):
             raise AssertionError("a basis was built")
