@@ -36,9 +36,9 @@ into the Ritz vector and judges its explicit residual against
 0.5e-8 max(1, |theta|).
 
 The start vector is drawn from the seed's Gaussian stream, so runs are
-reproducible.  A caller that knows where the ground state lies may scale
-the start's Gaussian components by positive weights, passed as a
-zero-argument callable that returns them: `spinchain` passes the bound
+reproducible.  The start's Gaussian components are scaled by positive
+weights, passed as a zero-argument callable that returns them (all ones
+keep the plain Gaussian start bit for bit): `spinchain` passes the bound
 method that weights each configuration by its diagonal energy, so a ground
 state near the diagonal minimum starts with most of the start vector's
 weight.  The solve calls it whenever it forms the start, once, or twice
@@ -81,8 +81,8 @@ class LanczosResult:
 def lowest_eigenpair(
     matvec: Callable[[np.ndarray], np.ndarray],
     dim: int,
-    seed: int = 0,
-    start_weights: Callable[[], np.ndarray] | None = None,
+    seed: int,
+    start_weights: Callable[[], np.ndarray],
 ) -> tuple[LanczosResult, np.ndarray]:
     """Ground eigenvalue of a real symmetric operator, and its Ritz pair's y.
 
@@ -90,10 +90,10 @@ def lowest_eigenpair(
     the coordinates of the Lanczos vectors, which the solve does not keep.
     `dim` is at least 1, and `seed`, a non-negative integer, fixes the start
     vector.
-    `start_weights`, None or a zero-argument callable, returns weights that
+    `start_weights`, a zero-argument callable, returns weights that
     multiply the start vector's Gaussian components: a float array of shape
-    (dim,), finite and positive.  Only their ratios matter, and None or all
-    ones keep the plain Gaussian start bit for bit.  The start is formed
+    (dim,), finite and positive.  Only their ratios matter, and all ones
+    keep the plain Gaussian start bit for bit.  The start is formed
     again for a replay, so the callable runs once or twice and must return
     the same weights each time.  None of this is checked: the caller,
     `spinchain.energy_series`, meets it.
@@ -166,15 +166,14 @@ def lowest_eigenpair(
     return LanczosResult(theta, residual, steps), y
 
 
-def _start(dim: int, seed: int, start_weights: Callable[[], np.ndarray] | None) -> np.ndarray:
+def _start(dim: int, seed: int, start_weights: Callable[[], np.ndarray]) -> np.ndarray:
     """The normalized start: seed's Gaussian vector, scaled by the weights."""
     start = np.random.default_rng(seed).standard_normal(dim)
-    if start_weights is not None:
-        weights = start_weights()
-        # scaled to a largest weight of 1, so the norm can neither overflow
-        # nor underflow; in place, so no scaled copy of the weights is made
-        start /= weights.max()
-        start *= weights
+    weights = start_weights()
+    # scaled to a largest weight of 1, so the norm can neither overflow nor
+    # underflow; in place, so no scaled copy of the weights is made
+    start /= weights.max()
+    start *= weights
     start /= np.linalg.norm(start)
     return start
 
@@ -183,7 +182,7 @@ def _replayed_residual(
     matvec: Callable[[np.ndarray], np.ndarray],
     dim: int,
     seed: int,
-    start_weights: Callable[[], np.ndarray] | None,
+    start_weights: Callable[[], np.ndarray],
     work: np.ndarray,
     alphas: list[float],
     betas: list[float],

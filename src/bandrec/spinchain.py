@@ -9,26 +9,22 @@ other d^L codes.  The states are laid out class-major: the high parts
 grouped by digit sum, each followed by the low parts that complete it, so
 the high parts of one digit sum and their low parts form one row-major
 block X_s.  The real symmetric sector Hamiltonian is held as
-H = D + A + A^T + (+)_s C_s (x) 1 (the sector ED of Sandvik, AIP Conf.
-Proc. 1297, 135, 2010, arXiv:1101.3281).  D is its diagonal; A, in CSR form
-(int32 offsets and indices), holds one hop per state of each bond that
-touches the low half: the bonds inside it, the bond across the split and
-the twist bond.  A bond inside the high half changes the high part alone,
-so on each block it acts as one small matrix C_s on the rows of X_s, the
-superblock product of DMRG (White, PRB 48, 10345, 1993); C holds those
-hops once per high part instead of once per state.  The build reads each
-site's 2 S^z from int8 tables over one half's codes and ranks each hop's
-target with the basis's tables: beyond the finished matrix it holds under
-one int64 vector of the sector.  Only SciPy's `_sparsetools` extension is
-loaded, for its three CSR kernels, and no `scipy` module is left in
-`sys.modules`.
+H = D + A + A^T + (+)_s (C_s (x) 1 + 1 (x) B_s) (the sector ED of Sandvik,
+AIP Conf. Proc. 1297, 135, 2010, arXiv:1101.3281).  D is its diagonal.  A
+bond inside one half changes that half's part alone, so on each block the
+bonds inside the high half act as one small matrix C_s on the rows of X_s
+and those inside the low half as one small B_s on its columns, the
+superblock product of DMRG (White, PRB 48, 10345, 1993).  A, in CSR form
+(int32 offsets and indices), holds one hop per state of the two bonds that
+cross the split: (h-1, h) and the twist bond (0, L-1).  Only SciPy's
+`_sparsetools` extension is loaded, for its three CSR kernels, and no
+`scipy` module is left in `sys.modules`.
 
 Antiperiodic boundary conditions flip the sign of the transverse part of
 the boundary bond (S+_L S-_1) and leave S^z_L S^z_1 unchanged: the abc
-matrix is the pbc one with the boundary-bond hops, whose positions A
-carries, negated in place (`_negate_twist_bond`): the exact flip that
-`energy_series` also uses, once it has released the basis.  The twist
-bond stays in A for that reason, and C is the same for both twists.
+matrix is the pbc one with the twist bond's hops, whose positions A
+carries, negated in place (`_negate_twist_bond`), the exact flip that
+`energy_series` also uses.  B and C are the same for both twists.
 """
 
 from __future__ import annotations
@@ -168,8 +164,8 @@ def _csr_kernels():
     """SciPy's `csr_matvec`, `csc_matvec` and `csr_matvecs`, from the `_sparsetools` file.
 
     The first two add A v and A^T v from A's CSR arrays; `csr_matvecs` adds
-    C_s X for a row-major block X of vectors, each class's product with the
-    high half's bonds.  The extension enters itself in `sys.modules` as it
+    C_s X for a row-major block X of vectors: each class's C_s X_s and
+    B_s X_s^T.  The extension enters itself in `sys.modules` as it
     loads, before any `scipy.sparse` package exists; that entry is removed
     again and the module is held only here, so a later `import scipy.sparse`
     loads it as its own attribute.
@@ -192,22 +188,21 @@ def _csr_kernels():
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """A real symmetric sector Hamiltonian H = D + A + A^T + (+)_s C_s (x) 1.
+    """A real symmetric sector Hamiltonian H = D + A + A^T + (+)_s (C_s (x) 1 + 1 (x) B_s).
 
     `diag` holds D; `indptr`, `indices` (int32) and `data` are the CSR arrays
-    of the strictly lower triangle A, which holds the bonds that touch the
-    low half: the h-1 bonds inside it, the bond (h-1, h) that straddles the
-    split and the twist bond (0, L-1), in bond order within a row.
-    `twist_entries` (int32) are the positions in `data` of the twist bond's
-    hops; the L=2 ring's two bonds share one position, and both products sum
-    them.  The L-h-1 bonds inside the high half change the high part alone,
-    so on class s, the row-major block X_s of the basis, they act as C_s X_s.
-    `high_indptr`, `high_indices` (int32) and `high_data` are the CSR arrays,
-    both triangles, of the block-diagonal C over the classes' high parts,
-    in class order, with columns counted from the class's first row; each of
-    `classes` is (first row, end row, start, stop): one class's rows of C
-    and its states.  The twist bond stays in A, where `_negate_twist_bond`
-    flips it, so C is the same for both twists.
+    of the strictly lower triangle A: in each row a hop of the bond (h-1, h)
+    across the split, then one of the twist bond (0, L-1), whose positions
+    in `data` are `twist_entries` (int32); the L=2 ring's two bonds share
+    one position, and both products sum them.  On class s, the row-major
+    block X_s of the basis, the bonds inside the high half act as C_s X_s
+    and those inside the low half as X_s B_s.  `high_*` and `low_*` are the
+    CSR arrays, both hops of each bond, of the block-diagonal C over the
+    classes' high parts and B over their low parts, in class order, with
+    columns counted from the class's first row.  Each of `classes` is
+    (first row, end row of C, first row, end row of B, start, stop): one
+    class's rows and states.  B and C hold no twist-bond hop, so they are
+    the same for both twists.
     """
 
     diag: np.ndarray
@@ -218,22 +213,31 @@ class SectorHamiltonian:
     high_indptr: np.ndarray
     high_indices: np.ndarray
     high_data: np.ndarray
-    classes: tuple[tuple[int, int, int, int], ...]
+    low_indptr: np.ndarray
+    low_indices: np.ndarray
+    low_data: np.ndarray
+    classes: tuple[tuple[int, int, int, int, int, int], ...]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """H v as one new array: D v, then A v, A^T v and each class's C_s X_s added into it."""
+        """H v as one new array: D v, then A v, A^T v, C_s X_s and X_s B_s added into it."""
         csr_matvec, csc_matvec, csr_matvecs = _csr_kernels()
         out = self.diag * v
         n, lower = self.diag.size, (self.indptr, self.indices, self.data)
         csr_matvec(n, n, *lower, v, out)
         # A's arrays read as compressed columns are A^T
         csc_matvec(n, n, *lower, v, out)
-        for row, end, start, stop in self.classes:
-            rows = end - row
-            csr_matvecs(
-                rows, rows, (stop - start) // rows, self.high_indptr[row : end + 1],
-                self.high_indices, self.high_data, v[start:stop], out[start:stop],
-            )
+        for row, end, low, low_end, start, stop in self.classes:
+            rows, width = end - row, low_end - low
+            x, y = v[start:stop].reshape(rows, width), out[start:stop].reshape(rows, width)
+            high = self.high_indptr[row : end + 1], self.high_indices, self.high_data
+            csr_matvecs(rows, rows, width, *high, x, y)
+            low_csr = self.low_indptr[low : low_end + 1], self.low_indices, self.low_data
+            step = -(-(2**16) // width)  # X_s B_s = (B_s X_s^T)^T, 2^16 states at a time
+            for r in range(0, rows, step):
+                xt = x[r : r + step].T.copy()
+                yt = np.zeros_like(xt)
+                csr_matvecs(width, width, xt.shape[1], *low_csr, xt, yt)
+                y[r : r + step] += yt.T
         return out
 
     def start_weights(self) -> np.ndarray:
@@ -242,7 +246,7 @@ class SectorHamiltonian:
         A configuration whose diagonal energy lies many hop amplitudes above
         the lowest carries little of a ground state near the diagonal
         minimum, so it starts with little weight.  The largest hop is read
-        from A and C alike.  The weights depend on D / max|H_ij| alone:
+        from A, B and C alike.  The weights depend on D / max|H_ij| alone:
         scaling or shifting H leaves them as they are, and so does the twist
         above two sites (the two-site ring keeps both bonds' hops at one
         position of A, the twist bond's right after bond 0's in the row; they
@@ -258,10 +262,8 @@ class SectorHamiltonian:
             data = data.copy()
             data[twist - 1] += data[twist]
             data[twist] = 0.0
-        scale = max(  # no |data| copy
-            data.max(initial=0.0), -data.min(initial=0.0),
-            self.high_data.max(initial=0.0), -self.high_data.min(initial=0.0),
-        )
+        arrays = data, self.low_data, self.high_data  # no |data| copy
+        scale = max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in arrays)
         if not scale:
             return np.ones(self.diag.size)
         weights = np.subtract(self.diag.min(), self.diag)
@@ -271,19 +273,19 @@ class SectorHamiltonian:
 
 
 def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> SectorHamiltonian:
-    """The sector-restricted Hamiltonian of one model, as D + A + A^T + (+)_s C_s (x) 1.
+    """The sector-restricted Hamiltonian of one model, in the form of `SectorHamiltonian`.
 
-    Each bond in A stores one hop: the one that raises its less significant
-    site and lowers the other.  That hop lowers the low part's code, or
-    moves a unit of digit sum from the high part to the low one, so its
-    target comes earlier in the basis and its entry lies below the
+    A stores one hop of each of its two bonds: the one that raises the less
+    significant site and lowers the other.  That hop lowers the low part's
+    code, or moves a unit of digit sum from the high part to the low one,
+    so its target comes earlier in the basis and its entry lies below the
     diagonal, in the row of the source state.  Its column is
     first[hi + dh] + within[lo + dl], the shifted parts ranked by the
     basis's tables.  A site's 2 S^z is read from a table over one half's
-    codes, gathered by the state's part.  C holds both hops of each bond
-    inside the high half, from every high part of a class to the row of its
-    target in that class.  The matrix keeps the positions of bond L-1's
-    hops (raise site 0, lower site L-1); with the abc twist,
+    codes, gathered by the state's part.  C and B hold both hops of each
+    bond inside their half, from every part of a class to its target's row
+    in that class (for B, its `within` rank).  A keeps the positions of bond
+    L-1's hops (raise site 0, lower site L-1); with the abc twist,
     `_negate_twist_bond` then gives them the antiperiodic sign.  The caller
     builds `sector` for the same L >= 2 and the model's local dimension.
     """
@@ -327,58 +329,52 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
     def can_hop(m, n):  # the level of 2 S^z = m can rise and that of n fall
         return (m < s2) & (n > -s2)
 
-    # A: the bonds inside the low half, the one across the split, then the twist bond,
-    # each as (bond, raised site, lowered site)
-    bonds = [(b, b, b + 1) for b in range(h)] + [(L - 1, 0, L - 1)]
-    row_nnz = np.zeros(sector.dim, dtype=np.int8)
-    for _, up, down in bonds:  # the states each bond's hop leaves in the sector, bond by bond
-        row_nnz += per_state(can_hop, up, down)
+    # A: the bond across the split, then the twist bond, as (bond, raised site, lowered site)
+    bonds = [(h - 1, h - 1, h), (L - 1, 0, L - 1)]
+    masks = [per_state(can_hop, up, down) for _, up, down in bonds]  # the states each hop leaves
     # int32 holds every offset: `SectorBasis.build` refused a sector whose pairs it would not
     indptr = np.zeros(sector.dim + 1, dtype=np.int32)
-    np.cumsum(row_nnz, dtype=np.int32, out=indptr[1:])
-    del row_nnz
+    np.cumsum(np.add(*masks, dtype=np.int8), dtype=np.int32, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    bond_of = np.empty(indptr[-1], dtype=np.int8)
-    slot = indptr[:-1].copy()  # next free position of every row
-    for b, up, down in bonds:
-        src = np.flatnonzero(per_state(can_hop, up, down))
-        at = slot[src]
-        (high_up, low_up), (high_down, low_down) = step(up), step(down)
-        target = np.take(sector.first, np.take(sector.high, src) + (high_up - high_down))
-        target += np.take(sector.within, np.take(sector.low, src) + (low_up - low_down))
-        indices[at] = target
-        bond_of[at] = b
-        slot[src] = at + 1
-    del slot, src, target  # before the data is gathered
-    # the loop ends on bond L-1, so `at` holds the twist bond's positions
     data = np.empty(indptr[-1])
-    for lo in range(0, data.size, 2**16):  # take reads its indices as intp: a chunk at a time
-        np.take(amps, bond_of[lo : lo + 2**16], out=data[lo : lo + 2**16])
-    del bond_of
+    for last, (b, up, down) in enumerate(bonds):  # a row's first entry, then its last
+        (high_up, low_up), (high_down, low_down) = step(up), step(down)
+        for lo in range(0, sector.dim, 2**16):  # take reads its indices as intp: a chunk at a time
+            src = np.flatnonzero(masks[last][lo : lo + 2**16]) + lo
+            target = np.take(sector.first, np.take(sector.high, src) + (high_up - high_down))
+            target += np.take(sector.within, np.take(sector.low, src) + (low_up - low_down))
+            at = np.take(indptr, src + last) - last
+            indices[at] = target
+            data[at] = amps[b]
+    twist = indptr[1:][masks[1]] - 1  # each twist hop ends its row
 
-    # C: both hops of every bond inside the high half, one row per high part in class order
-    parts = [sector.high[start:stop:width] for start, stop, width in sector.blocks]
-    sizes = [part.size for part in parts]
-    row_of = np.cumsum([0] + sizes)  # each class's first row of C, then the row count
-    rows = np.concatenate([np.zeros(0, dtype=np.int32), *parts])
-    column = np.zeros(d ** (L - h), dtype=np.int32)  # a high part's row within its class
-    column[rows] = np.arange(rows.size) - np.repeat(row_of[:-1], sizes)
-    found = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.intp))]
-    for b in range(h, L - 1):
-        for up, down in ((b - h, b + 1 - h), (b + 1 - h, b - h)):
-            src = np.flatnonzero(can_hop(high_m2[up][rows], high_m2[down][rows]))
-            found.append((src, column[rows[src] + (d**up - d**down)], np.full(src.size, b)))
-    hop_rows, hop_cols, hop_bonds = map(np.concatenate, zip(*found))
-    by_row = np.argsort(hop_rows, kind="stable")  # bond by bond within a row
-    high_indptr = np.concatenate(([0], np.bincount(hop_rows, minlength=rows.size).cumsum()))
+    def per_class(m2, parts, bond_amps):  # both hops of every bond inside one half
+        sizes = [part.size for part in parts]
+        first_row = np.cumsum([0] + sizes)  # each class's first row, then the row count
+        rows = np.concatenate([np.zeros(0, dtype=np.int32), *parts])
+        column = np.zeros(m2.shape[1], dtype=np.int32)  # a part's row within its class
+        column[rows] = np.arange(rows.size) - np.repeat(first_row[:-1], sizes)
+        found = [(np.zeros(0, dtype=np.int32),) * 3]  # no bond: no hop
+        for i in range(len(m2) - 1):  # the bond of the half's sites i, i + 1 has bond_amps[i]
+            for up, down in ((i, i + 1), (i + 1, i)):
+                src = np.flatnonzero(can_hop(m2[up][rows], m2[down][rows]))
+                found.append((src, column[rows[src] + (d**up - d**down)], np.full(src.size, i)))
+        hop_rows, hop_cols, hop_bonds = map(np.concatenate, zip(*found))
+        by_row = np.argsort(hop_rows, kind="stable")  # bond by bond within a row
+        indptr = np.concatenate(([0], np.bincount(hop_rows, minlength=rows.size).cumsum()))
+        csr = indptr.astype(np.int32), hop_cols[by_row], bond_amps[hop_bonds[by_row]]
+        return first_row.tolist(), csr
+
+    # C over the high part of each row of a class, B over the low parts of one of its rows
+    blocks = sector.blocks
+    c_rows, high = per_class(high_m2, [sector.high[a:z:w] for a, z, w in blocks], amps[h:])
+    b_rows, low = per_class(low_m2, [sector.low[a : a + w] for a, _, w in blocks], amps)
     classes = tuple(
-        (row, end, start, stop)
-        for row, end, (start, stop, _) in zip(row_of.tolist(), row_of[1:].tolist(), sector.blocks)
+        (row, end, low_row, low_end, start, stop)
+        for row, end, low_row, low_end, (start, stop, _)
+        in zip(c_rows, c_rows[1:], b_rows, b_rows[1:], blocks)
     )
-    ham = SectorHamiltonian(
-        diag, indptr, indices, data, at, high_indptr.astype(np.int32), hop_cols[by_row],
-        amps[hop_bonds[by_row]], classes,
-    )
+    ham = SectorHamiltonian(diag, indptr, indices, data, twist, *high, *low, classes)
     if spec.boundary_twist is Twist.ABC:
         _negate_twist_bond(ham)
     return ham
@@ -434,21 +430,17 @@ def energy_series(
     """Ground-state energy series of one model over sizes and twists.
 
     The sizes are built and solved largest first, so each smaller size
-    reuses heap that a larger one freed rather than being built on top of
-    another size's leftovers; the series iterates by ascending size all the
-    same.  Every size is checked before anything is built, smallest first
-    and its pair count included, so of several sizes beyond int32 offsets
-    the smallest is named; the seed, a non-negative integer of any integer
-    type, is checked after them.  Each size's basis and Hamiltonian are built
-    once, with the first twist, and the basis is freed before the solves;
-    every further twist flips the twist-bond hops in place, so the energies
-    equal those of separate `build_hamiltonian` calls bit for bit.  Every
-    solve starts from `seed`'s Gaussian vector, in the basis's order,
-    scaled by the weights of the bound method
-    `SectorHamiltonian.start_weights`, which the solver calls when it forms
-    the start (and again for a replay), so no array of weights outlives the
-    start; above two sites the twist leaves the diagonal and |A| as they
-    are, so every twist's weights are the same bytes.
+    reuses heap that a larger one freed; the series iterates by ascending
+    size all the same.  Every size is checked before anything is built,
+    smallest first, so of several sizes beyond int32 offsets the smallest
+    is named; then the seed, a non-negative integer of any integer type.
+    Each size's basis and Hamiltonian are built once, with the first twist,
+    and the basis is freed before the solves; every further twist flips the
+    twist-bond hops in place, so the energies equal those of separate
+    `build_hamiltonian` calls bit for bit.  Every solve starts from `seed`'s
+    Gaussian vector, in the basis's order, scaled by the weights of the
+    bound method `SectorHamiltonian.start_weights`, which the solver calls
+    when it forms the start, so no array of weights outlives the start.
     """
     sizes = sorted(set(int(s) for s in sizes))
     twists = tuple(twists)

@@ -23,7 +23,7 @@ def ground_energy(spec, L):
     The start is weighted as `energy_series` weights it, so the two agree bit for bit.
     """
     ham = hamiltonian(spec, L)
-    return lowest_eigenpair(ham.matvec, ham.diag.size, start_weights=ham.start_weights)[0]
+    return lowest_eigenpair(ham.matvec, ham.diag.size, 0, ham.start_weights)[0]
 
 
 def traced_peak(fn):
@@ -42,16 +42,18 @@ def codes(sector):
 
 
 def entries(ham):
-    """(rows, columns, values) of every off-diagonal entry of A + A^T + (+)_s C_s (x) 1.
+    """(rows, columns, values) of every off-diagonal entry of A + A^T + (+)_s (C_s (x) 1 + 1 (x) B_s).
 
     Entry (i, j) of C_s couples the states (i, k) and (j, k) of class s's
-    row-major block, for every column k.
+    row-major block, for every column k; entry (i, j) of B_s couples the
+    states (k, i) and (k, j), for every row k.
     """
     n = ham.diag.size
     rows = np.repeat(np.arange(n), np.diff(ham.indptr))
     parts = [(rows, ham.indices, ham.data), (ham.indices, rows, ham.data)]
-    for row, end, start, stop in ham.classes:
-        width = (stop - start) // (end - row)
+    for row, end, low, low_end, start, stop in ham.classes:
+        width = low_end - low
+        assert (end - row) * width == stop - start
         at = slice(ham.high_indptr[row], ham.high_indptr[end])
         i = np.repeat(np.arange(end - row), np.diff(ham.high_indptr[row : end + 1]))
         k = np.arange(width)
@@ -59,6 +61,14 @@ def entries(ham):
             (start + i[:, None] * width + k).ravel(),
             (start + ham.high_indices[at, None] * width + k).ravel(),
             np.repeat(ham.high_data[at], width),
+        ))
+        at = slice(ham.low_indptr[low], ham.low_indptr[low_end])
+        i = np.repeat(np.arange(width), np.diff(ham.low_indptr[low : low_end + 1]))
+        k = np.arange(end - row)[:, None] * width
+        parts.append((
+            (start + k + i).ravel(),
+            (start + k + ham.low_indices[at]).ravel(),
+            np.tile(ham.low_data[at], end - row),
         ))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
@@ -71,13 +81,15 @@ def dense(ham):
     return out
 
 
-def reference_hamiltonian(spec, L, sector):
+def reference_hamiltonian(spec, L, sector, bonds=None):
     """The sector matrix built the plain way, in code order: the reference of `build_hamiltonian`.
 
-    The states are the basis's codes sorted, and A holds one hop of every
-    bond.  Per-site levels from `states // d**site % d`, S^z looked up as
-    floats, a binary search over the sorted states for every hop's target,
-    and each hop's amplitude written as it is found.
+    The states are the basis's codes sorted, and A holds one hop of each of
+    `bonds` (every bond by default; (L // 2 - 1, L - 1) gives the two that
+    cross the split, which `build_hamiltonian` keeps in its A), and B and C
+    are empty.  Per-site levels from `states // d**site % d`, S^z looked up
+    as floats, a binary search over the sorted states for every hop's
+    target, and each hop's amplitude written as it is found.
     """
     model = spec.model
     d = model.local_dim
@@ -95,7 +107,7 @@ def reference_hamiltonian(spec, L, sector):
             diag += onsite * m_of_level[digits[i]] ** 2
     raise_amp = np.sqrt(s2)
     hops, row_nnz = [], np.zeros(sector.dim, dtype=np.int64)
-    for b in range(L):
+    for b in range(L) if bonds is None else bonds:
         up_site, down_site = (b, b + 1) if b < L - 1 else (0, L - 1)
         mask = (digits[up_site] < d - 1) & (digits[down_site] > 0)
         hops.append((d**up_site - d**down_site, 0.5 * couplings[b], mask))
@@ -110,8 +122,8 @@ def reference_hamiltonian(spec, L, sector):
         indices[at] = np.searchsorted(states, states[src] + shift)
         data[at] = amp * raise_amp * raise_amp
         slot[src] += 1
-    no_c = np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)
-    ham = SectorHamiltonian(diag, indptr, indices, data, at, *no_c, ())
+    empty = np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)
+    ham = SectorHamiltonian(diag, indptr, indices, data, at, *empty, *empty, ())
     if spec.boundary_twist is Twist.ABC:
         ham.data[at] = -ham.data[at]
     return ham

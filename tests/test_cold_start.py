@@ -124,20 +124,32 @@ for ham, v, product in zip(hams, vs, products):
     tools.csr_matvec(n, n, A.indptr, A.indices, A.data, v, out)
     tools.csc_matvec(n, n, A.indptr, A.indices, A.data, v, out)
     expected = A @ v + A.T @ v + ham.diag * v
-    assert len(ham.classes) > 1
-    for row, end, start, stop in ham.classes:
+    assert len(ham.classes) > 1 and ham.low_data.size > 0
+    for row, end, low, low_end, start, stop in ham.classes:
         ptr = ham.high_indptr[row : end + 1]
         C = scipy.sparse.csr_matrix(
             (ham.high_data[ptr[0] : ptr[-1]], ham.high_indices[ptr[0] : ptr[-1]], ptr - ptr[0]),
             shape=(end - row, end - row),
         )
-        X = v[start:stop].reshape(end - row, -1)
+        X = v[start:stop].reshape(end - row, low_end - low)
         Y = np.zeros_like(X)
         high = (end - row, end - row, X.shape[1], ptr, ham.high_indices, ham.high_data, X)
         tools.csr_matvecs(*high, Y)
         assert np.array_equal(Y, C @ X)
         tools.csr_matvecs(*high, out[start:stop])
         expected[start:stop] += Y.ravel()
+        # the low half's bonds: (B_s X_s^T)^T, through a transposed copy
+        ptr = ham.low_indptr[low : low_end + 1]
+        B = scipy.sparse.csr_matrix(
+            (ham.low_data[ptr[0] : ptr[-1]], ham.low_indices[ptr[0] : ptr[-1]], ptr - ptr[0]),
+            shape=(low_end - low, low_end - low),
+        )
+        Yt = np.zeros_like(X.T)
+        low_csr = (ptr, ham.low_indices, ham.low_data)
+        tools.csr_matvecs(low_end - low, low_end - low, end - row, *low_csr, X.T.copy(), Yt)
+        assert np.array_equal(Yt, B @ X.T)
+        out[start:stop] += Yt.T.ravel()
+        expected[start:stop] += (B @ X.T).T.ravel()
     assert np.array_equal(ham.matvec(v), out) and np.array_equal(product, out)
     assert np.abs(expected - out).max() <= 1e-12 * np.abs(out).max()
 print("ok")

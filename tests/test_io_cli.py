@@ -205,7 +205,7 @@ class TestCli:
             spinchain,
             "lowest_eigenpair",
             lambda matvec, dim, seed, start_weights: lanczos.lowest_eigenpair(
-                lambda x: diag * x, diag.size, seed
+                lambda x: diag * x, diag.size, seed, lambda: np.ones(diag.size)
             ),
         )
         assert main(["ed", "--model", "heisenberg", "--sizes", "4"]) == 3
@@ -222,7 +222,7 @@ class TestCli:
         def solve(matvec, dim, seed, start_weights):
             dims.append(dim)
             diag = np.concatenate(([-1.0], np.linspace(0.0, 1.0, dim - 2), [1e14]))
-            return lanczos.lowest_eigenpair(lambda x: diag * x, dim, seed)
+            return lanczos.lowest_eigenpair(lambda x: diag * x, dim, seed, lambda: np.ones(dim))
 
         monkeypatch.setattr(spinchain, "lowest_eigenpair", solve)
         assert main(["ed", "--model", "heisenberg", "--sizes", "4,8"]) == 3

@@ -11,7 +11,7 @@ import pytest
 from bandrec import lanczos, spinchain
 from bandrec import NumericalError, SpinChain, Twist, ValidationError, energy_series
 from bandrec.lanczos import lowest_eigenpair
-from bandrec.spinchain import SectorBasis, SpinModelSpec, build_hamiltonian
+from bandrec.spinchain import SectorBasis, SectorHamiltonian, SpinModelSpec, build_hamiltonian
 from ed_helpers import (
     codes,
     dense,
@@ -122,6 +122,11 @@ def literal_couplings(model, L):
     return np.full(L, model.J)
 
 
+def unit(dim):
+    """All-ones start weights: the plain Gaussian start, bit for bit."""
+    return lambda: np.ones(dim)
+
+
 def _code_order_entries(ham, rank):
     """Every off-diagonal entry as (row, column, value) in code order, sorted, value bits last."""
     rows, cols, values = entries(ham)
@@ -131,21 +136,31 @@ def _code_order_entries(ham, rank):
 
 
 def _assert_same_entries(spec, L):
-    # A + A^T + (+)_s C_s (x) 1 and the reference's A + A^T, both in code order:
-    # the same positions with the same value bytes, and the same diagonal bytes
+    # A + A^T + (+)_s (C_s (x) 1 + 1 (x) B_s) and the reference's A + A^T, both
+    # in code order: the same positions with the same value bytes, and the
+    # same diagonal bytes; A alone is the reference's two crossing bonds
     basis = SectorBasis.build(L, spec.model.local_dim)
     ham, ref = build_hamiltonian(spec, L, basis), reference_hamiltonian(spec, L, basis)
     by_code = np.argsort(codes(basis))
     rank = np.empty(basis.dim, dtype=np.int64)
     rank[by_code] = np.arange(basis.dim)
     assert ham.diag.dtype == ref.diag.dtype and ham.diag[by_code].tobytes() == ref.diag.tobytes(), L
-    for name in ("indptr", "indices", "twist_entries", "high_indptr", "high_indices"):
+    for name in (
+        "indptr", "indices", "twist_entries", "high_indptr", "high_indices", "low_indptr", "low_indices"
+    ):
         assert getattr(ham, name).dtype == np.int32, (name, L)
-    assert ham.data.dtype == ham.high_data.dtype == np.float64
-    built = _code_order_entries(ham, rank)
-    expected = _code_order_entries(ref, np.arange(basis.dim))
-    assert np.array_equal(built[0], expected[0]) and np.array_equal(built[1], expected[1]), L
-    assert built[2].tobytes() == expected[2].tobytes(), L
+    assert ham.data.dtype == ham.high_data.dtype == ham.low_data.dtype == np.float64
+    # A alone, with B and C emptied, against the reference of the two crossing bonds
+    empty = np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)
+    a_only = SectorHamiltonian(
+        ham.diag, ham.indptr, ham.indices, ham.data, ham.twist_entries, *empty, *empty, ()
+    )
+    crossing = reference_hamiltonian(spec, L, basis, bonds=(L // 2 - 1, L - 1))
+    for built, expected in ((ham, ref), (a_only, crossing)):
+        built = _code_order_entries(built, rank)
+        expected = _code_order_entries(expected, np.arange(basis.dim))
+        assert np.array_equal(built[0], expected[0]) and np.array_equal(built[1], expected[1]), L
+        assert built[2].tobytes() == expected[2].tobytes(), L
 
 
 class TestSpinChain:
@@ -322,8 +337,9 @@ class TestHamiltonian:
             differ = np.flatnonzero(np.signbit(pbc.data) != np.signbit(abc.data))
             assert np.array_equal(differ, at), (model.kind, L)
             assert np.array_equal(np.abs(pbc.data), np.abs(abc.data))
-            # C holds no twist-bond hop
+            # B and C hold no twist-bond hop
             assert pbc.high_data.tobytes() == abc.high_data.tobytes()
+            assert pbc.low_data.tobytes() == abc.low_data.tobytes()
             assert pbc.classes == abc.classes
             if L == 2:
                 # each twist hop shares its matrix position with bond 0's, the entry before it
@@ -410,21 +426,21 @@ class TestHamiltonian:
         "model, L", [(SpinChain("single-ion", 1.0, D=7.4), 13), (SpinChain("heisenberg"), 20)]
     )
     def test_build_holds_little_beyond_the_finished_matrix(self, model, L):
-        # in int64 vectors of the sector: the int8 bond id of every entry of
-        # A, gathered into the data last; per-site int64 digits, the L hop
-        # masks and the float scatter held 3.5-3.8.  C counts as matrix
+        # in int64 vectors of the sector: per-site int64 digits, the L hop
+        # masks and the float scatter held 3.5-3.8.  B and C count as matrix
         basis = SectorBasis.build(L, model.local_dim)
         spec = SpinModelSpec(model, Twist.PBC)
         ham, peak = traced_peak(lambda: build_hamiltonian(spec, L, basis))
         arrays = (ham.diag, ham.indptr, ham.indices, ham.data, ham.twist_entries)
         arrays += (ham.high_indptr, ham.high_indices, ham.high_data)
+        arrays += (ham.low_indptr, ham.low_indices, ham.low_data)
         matrix = sum(a.nbytes for a in arrays)
         assert (peak - matrix) / (8 * basis.dim) < 1.5, (peak, matrix, basis.dim)
 
     def test_each_offdiagonal_pair_is_stored_once(self):
         # diag (8 bytes a state), A's data and indices (12 bytes a pair) and
-        # its int32 row offsets, beside the small C; the pairs are counted
-        # combinatorially, and each of A's h + 1 bonds holds 1/L of them
+        # its int32 row offsets, beside the small B and C; the pairs are
+        # counted combinatorially, and each of A's two bonds holds 1/L of them
         L, d = 11, 3
         count = np.zeros((L + 1, L * (d - 1) + 1), dtype=np.int64)  # digit strings by sum
         count[0, 0] = 1
@@ -436,31 +452,99 @@ class TestHamiltonian:
         # a pair per bond and state whose raised site is below d-1 and lowered site above 0
         pairs = L * int(sum(count[L - 2, half - a - b] for a in range(d - 1) for b in range(1, d)))
         ham = hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4), Twist.PBC), L)
-        assert ham.diag.size == dim and ham.data.size * L == (L // 2 + 1) * pairs
-        # A + A^T + (+)_s C_s (x) 1 holds every pair at two positions, once each
+        assert ham.diag.size == dim and ham.data.size * L == 2 * pairs
+        # A + A^T + (+)_s (C_s (x) 1 + 1 (x) B_s) holds every pair at two positions, once each
         rows, cols, _ = entries(ham)
         assert rows.size == 2 * pairs and np.unique(rows * dim + cols).size == rows.size
-        high = ham.high_indptr.nbytes + ham.high_indices.nbytes + ham.high_data.nbytes
+        small = sum(a.nbytes for a in (ham.high_indptr, ham.high_indices, ham.high_data))
+        small += sum(a.nbytes for a in (ham.low_indptr, ham.low_indices, ham.low_data))
         stored = ham.diag.nbytes + ham.data.nbytes + ham.indices.nbytes + ham.indptr.nbytes
         assert stored <= 8 * dim + 12 * ham.data.size + 4 * (dim + 1), (stored, dim, pairs)
-        assert high < 0.05 * stored, (high, stored)
+        # B and C hold their L - 2 bonds in under 5% of the 12 bytes a pair that A would take
+        assert small < 0.05 * 12 * (L - 2) * pairs / L, (small, pairs)
 
-    def test_csr_holds_the_bonds_that_touch_the_low_half(self):
-        # single-ion L=13: A holds 7 of the 13 bonds (h - 1 inside the low
-        # half, the one across the split and the twist bond); every class's
-        # rows of C point into that class only
+    def test_csr_holds_the_two_bonds_that_cross_the_split(self):
+        # single-ion L=13: A holds 2 of the 13 bonds, (h-1, h) and the twist
+        # bond, so 2/L of the sector's pairs; every class's rows of C point
+        # into that class only
         L, d = 13, 3
         basis = SectorBasis.build(L, d)
         ham = build_hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4), Twist.PBC), L, basis)
-        assert ham.indptr[-1] <= 0.55 * spinchain._stored_pairs(L, d)
+        assert ham.indptr[-1] * L == 2 * spinchain._stored_pairs(L, d) == 2 * 1_292_746
         assert ham.high_indptr.size - 1 == sum((stop - start) // row for start, stop, row in basis.blocks)
         held = 0
-        for row, end, start, stop in ham.classes:
+        for row, end, _, _, start, stop in ham.classes:
             assert (start, stop) in {block[:2] for block in basis.blocks}
             cols = ham.high_indices[ham.high_indptr[row] : ham.high_indptr[end]]
             assert cols.min() >= 0 and cols.max() < end - row, (row, end)
             held += cols.size
         assert held == ham.high_indices.size > 0
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=str)
+    @pytest.mark.parametrize("L", [4, 6, 9, 10])
+    def test_b_holds_both_hops_of_each_low_bond_per_class(self, model, L):
+        # B_s has one row per low part of class s, taken from its block's
+        # first row, columns inside the class (their `within` ranks), and
+        # both hops of each bond 0 .. h-2, bond by bond within a row, at
+        # that bond's amplitude; it is symmetric
+        d, h = model.local_dim, L // 2
+        if d == 2 and L % 2:
+            pytest.skip("odd spin-1/2 sector is empty")
+        basis = SectorBasis.build(L, d)
+        ham = build_hamiltonian(SpinModelSpec(model, Twist.PBC), L, basis)
+        amps = 0.5 * model.bond_couplings(L) * np.sqrt(d - 1.0) * np.sqrt(d - 1.0)
+        assert ham.low_indptr.size - 1 == sum(width for *_, width in basis.blocks)
+        assert [c[4:] for c in ham.classes] == [block[:2] for block in basis.blocks]
+        for row, end, low, low_end, start, stop in ham.classes:
+            parts = basis.low[start : start + low_end - low]
+            assert np.array_equal(basis.within[parts], np.arange(parts.size))
+            B = np.zeros((parts.size, parts.size))
+            for i, part in enumerate(parts.tolist()):
+                expected = []
+                for b in range(h - 1):
+                    digits = [part // d**b % d, part // d ** (b + 1) % d]
+                    for up, down in ((0, 1), (1, 0)):
+                        if digits[up] < d - 1 and digits[down] > 0:
+                            target = part + d ** (b + up) - d ** (b + down)
+                            expected.append((int(np.flatnonzero(parts == target)[0]), amps[b]))
+                at = slice(ham.low_indptr[low + i], ham.low_indptr[low + i + 1])
+                built = list(zip(ham.low_indices[at].tolist(), ham.low_data[at].tolist()))
+                assert built == expected, (L, i)
+                B[i, ham.low_indices[at]] = ham.low_data[at]
+            assert np.array_equal(B, B.T)
+        assert ham.low_data.size > 0
+
+    @pytest.mark.parametrize("model", [SpinChain("heisenberg"), SpinChain("single-ion", 1.0, D=7.4)], ids=str)
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("twist", [Twist.PBC, Twist.ABC])
+    def test_two_and_three_site_rings_have_an_empty_b(self, model, L, twist):
+        # h = 1: the low half has one site and no bond, so B is empty, every
+        # class has one low part, and A and C give the dense product
+        if model.local_dim == 2 and L % 2:
+            pytest.skip("odd spin-1/2 sector is empty")
+        ham = hamiltonian(SpinModelSpec(model, twist), L)
+        assert ham.low_data.size == ham.low_indices.size == 0
+        assert ham.low_indptr.size == len(ham.classes) + 1 and not ham.low_indptr.any()
+        assert [low_end - low for _, _, low, low_end, _, _ in ham.classes] == [1] * len(ham.classes)
+        H = projected_kron_oracle(model, L, twist)
+        for v in np.eye(ham.diag.size):
+            assert np.max(np.abs(ham.matvec(v) - H @ v)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "model, L, bound",
+        [(SpinChain("single-ion", 1.0, D=7.4), 13, 6.0e6), (SpinChain("heisenberg"), 20, 4.0e6)],
+        ids=["single-ion-13", "heisenberg-20"],
+    )
+    def test_stored_bytes_stay_under_the_two_bond_bound(self, model, L, bound):
+        # diag + A + B + C: 5.53 MB at single-ion L=13 and 3.70 MB at
+        # Heisenberg L=20, where A with every bond that touches the low half
+        # made them 11.45 MB and 8.89 MB
+        ham = hamiltonian(SpinModelSpec(model, Twist.PBC), L)
+        arrays = (ham.diag, ham.indptr, ham.indices, ham.data, ham.twist_entries)
+        arrays += (ham.high_indptr, ham.high_indices, ham.high_data)
+        arrays += (ham.low_indptr, ham.low_indices, ham.low_data)
+        stored = sum(a.nbytes for a in arrays)
+        assert stored < bound, stored
 
     def test_missing_kernel_file_names_its_path(self, tmp_path, monkeypatch):
         # a SciPy whose sparse directory lacks the extension
@@ -572,7 +656,7 @@ class TestGroundEnergy:
                 seen.append(x.copy())
                 return ham.matvec(x)
 
-            r, y = lowest_eigenpair(matvec, ham.diag.size, start_weights=ham.start_weights)
+            r, y = lowest_eigenpair(matvec, ham.diag.size, 0, ham.start_weights)
             assert r.energy == ground_energy(spec, L).energy
             assert len(seen) == r.iterations == y.size >= 3
             x = np.array(seen).T @ y
@@ -589,7 +673,7 @@ class TestLanczosSolver:
         # 5.3e-7: the solve fails rather than return a plausible number
         diag = np.array([0.0, 3e-11, 1.0])
         with pytest.raises(NumericalError, match="in 3 iterations") as excinfo:
-            lowest_eigenpair(lambda x: diag * x, diag.size)
+            lowest_eigenpair(lambda x: diag * x, diag.size, 0, unit(diag.size))
         assert excinfo.value.best_estimate == pytest.approx(0.0, abs=1e-10)
 
     def test_ground_state_behind_an_outlier_that_converged_first(self):
@@ -597,7 +681,7 @@ class TestLanczosSolver:
         # vectors regain a component along its Ritz vector; the ground state
         # at the edge of the dense part needs well over 150 steps
         diag = np.concatenate((np.linspace(0.0, 1.0, 999), [10.0]))
-        result, _ = lowest_eigenpair(lambda x: diag * x, diag.size)
+        result, _ = lowest_eigenpair(lambda x: diag * x, diag.size, 0, unit(diag.size))
         assert result.iterations > 150
         assert result.energy == pytest.approx(np.linalg.eigvalsh(np.diag(diag))[0], abs=1e-10)
 
@@ -611,7 +695,7 @@ class TestLanczosSolver:
             calls.append(1)
             return diag * x
 
-        result, y = lowest_eigenpair(matvec, diag.size)
+        result, y = lowest_eigenpair(matvec, diag.size, 0, unit(diag.size))
         assert result.iterations < diag.size
         assert len(calls) == result.iterations
         assert result.energy == pytest.approx(0.0, abs=1e-10)
@@ -631,7 +715,7 @@ class TestLanczosSolver:
             seen.append(x.copy())
             return A @ x
 
-        result, y = lowest_eigenpair(matvec, 300)
+        result, y = lowest_eigenpair(matvec, 300, 0, unit(300))
         assert len(seen) == result.iterations == y.size < 300
         assert result.energy == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
         x = np.array(seen).T @ y
@@ -646,7 +730,7 @@ class TestLanczosSolver:
         A = (A + A.T) / 2
         monkeypatch.setattr(lanczos, "MAX_ITER", 4)
         with pytest.raises(NumericalError) as excinfo:
-            lowest_eigenpair(lambda x: A @ x, 400)
+            lowest_eigenpair(lambda x: A @ x, 400, 0, unit(400))
         assert hasattr(excinfo.value, "best_estimate")
 
     @pytest.mark.parametrize("routine", ["eigvalsh", "eigh"])
@@ -658,7 +742,7 @@ class TestLanczosSolver:
         monkeypatch.setattr(np.linalg, routine, fail)
         A = np.diag(np.arange(10.0))
         with pytest.raises(NumericalError, match="tridiagonal matrix"):
-            lowest_eigenpair(lambda x: A @ x, 10)
+            lowest_eigenpair(lambda x: A @ x, 10, 0, unit(10))
 
     def test_early_stop_on_a_wide_spectrum_is_not_accepted(self):
         # beta is judged against the widest Ritz value (1e14), and the
@@ -667,7 +751,7 @@ class TestLanczosSolver:
         # -1.0199 with residual 0.021; exact E0 is -1
         diag = np.concatenate(([-1.0], np.linspace(0.0, 1.0, 298), [1e14]))
         with pytest.raises(NumericalError, match="in 300 iterations") as excinfo:
-            lowest_eigenpair(lambda x: diag * x, diag.size)
+            lowest_eigenpair(lambda x: diag * x, diag.size, 0, unit(diag.size))
         assert excinfo.value.best_estimate == pytest.approx(-1.0199, abs=1e-4)
 
     def test_full_basis_without_a_converged_pair_is_not_accepted(self):
@@ -676,7 +760,7 @@ class TestLanczosSolver:
         # -0.99991 with residual 3.3e-4 against the exact -1
         diag = np.concatenate(([-1.0], -1.0 + 1e-3 * np.arange(1, 6), np.linspace(0.0, 50.0, 14)))
         with pytest.raises(NumericalError, match="in 20 iterations") as excinfo:
-            lowest_eigenpair(lambda x: diag * x, diag.size, 0)
+            lowest_eigenpair(lambda x: diag * x, diag.size, 0, unit(diag.size))
         assert excinfo.value.best_estimate == pytest.approx(-0.99991, abs=1e-5)
 
     @pytest.mark.parametrize("entry", [2.5, -3.0, 0.0, 1e-300, -7.25e10])
@@ -685,7 +769,7 @@ class TestLanczosSolver:
         # the general loop: one step, beta = 0 exhausts the space, and the
         # replayed Ritz pair is exact whatever the start's sign (seed 4
         # draws a negative start)
-        result, y = lowest_eigenpair(lambda x: entry * x, 1, seed)
+        result, y = lowest_eigenpair(lambda x: entry * x, 1, seed, unit(1))
         assert result == lanczos.LanczosResult(entry, 0.0, 1)
         assert np.array_equal(y, [1.0])
 
@@ -697,14 +781,14 @@ class TestLanczosSolver:
         # one vector, the kept rows one per step, a full-length work vector
         # one in all)
         dim = 100_000
-        lowest_eigenpair(lambda x: 2.5 * x, 10)  # numpy.random imported before tracing
-        weights = (lambda: np.linspace(1.0, 0.5, dim)) if weighted else None
+        lowest_eigenpair(lambda x: 2.5 * x, 10, 0, unit(10))  # numpy.random imported before tracing
+        weights = (lambda: np.linspace(1.0, 0.5, dim)) if weighted else unit(dim)
         held = {}
         for gap in (10.0, 0.1):
             diag = np.linspace(0.0, 1.0, dim)
             diag[0] = -gap
             (result, _), peak = traced_peak(
-                lambda: lowest_eigenpair(lambda x: diag * x, dim, start_weights=weights)
+                lambda: lowest_eigenpair(lambda x: diag * x, dim, 0, weights)
             )
             assert result.energy == pytest.approx(-gap, abs=1e-10)
             held[result.iterations] = peak / (dim * 8)
@@ -717,7 +801,7 @@ class TestLanczosSolver:
         # doubles, the start and the weights: 2.33 vectors (a scaled copy of
         # the weights would add one)
         dim = 100_000
-        lowest_eigenpair(lambda x: 2.5 * x, 10)  # numpy.random imported before tracing
+        lowest_eigenpair(lambda x: 2.5 * x, 10, 0, unit(10))  # numpy.random imported before tracing
         diag = np.linspace(0.0, 1.0, dim)
         diag[0] = -10.0
         held = []
@@ -728,7 +812,7 @@ class TestLanczosSolver:
             return diag * x
 
         traced_peak(
-            lambda: lowest_eigenpair(matvec, dim, start_weights=lambda: np.linspace(1.0, 0.5, dim))
+            lambda: lowest_eigenpair(matvec, dim, 0, lambda: np.linspace(1.0, 0.5, dim))
         )
         assert held[0] < 2.5, held
 
@@ -749,7 +833,7 @@ class TestLanczosSolver:
             asked.append(1)
             return np.linspace(2.0, 0.5, diag.size)
 
-        start_weights = weights if weighted else None
+        start_weights = weights if weighted else unit(diag.size)
         result, y = lowest_eigenpair(matvec, diag.size, 5, start_weights=start_weights)
         assert result.iterations == 4
         assert result.energy == pytest.approx(-2.0, abs=1e-12)
@@ -769,8 +853,8 @@ class TestLanczosSolver:
 
     def test_integer_seed_of_any_integer_type_accepted(self):
         A = np.diag(np.arange(10.0))
-        r1, v1 = lowest_eigenpair(lambda x: A @ x, 10, np.int64(7))
-        r2, v2 = lowest_eigenpair(lambda x: A @ x, 10, 7)
+        r1, v1 = lowest_eigenpair(lambda x: A @ x, 10, np.int64(7), unit(10))
+        r2, v2 = lowest_eigenpair(lambda x: A @ x, 10, 7, unit(10))
         assert r1.energy == r2.energy
         assert np.array_equal(v1, v2)
 
@@ -778,20 +862,30 @@ class TestLanczosSolver:
         rng = np.random.default_rng(1)
         A = rng.standard_normal((60, 60))
         A = A + A.T
-        r1, v1 = lowest_eigenpair(lambda x: A @ x, 60, seed=7)
-        r2, v2 = lowest_eigenpair(lambda x: A @ x, 60, seed=7)
+        r1, v1 = lowest_eigenpair(lambda x: A @ x, 60, 7, unit(60))
+        r2, v2 = lowest_eigenpair(lambda x: A @ x, 60, 7, unit(60))
         assert r1.energy == r2.energy
         assert np.array_equal(v1, v2)
 
-    def test_no_or_unit_start_weights_keep_the_plain_start(self):
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_unit_start_weights_give_the_plain_start(self, seed):
+        # start /= 1.0 and start *= 1.0 are exact: the start, the operator's
+        # first input, has the bits of the seed's normalized Gaussian vector
         rng = np.random.default_rng(2)
         A = rng.standard_normal((60, 60))
         A = A + A.T
-        plain = lowest_eigenpair(lambda x: A @ x, 60, 3)
-        for weights in (None, lambda: np.ones(60)):
-            result, vec = lowest_eigenpair(lambda x: A @ x, 60, 3, start_weights=weights)
-            assert result == plain[0]
-            assert np.array_equal(vec, plain[1])
+        gauss = np.random.default_rng(seed).standard_normal(60)
+        plain = gauss / np.linalg.norm(gauss)
+        assert lanczos._start(60, seed, unit(60)).tobytes() == plain.tobytes()
+        seen = []
+
+        def matvec(x):
+            seen.append(x.copy())
+            return A @ x
+
+        result, _ = lowest_eigenpair(matvec, 60, seed, unit(60))
+        assert seen[0].tobytes() == plain.tobytes()
+        assert result.energy == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
 
     def test_start_weights_steer_the_start(self):
         # a start weighted onto the ground state's coordinate settles at once
@@ -805,8 +899,8 @@ class TestLanczosSolver:
             seen.append(x.copy())
             return diag * x
 
-        plain, _ = lowest_eigenpair(lambda x: diag * x, 400)
-        steered, y = lowest_eigenpair(matvec, 400, start_weights=lambda: weights)
+        plain, _ = lowest_eigenpair(lambda x: diag * x, 400, 0, unit(400))
+        steered, y = lowest_eigenpair(matvec, 400, 0, lambda: weights)
         assert steered.energy == pytest.approx(-1.0, abs=1e-12)
         assert steered.iterations < plain.iterations
         # the start, the operator's first input, lies on coordinate 0, and so
@@ -821,11 +915,9 @@ class TestLanczosSolver:
         A = rng.standard_normal((40, 40))
         A = A + A.T
         weights = rng.uniform(0.5, 2.0, 40)
-        ref = lowest_eigenpair(lambda x: A @ x, 40, start_weights=lambda: weights)
+        ref = lowest_eigenpair(lambda x: A @ x, 40, 0, lambda: weights)
         for scale in (1e-300, 1e300):
-            result, vec = lowest_eigenpair(
-                lambda x: A @ x, 40, start_weights=lambda: scale * weights
-            )
+            result, vec = lowest_eigenpair(lambda x: A @ x, 40, 0, lambda: scale * weights)
             assert result.iterations == ref[0].iterations
             assert result.energy == pytest.approx(ref[0].energy, rel=1e-13)
             assert np.allclose(vec, ref[1], atol=1e-10)
@@ -1045,7 +1137,7 @@ class TestStartWeights:
             return result
 
         def count_unweighted(matvec, dim, seed=0, start_weights=None):
-            return count(matvec, dim, seed)
+            return count(matvec, dim, seed, unit(dim))
 
         monkeypatch.setattr(spinchain, "lowest_eigenpair", count)
         weighted = energy_series(model, range(2, 12), twists)
@@ -1108,6 +1200,16 @@ class TestStartWeights:
         expected = np.exp(-(ham.diag - ham.diag.min()) / scale) if scale else np.ones(ham.diag.size)
         assert np.allclose(ham.start_weights(), expected, rtol=1e-14, atol=0)
         assert (scale == 0) == (L == 2 and twist is Twist.ABC)
+
+    @pytest.mark.parametrize("part", ["low_data", "high_data"])
+    def test_scale_reads_b_and_c(self, part):
+        # B's (or C's) hops scaled up fourfold hold the largest entry alone
+        ham = hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4), Twist.PBC), 8)
+        getattr(ham, part)[:] *= 4.0
+        scale = np.abs(dense(ham) - np.diag(ham.diag)).max()
+        assert scale == np.abs(getattr(ham, part)).max() == 4 * np.abs(ham.data).max()
+        expected = np.exp(-(ham.diag - ham.diag.min()) / scale)
+        assert np.allclose(ham.start_weights(), expected, rtol=1e-14, atol=0)
 
     def test_two_site_abc_ring_with_a_degenerate_ground_pair(self):
         # H = diag(2D - 2, 0, 2D - 2): a start weighted by the stored hops
