@@ -1,10 +1,12 @@
-"""Shared enums, error types and the hypothesis label used across the package."""
+"""Shared enums, error types, the sizes check and the hypothesis label used across the package."""
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
+from typing import Iterable
 
 
 class ValidationError(ValueError):
@@ -13,6 +15,15 @@ class ValidationError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical procedure failed to reach its accuracy target."""
+
+
+def sorted_sizes(sizes: Iterable) -> list[int]:
+    """The distinct sizes, ascending, as ints; a size that is not an integer (a bool either) is refused."""
+    sizes = list(sizes)
+    for L in sizes:
+        if isinstance(L, bool) or not isinstance(L, numbers.Integral):
+            raise ValidationError(f"sizes must be integers, got {L!r}")
+    return sorted(set(map(int, sizes)))
 
 
 class Twist(enum.Enum):

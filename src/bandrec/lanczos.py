@@ -101,7 +101,8 @@ def lowest_eigenpair(
     has not settled within MAX_ITER iterations, or if the Krylov space
     became invariant or reached the full dimension without the Ritz pair
     passing the residual bound; and
-    (without it) if LAPACK fails on the tridiagonal matrix.
+    (without it) if a step's alpha or beta overflows to inf or NaN, or if
+    LAPACK fails on the tridiagonal matrix.
     """
     max_steps = min(MAX_ITER, dim)
     work = np.empty(min(dim, 2**15))  # the scratch of `_axpy`
@@ -118,6 +119,11 @@ def lowest_eigenpair(
         w, alpha = _step(matvec, v, v_prev, betas[-1] if j else 0.0, work)
         alphas.append(alpha)
         beta = float(np.linalg.norm(w))
+        if not (np.isfinite(alpha) and np.isfinite(beta)):
+            raise NumericalError(
+                f"Lanczos step {j + 1} overflowed: alpha = {alpha:.3g}, beta = {beta:.3g} "
+                "(the operator's entries are too large for float64)"
+            )
 
         ritz_vals = _tridiagonal_eig(np.linalg.eigvalsh, alphas, betas)
         theta = float(ritz_vals[0])

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .bands import Band, FourierBand, sample
-from .core import Statistics, Twist, ValidationError
+from .core import Statistics, Twist, ValidationError, sorted_sizes
 
 
 def riemann_sum(band: Band, L: int, twist: Twist) -> float:
@@ -119,7 +119,7 @@ def synth_energy_series(
     """
     if nu <= 0:
         raise ValidationError(f"filling fraction must be positive, got {nu}")
-    sizes = sorted(set(sizes))
+    sizes = sorted_sizes(sizes)
     if not sizes:
         raise ValidationError("no sizes requested")
     if sizes[0] < 1:

@@ -14,17 +14,17 @@ AIP Conf. Proc. 1297, 135, 2010, arXiv:1101.3281).  D is its diagonal.  A
 bond inside one half changes that half's part alone, so on each block the
 bonds inside the high half act as one small matrix C_s on the rows of X_s
 and those inside the low half as one small B_s on its columns, the
-superblock product of DMRG (White, PRB 48, 10345, 1993).  A, in CSR form
-(int32 offsets and indices), holds one hop per state of the two bonds that
-cross the split: (h-1, h) and the twist bond (0, L-1).  Only SciPy's
-`_sparsetools` extension is loaded, for its three CSR kernels, and no
-`scipy` module is left in `sys.modules`.
+superblock product of DMRG (White, PRB 48, 10345, 1993).  A holds one hop
+per state of the two bonds that cross the split, (h-1, h) and then the
+twist bond (0, L-1), as coordinate arrays (int32 rows and columns).  Only
+SciPy's `_sparsetools` extension is loaded, for its `coo_matvec` and
+`csr_matvecs` kernels, and no `scipy` module is left in `sys.modules`.
 
 Antiperiodic boundary conditions flip the sign of the transverse part of
 the boundary bond (S+_L S-_1) and leave S^z_L S^z_1 unchanged: the abc
-matrix is the pbc one with the twist bond's hops, whose positions A
-carries, negated in place (`_negate_twist_bond`), the exact flip that
-`energy_series` also uses.  B and C are the same for both twists.
+matrix is the pbc one with the twist bond's hops, the tail of A, negated
+in place (`_negate_twist_bond`), the exact flip that `energy_series` also
+uses.  B and C are the same for both twists.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Twist, ValidationError
+from .core import Twist, ValidationError, sorted_sizes
 from .lanczos import lowest_eigenpair
 from .riemann import EnergySeries
 
@@ -160,15 +160,16 @@ class SectorBasis:
 
 
 @functools.cache
-def _csr_kernels():
-    """SciPy's `csr_matvec`, `csc_matvec` and `csr_matvecs`, from the `_sparsetools` file.
+def _sparse_kernels():
+    """SciPy's `coo_matvec` and `csr_matvecs`, from the `_sparsetools` file.
 
-    The first two add A v and A^T v from A's CSR arrays; `csr_matvecs` adds
-    C_s X for a row-major block X of vectors: each class's C_s X_s and
-    B_s X_s^T.  The extension enters itself in `sys.modules` as it
-    loads, before any `scipy.sparse` package exists; that entry is removed
-    again and the module is held only here, so a later `import scipy.sparse`
-    loads it as its own attribute.
+    `coo_matvec` adds A v from A's coordinate arrays, and A^T v from the
+    same arrays with rows and columns swapped; `csr_matvecs` adds C X for a
+    row-major block X of vectors: each class's C_s X_s and B_s X_s^T.  The
+    extension enters itself in `sys.modules` as it loads, before any
+    `scipy.sparse` package exists; that entry is removed again and the
+    module is held only here, so a later `import scipy.sparse` loads it as
+    its own attribute.
     """
     name = "scipy.sparse._sparsetools"
     if name in sys.modules:  # SciPy's own import came first
@@ -183,33 +184,33 @@ def _csr_kernels():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules.pop(name, None)
-    return module.csr_matvec, module.csc_matvec, module.csr_matvecs
+    return module.coo_matvec, module.csr_matvecs
 
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
     """A real symmetric sector Hamiltonian H = D + A + A^T + (+)_s (C_s (x) 1 + 1 (x) B_s).
 
-    `diag` holds D; `indptr`, `indices` (int32) and `data` are the CSR arrays
-    of the strictly lower triangle A: in each row a hop of the bond (h-1, h)
-    across the split, then one of the twist bond (0, L-1), whose positions
-    in `data` are `twist_entries` (int32); the L=2 ring's two bonds share
-    one position, and both products sum them.  On class s, the row-major
-    block X_s of the basis, the bonds inside the high half act as C_s X_s
-    and those inside the low half as X_s B_s.  `high_*` and `low_*` are the
-    CSR arrays, both hops of each bond, of the block-diagonal C over the
-    classes' high parts and B over their low parts, in class order, with
-    columns counted from the class's first row.  Each of `classes` is
-    (first row, end row of C, first row, end row of B, start, stop): one
-    class's rows and states.  B and C hold no twist-bond hop, so they are
-    the same for both twists.
+    `diag` holds D; `rows`, `cols` (int32) and `data` are the coordinate
+    arrays of the strictly lower triangle A, bond by bond: a hop of the
+    bond (h-1, h) across the split per state that has one, then from
+    `twist_start` on the hops of the twist bond (0, L-1).  On the L=2 ring
+    the two bonds' hops have the same coordinates, and both products sum
+    them.  On class s, the row-major block X_s of the basis, the bonds
+    inside the high half act as C_s X_s and those inside the low half as
+    X_s B_s.  `high_*` and `low_*` are the CSR arrays, both hops of each
+    bond, of the block-diagonal C over the classes' high parts and B over
+    their low parts, in class order, with columns counted from the class's
+    first row.  Each of `classes` is (first row, end row of C, first row,
+    end row of B, start, stop): one class's rows and states.  B and C hold
+    no twist-bond hop, so they are the same for both twists.
     """
 
     diag: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     data: np.ndarray
-    twist_entries: np.ndarray
+    twist_start: int
     high_indptr: np.ndarray
     high_indices: np.ndarray
     high_data: np.ndarray
@@ -220,12 +221,10 @@ class SectorHamiltonian:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H v as one new array: D v, then A v, A^T v, C_s X_s and X_s B_s added into it."""
-        csr_matvec, csc_matvec, csr_matvecs = _csr_kernels()
+        coo_matvec, csr_matvecs = _sparse_kernels()
         out = self.diag * v
-        n, lower = self.diag.size, (self.indptr, self.indices, self.data)
-        csr_matvec(n, n, *lower, v, out)
-        # A's arrays read as compressed columns are A^T
-        csc_matvec(n, n, *lower, v, out)
+        coo_matvec(self.data.size, self.rows, self.cols, self.data, v, out)
+        coo_matvec(self.data.size, self.cols, self.rows, self.data, v, out)  # A^T
         for row, end, low, low_end, start, stop in self.classes:
             rows, width = end - row, low_end - low
             x, y = v[start:stop].reshape(rows, width), out[start:stop].reshape(rows, width)
@@ -248,20 +247,15 @@ class SectorHamiltonian:
         minimum, so it starts with little weight.  The largest hop is read
         from A, B and C alike.  The weights depend on D / max|H_ij| alone:
         scaling or shifting H leaves them as they are, and so does the twist
-        above two sites (the two-site ring keeps both bonds' hops at one
-        position of A, the twist bond's right after bond 0's in the row; they
-        add up to A_ij, and the abc twist cancels them).  They are floored at
-        the smallest normal float, so no component of the start vanishes,
-        and are all ones when H has no nonzero off-diagonal entry.
+        above two sites (on the two-site ring A's two halves have the same
+        coordinates; they add up to A_ij, and the abc twist cancels them).
+        They are floored at the smallest normal float, so no component of
+        the start vanishes, and are all ones when H has no nonzero
+        off-diagonal entry.
         """
-        data, twist = self.data, self.twist_entries
-        # twist hops with the column of the entry before them in their row
-        twist = twist[self.indices[twist - 1] == self.indices[twist]]
-        twist = twist[twist > self.indptr[np.searchsorted(self.indptr, twist, "right") - 1]]
-        if twist.size:
-            data = data.copy()
-            data[twist - 1] += data[twist]
-            data[twist] = 0.0
+        data, t = self.data, self.twist_start
+        if 2 * t == data.size and all(np.array_equal(a[:t], a[t:]) for a in (self.rows, self.cols)):
+            data = data[:t] + data[t:]
         arrays = data, self.low_data, self.high_data  # no |data| copy
         scale = max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in arrays)
         if not scale:
@@ -284,8 +278,8 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
     basis's tables.  A site's 2 S^z is read from a table over one half's
     codes, gathered by the state's part.  C and B hold both hops of each
     bond inside their half, from every part of a class to its target's row
-    in that class (for B, its `within` rank).  A keeps the positions of bond
-    L-1's hops (raise site 0, lower site L-1); with the abc twist,
+    in that class (for B, its `within` rank).  A holds bond L-1's hops
+    (raise site 0, lower site L-1) last; with the abc twist,
     `_negate_twist_bond` then gives them the antiperiodic sign.  The caller
     builds `sector` for the same L >= 2 and the model's local dimension.
     """
@@ -332,21 +326,21 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
     # A: the bond across the split, then the twist bond, as (bond, raised site, lowered site)
     bonds = [(h - 1, h - 1, h), (L - 1, 0, L - 1)]
     masks = [per_state(can_hop, up, down) for _, up, down in bonds]  # the states each hop leaves
-    # int32 holds every offset: `SectorBasis.build` refused a sector whose pairs it would not
-    indptr = np.zeros(sector.dim + 1, dtype=np.int32)
-    np.cumsum(np.add(*masks, dtype=np.int8), dtype=np.int32, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    for last, (b, up, down) in enumerate(bonds):  # a row's first entry, then its last
+    hops = [int(np.count_nonzero(mask)) for mask in masks]
+    # int32 holds every state: `SectorBasis.build` refused a sector whose pairs it would not
+    rows = np.empty(sum(hops), dtype=np.int32)
+    cols = np.empty(sum(hops), dtype=np.int32)
+    data = np.repeat(amps[[b for b, _, _ in bonds]], hops)
+    at = 0
+    for mask, (_, up, down) in zip(masks, bonds):
         (high_up, low_up), (high_down, low_down) = step(up), step(down)
         for lo in range(0, sector.dim, 2**16):  # take reads its indices as intp: a chunk at a time
-            src = np.flatnonzero(masks[last][lo : lo + 2**16]) + lo
+            src = np.flatnonzero(mask[lo : lo + 2**16]) + lo
             target = np.take(sector.first, np.take(sector.high, src) + (high_up - high_down))
             target += np.take(sector.within, np.take(sector.low, src) + (low_up - low_down))
-            at = np.take(indptr, src + last) - last
-            indices[at] = target
-            data[at] = amps[b]
-    twist = indptr[1:][masks[1]] - 1  # each twist hop ends its row
+            rows[at : at + src.size] = src
+            cols[at : at + src.size] = target
+            at += src.size
 
     def per_class(m2, parts, bond_amps):  # both hops of every bond inside one half
         sizes = [part.size for part in parts]
@@ -374,7 +368,7 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
         for row, end, low_row, low_end, (start, stop, _)
         in zip(c_rows, c_rows[1:], b_rows, b_rows[1:], blocks)
     )
-    ham = SectorHamiltonian(diag, indptr, indices, data, twist, *high, *low, classes)
+    ham = SectorHamiltonian(diag, rows, cols, data, hops[0], *high, *low, classes)
     if spec.boundary_twist is Twist.ABC:
         _negate_twist_bond(ham)
     return ham
@@ -383,11 +377,12 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
 def _negate_twist_bond(ham: SectorHamiltonian) -> None:
     """Turn a pbc sector matrix into the abc one, or back, in place.
 
-    Only the twist bond's hops, at `twist_entries`, change sign.  Negation
-    is exact, so the result equals the matrix built with the other twist,
-    signed zeros included.
+    Only the twist bond's hops, `data[twist_start:]`, change sign.
+    Negation is exact, so the result equals the matrix built with the other
+    twist, signed zeros included.
     """
-    ham.data[ham.twist_entries] = -ham.data[ham.twist_entries]
+    twist = ham.data[ham.twist_start :]
+    np.negative(twist, out=twist)
 
 
 def _stored_pairs(L: int, d: int) -> int:
@@ -403,14 +398,14 @@ def _stored_pairs(L: int, d: int) -> int:
 def _check_pairs(L: int, d: int) -> None:
     """Refuse a sector whose lower-triangle pairs reach 2^31, before anything is allocated.
 
-    The count bounds A's entries (a part of the pairs), the states and every
-    offset into them, so int32 holds them all.
+    The count bounds the states, A's entries (a part of the pairs) and B's
+    and C's offsets, so int32 holds every state index and offset.
     """
     # the central count of the other sites is at least their mean: far larger L goes uncounted
     if L > 2 and (L - 2) * math.log2(d) - math.log2((L - 2) * (d - 1) + 1) >= 31:
-        raise ValidationError(f"L={L}: over 2^31 lower-triangle pairs overflow int32 offsets")
+        raise ValidationError(f"L={L}: over 2^31 lower-triangle pairs overflow int32 indices")
     if (pairs := _stored_pairs(L, d)) >= 2**31:
-        raise ValidationError(f"L={L}: {pairs} lower-triangle pairs overflow int32 offsets")
+        raise ValidationError(f"L={L}: {pairs} lower-triangle pairs overflow int32 indices")
 
 
 def _check_size(model: SpinChain, L: int) -> None:
@@ -431,9 +426,10 @@ def energy_series(
 
     The sizes are built and solved largest first, so each smaller size
     reuses heap that a larger one freed; the series iterates by ascending
-    size all the same.  Every size is checked before anything is built,
-    smallest first, so of several sizes beyond int32 offsets the smallest
-    is named; then the seed, a non-negative integer of any integer type.
+    size all the same.  Every size is checked before anything is built: each
+    must be an integer of any integer type, and then, smallest first, in
+    range, so of several sizes beyond int32 the smallest is named; then the
+    seed, a non-negative integer of any integer type.
     Each size's basis and Hamiltonian are built once, with the first twist,
     and the basis is freed before the solves; every further twist flips the
     twist-bond hops in place, so the energies equal those of separate
@@ -442,7 +438,7 @@ def energy_series(
     bound method `SectorHamiltonian.start_weights`, which the solver calls
     when it forms the start, so no array of weights outlives the start.
     """
-    sizes = sorted(set(int(s) for s in sizes))
+    sizes = sorted_sizes(sizes)
     twists = tuple(twists)
     if not sizes:
         raise ValidationError("no sizes requested")

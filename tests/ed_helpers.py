@@ -48,9 +48,7 @@ def entries(ham):
     row-major block, for every column k; entry (i, j) of B_s couples the
     states (k, i) and (k, j), for every row k.
     """
-    n = ham.diag.size
-    rows = np.repeat(np.arange(n), np.diff(ham.indptr))
-    parts = [(rows, ham.indices, ham.data), (ham.indices, rows, ham.data)]
+    parts = [(ham.rows, ham.cols, ham.data), (ham.cols, ham.rows, ham.data)]
     for row, end, low, low_end, start, stop in ham.classes:
         width = low_end - low
         assert (end - row) * width == stop - start
@@ -85,11 +83,12 @@ def reference_hamiltonian(spec, L, sector, bonds=None):
     """The sector matrix built the plain way, in code order: the reference of `build_hamiltonian`.
 
     The states are the basis's codes sorted, and A holds one hop of each of
-    `bonds` (every bond by default; (L // 2 - 1, L - 1) gives the two that
-    cross the split, which `build_hamiltonian` keeps in its A), and B and C
-    are empty.  Per-site levels from `states // d**site % d`, S^z looked up
-    as floats, a binary search over the sorted states for every hop's
-    target, and each hop's amplitude written as it is found.
+    `bonds`, bond by bond in coordinate form (every bond by default;
+    (L // 2 - 1, L - 1) gives the two that cross the split, which
+    `build_hamiltonian` keeps in its A), the last bond from `twist_start`
+    on, and B and C are empty.  Per-site levels from `states // d**site % d`,
+    S^z looked up as floats, a binary search over the sorted states for
+    every hop's target, and each hop's amplitude written as it is found.
     """
     model = spec.model
     d = model.local_dim
@@ -106,24 +105,17 @@ def reference_hamiltonian(spec, L, sector, bonds=None):
         for i in range(L):
             diag += onsite * m_of_level[digits[i]] ** 2
     raise_amp = np.sqrt(s2)
-    hops, row_nnz = [], np.zeros(sector.dim, dtype=np.int64)
+    rows, cols, data, twist_start = [], [], [], 0
     for b in range(L) if bonds is None else bonds:
         up_site, down_site = (b, b + 1) if b < L - 1 else (0, L - 1)
-        mask = (digits[up_site] < d - 1) & (digits[down_site] > 0)
-        hops.append((d**up_site - d**down_site, 0.5 * couplings[b], mask))
-        row_nnz += mask
-    indptr = np.concatenate(([0], np.cumsum(row_nnz))).astype(np.int32)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    slot = indptr[:-1].copy()
-    for shift, amp, mask in hops:
-        src = np.flatnonzero(mask)
-        at = slot[src]
-        indices[at] = np.searchsorted(states, states[src] + shift)
-        data[at] = amp * raise_amp * raise_amp
-        slot[src] += 1
+        src = np.flatnonzero((digits[up_site] < d - 1) & (digits[down_site] > 0))
+        twist_start = sum(a.size for a in rows)
+        rows.append(src.astype(np.int32))
+        cols.append(np.searchsorted(states, states[src] + d**up_site - d**down_site).astype(np.int32))
+        data.append(np.full(src.size, 0.5 * couplings[b] * raise_amp * raise_amp))
     empty = np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)
-    ham = SectorHamiltonian(diag, indptr, indices, data, at, *empty, *empty, ())
+    rows, cols, data = map(np.concatenate, (rows, cols, data))
+    ham = SectorHamiltonian(diag, rows, cols, data, twist_start, *empty, *empty, ())
     if spec.boundary_twist is Twist.ABC:
-        ham.data[at] = -ham.data[at]
+        ham.data[twist_start:] = -ham.data[twist_start:]
     return ham

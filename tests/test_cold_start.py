@@ -68,13 +68,13 @@ def test_import_and_number_commands_load_no_scipy():
 # runs the command line, then prints the SciPy modules it loaded, and the
 # module and the names of the kernels ED holds
 CLI_KERNELS = CLI_SCIPY + """
-from bandrec.spinchain import _csr_kernels
-kernels = _csr_kernels()
+from bandrec.spinchain import _sparse_kernels
+kernels = _sparse_kernels()
 print(*{k.__self__.__name__ for k in kernels}, ",".join(k.__name__ for k in kernels))
 """
 
 
-def test_ed_loads_only_the_csr_kernels(tmp_path):
+def test_ed_loads_only_the_sparse_kernels(tmp_path):
     # the kernel module is loaded from its file and held privately: no SciPy
     # package is imported and no scipy module is left in sys.modules.  The
     # 4-site ring's bond (2, 3) lies inside the high half, so csr_matvecs ran
@@ -86,13 +86,14 @@ def test_ed_loads_only_the_csr_kernels(tmp_path):
     assert rows[-1].startswith("4,pbc,")
     assert abs(float(rows[-1].split(",")[2]) + 2.0) < 1e-12  # 4-site ring: E0 = -2J
     assert loaded == []
-    assert kernels == "scipy.sparse._sparsetools csr_matvec,csc_matvec,csr_matvecs"
+    assert kernels == "scipy.sparse._sparsetools coo_matvec,csr_matvecs"
 
 
 # runs ED, with scipy.sparse imported before it or not, then checks the
 # matvec of both twists of one sector matrix against SciPy's kernel module,
-# reached as the attribute scipy.sparse._sparsetools, and each class's
-# csr_matvecs product against SciPy's own csr_matrix @ X
+# reached as the attribute scipy.sparse._sparsetools, A's products against
+# SciPy's own coo_matrix @ v and .T @ v, and each class's csr_matvecs
+# product against SciPy's own csr_matrix @ X
 KERNEL_IDENTITY = """
 import sys
 import numpy as np
@@ -119,10 +120,14 @@ tools = scipy.sparse._sparsetools
 assert sys.modules["scipy.sparse._sparsetools"] is tools
 for ham, v, product in zip(hams, vs, products):
     n = ham.diag.size
-    A = scipy.sparse.csr_matrix((ham.data, ham.indices, ham.indptr), shape=(n, n))
+    A = scipy.sparse.coo_matrix((ham.data, (ham.rows, ham.cols)), shape=(n, n))
+    lower, upper = np.zeros(n), np.zeros(n)
+    tools.coo_matvec(ham.data.size, ham.rows, ham.cols, ham.data, v, lower)
+    tools.coo_matvec(ham.data.size, ham.cols, ham.rows, ham.data, v, upper)
+    assert np.array_equal(lower, A @ v) and np.array_equal(upper, A.T @ v)
     out = ham.diag * v
-    tools.csr_matvec(n, n, A.indptr, A.indices, A.data, v, out)
-    tools.csc_matvec(n, n, A.indptr, A.indices, A.data, v, out)
+    tools.coo_matvec(ham.data.size, ham.rows, ham.cols, ham.data, v, out)
+    tools.coo_matvec(ham.data.size, ham.cols, ham.rows, ham.data, v, out)
     expected = A @ v + A.T @ v + ham.diag * v
     assert len(ham.classes) > 1 and ham.low_data.size > 0
     for row, end, low, low_end, start, stop in ham.classes:

@@ -211,6 +211,19 @@ class TestCli:
         assert main(["ed", "--model", "heisenberg", "--sizes", "4"]) == 3
         assert "did not converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--model", "heisenberg", "--J", "1e200", "--sizes", "10"],
+         ["--model", "single-ion", "--D", "1e308", "--sizes", "4"]],
+        ids=["J-1e200", "D-1e308"],
+    )
+    def test_ed_names_an_overflow_with_exit_3(self, args, tmp_path, capsys):
+        # the first Lanczos step overflows; LAPACK never sees the NaNs
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["ed", *args, "--out", str(tmp_path / "ed.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "Lanczos step 1 overflowed" in err and "LAPACK" not in err
+
     def test_ed_stops_at_the_largest_failing_size(self, monkeypatch, capsys):
         # L=4 and L=8 (dims 6 and 70) are replaced by wide spectra on which
         # the solve runs the full basis and refuses the Ritz pair; sizes are

@@ -10,6 +10,7 @@ from bandrec import (
     ValidationError,
     synth_energy_series,
 )
+from bandrec import riemann
 from bandrec.bands import AbsSineBand, FourierBand, momenta, sample
 from bandrec.riemann import EnergySeries, residual_series, riemann_sum
 
@@ -225,6 +226,29 @@ class TestSynthEnergySeries:
     def test_sizes_below_one_rejected(self, band):
         with pytest.raises(ValidationError, match="sizes must be >= 1"):
             synth_energy_series(band, Statistics.BOSON, 1.0, Twist.PBC, [0, 2])
+
+    @pytest.mark.parametrize(
+        "sizes", [[2.5], [2, 4.0], [True], [np.float64(3.0)]],
+        ids=["2.5", "beside-a-good-size", "True", "float64(3.0)"],
+    )
+    def test_non_integer_sizes_are_refused_before_any_sampling(self, sizes, monkeypatch):
+        # a 2.5 was once stored as an entry at L=2.5
+        def sample(*args):
+            raise AssertionError("a grid was sampled")
+
+        monkeypatch.setattr(riemann, "sample", sample)
+        with pytest.raises(ValidationError, match="sizes must be integers"):
+            synth_energy_series(MassiveSineBand(), Statistics.FERMION, 1.0, Twist.PBC, sizes)
+
+    def test_integer_sizes_of_any_integer_type_give_the_same_bytes(self):
+        args = MassiveSineBand(1.0, 0.1), Statistics.FERMION, 1.0, Twist.ABC
+        ref = synth_energy_series(*args, [3, 5, 8])
+        series = synth_energy_series(*args, np.array([8, 3, 5]))
+        assert series.sizes(Twist.ABC) == ref.sizes(Twist.ABC) == (3, 5, 8)
+        assert all(type(L) is int for L in series.sizes(Twist.ABC))
+        assert series.e_inf.hex() == ref.e_inf.hex()
+        for L in (3, 5, 8):
+            assert series.E(L, Twist.ABC).hex() == ref.E(L, Twist.ABC).hex()
 
     def test_nonpositive_filling_rejected(self):
         with pytest.raises(ValidationError):

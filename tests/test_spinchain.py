@@ -145,15 +145,13 @@ def _assert_same_entries(spec, L):
     rank = np.empty(basis.dim, dtype=np.int64)
     rank[by_code] = np.arange(basis.dim)
     assert ham.diag.dtype == ref.diag.dtype and ham.diag[by_code].tobytes() == ref.diag.tobytes(), L
-    for name in (
-        "indptr", "indices", "twist_entries", "high_indptr", "high_indices", "low_indptr", "low_indices"
-    ):
+    for name in ("rows", "cols", "high_indptr", "high_indices", "low_indptr", "low_indices"):
         assert getattr(ham, name).dtype == np.int32, (name, L)
     assert ham.data.dtype == ham.high_data.dtype == ham.low_data.dtype == np.float64
     # A alone, with B and C emptied, against the reference of the two crossing bonds
     empty = np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)
     a_only = SectorHamiltonian(
-        ham.diag, ham.indptr, ham.indices, ham.data, ham.twist_entries, *empty, *empty, ()
+        ham.diag, ham.rows, ham.cols, ham.data, ham.twist_start, *empty, *empty, ()
     )
     crossing = reference_hamiltonian(spec, L, basis, bonds=(L // 2 - 1, L - 1))
     for built, expected in ((ham, ref), (a_only, crossing)):
@@ -297,9 +295,9 @@ class TestHamiltonian:
         # per bond at the one position below the diagonal, and both products
         # read them as one entry, J (pbc) or 0 (abc)
         ham = hamiltonian(SpinModelSpec(SpinChain("heisenberg", 1.0), twist), 2)
-        assert ham.indices.dtype == np.int32 and ham.indptr.dtype == np.int32
-        assert ham.data.size == 2
-        assert np.array_equal(ham.indices, [0, 0]) and np.array_equal(ham.indptr, [0, 0, 2])
+        assert ham.rows.dtype == np.int32 and ham.cols.dtype == np.int32
+        assert ham.data.size == 2 and ham.twist_start == 1
+        assert np.array_equal(ham.rows, [1, 1]) and np.array_equal(ham.cols, [0, 0])
         expected = 1.0 if twist is Twist.PBC else 0.0
         assert np.array_equal(dense(ham), [[-0.5, expected], [expected, -0.5]])
         assert np.array_equal(ham.matvec(np.array([1.0, 0.0])), [-0.5, expected])
@@ -316,36 +314,34 @@ class TestHamiltonian:
             sector = SectorBasis.build(L, model.local_dim)
             ham = build_hamiltonian(SpinModelSpec(model, twist), L, sector)
             assert sector.dim > 0 and ham.data.size > 0
-            assert ham.indices.dtype == np.int32 and ham.indptr.dtype == np.int32
-            assert ham.indptr[0] == 0 and ham.indptr[-1] == ham.indices.size == ham.data.size
-            rows = np.repeat(np.arange(sector.dim), np.diff(ham.indptr))
-            assert np.all(ham.indices < rows), (model.kind, twist, L)
-            positions = rows * sector.dim + ham.indices
+            assert ham.rows.dtype == np.int32 and ham.cols.dtype == np.int32
+            assert ham.rows.size == ham.cols.size == ham.data.size
+            assert np.all(ham.cols < ham.rows), (model.kind, twist, L)
+            positions = ham.rows.astype(np.int64) * sector.dim + ham.cols
             assert np.unique(positions).size == positions.size, (model.kind, twist, L)
 
     @pytest.mark.parametrize("model", ALL_MODELS + [SpinChain("heisenberg", -0.0)])
-    def test_twist_entries_are_where_the_twists_differ(self, model):
+    def test_twist_tail_is_where_the_twists_differ(self, model):
         # every entry of a -0.0 ring is a signed zero, told apart by its sign bit
         for L in range(2, 10):
             if model.local_dim == 2 and L % 2:
                 continue  # odd spin-1/2 rings have no S^z = 0 state
             pbc = hamiltonian(SpinModelSpec(model, Twist.PBC), L)
             abc = hamiltonian(SpinModelSpec(model, Twist.ABC), L)
-            at = pbc.twist_entries
-            assert at.dtype == np.int32 and at.size > 0
-            assert np.array_equal(abc.twist_entries, at)
+            t = pbc.twist_start
+            assert 0 < t < pbc.data.size and abc.twist_start == t
+            assert np.array_equal(abc.rows, pbc.rows) and np.array_equal(abc.cols, pbc.cols)
             differ = np.flatnonzero(np.signbit(pbc.data) != np.signbit(abc.data))
-            assert np.array_equal(differ, at), (model.kind, L)
+            assert np.array_equal(differ, np.arange(t, pbc.data.size)), (model.kind, L)
             assert np.array_equal(np.abs(pbc.data), np.abs(abc.data))
             # B and C hold no twist-bond hop
             assert pbc.high_data.tobytes() == abc.high_data.tobytes()
             assert pbc.low_data.tobytes() == abc.low_data.tobytes()
             assert pbc.classes == abc.classes
             if L == 2:
-                # each twist hop shares its matrix position with bond 0's, the entry before it
-                rows = np.repeat(np.arange(pbc.diag.size), np.diff(pbc.indptr))
-                assert np.array_equal(rows[at], rows[at - 1])
-                assert np.array_equal(pbc.indices[at], pbc.indices[at - 1])
+                # each twist hop shares its matrix position with bond 0's hop
+                assert np.array_equal(pbc.rows[t:], pbc.rows[:t])
+                assert np.array_equal(pbc.cols[t:], pbc.cols[:t])
             data = pbc.data.tobytes()
             spinchain._negate_twist_bond(pbc)
             assert pbc.data.tobytes() == abc.data.tobytes()
@@ -431,16 +427,16 @@ class TestHamiltonian:
         basis = SectorBasis.build(L, model.local_dim)
         spec = SpinModelSpec(model, Twist.PBC)
         ham, peak = traced_peak(lambda: build_hamiltonian(spec, L, basis))
-        arrays = (ham.diag, ham.indptr, ham.indices, ham.data, ham.twist_entries)
+        arrays = (ham.diag, ham.rows, ham.cols, ham.data)
         arrays += (ham.high_indptr, ham.high_indices, ham.high_data)
         arrays += (ham.low_indptr, ham.low_indices, ham.low_data)
         matrix = sum(a.nbytes for a in arrays)
         assert (peak - matrix) / (8 * basis.dim) < 1.5, (peak, matrix, basis.dim)
 
     def test_each_offdiagonal_pair_is_stored_once(self):
-        # diag (8 bytes a state), A's data and indices (12 bytes a pair) and
-        # its int32 row offsets, beside the small B and C; the pairs are
-        # counted combinatorially, and each of A's two bonds holds 1/L of them
+        # diag (8 bytes a state) and A's data, rows and columns (16 bytes a
+        # pair), beside the small B and C; the pairs are counted
+        # combinatorially, and each of A's two bonds holds 1/L of them
         L, d = 11, 3
         count = np.zeros((L + 1, L * (d - 1) + 1), dtype=np.int64)  # digit strings by sum
         count[0, 0] = 1
@@ -458,19 +454,20 @@ class TestHamiltonian:
         assert rows.size == 2 * pairs and np.unique(rows * dim + cols).size == rows.size
         small = sum(a.nbytes for a in (ham.high_indptr, ham.high_indices, ham.high_data))
         small += sum(a.nbytes for a in (ham.low_indptr, ham.low_indices, ham.low_data))
-        stored = ham.diag.nbytes + ham.data.nbytes + ham.indices.nbytes + ham.indptr.nbytes
-        assert stored <= 8 * dim + 12 * ham.data.size + 4 * (dim + 1), (stored, dim, pairs)
+        stored = ham.diag.nbytes + ham.data.nbytes + ham.rows.nbytes + ham.cols.nbytes
+        assert stored <= 8 * dim + 16 * ham.data.size, (stored, dim, pairs)
         # B and C hold their L - 2 bonds in under 5% of the 12 bytes a pair that A would take
         assert small < 0.05 * 12 * (L - 2) * pairs / L, (small, pairs)
 
-    def test_csr_holds_the_two_bonds_that_cross_the_split(self):
+    def test_a_holds_the_two_bonds_that_cross_the_split(self):
         # single-ion L=13: A holds 2 of the 13 bonds, (h-1, h) and the twist
         # bond, so 2/L of the sector's pairs; every class's rows of C point
         # into that class only
         L, d = 13, 3
         basis = SectorBasis.build(L, d)
         ham = build_hamiltonian(SpinModelSpec(SpinChain("single-ion", 1.0, D=7.4), Twist.PBC), L, basis)
-        assert ham.indptr[-1] * L == 2 * spinchain._stored_pairs(L, d) == 2 * 1_292_746
+        assert ham.data.size * L == 2 * spinchain._stored_pairs(L, d) == 2 * 1_292_746
+        assert ham.twist_start * 2 == ham.data.size
         assert ham.high_indptr.size - 1 == sum((stop - start) // row for start, stop, row in basis.blocks)
         held = 0
         for row, end, _, _, start, stop in ham.classes:
@@ -532,15 +529,16 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize(
         "model, L, bound",
-        [(SpinChain("single-ion", 1.0, D=7.4), 13, 6.0e6), (SpinChain("heisenberg"), 20, 4.0e6)],
+        [(SpinChain("single-ion", 1.0, D=7.4), 13, 5.3e6), (SpinChain("heisenberg"), 20, 3.4e6)],
         ids=["single-ion-13", "heisenberg-20"],
     )
     def test_stored_bytes_stay_under_the_two_bond_bound(self, model, L, bound):
-        # diag + A + B + C: 5.53 MB at single-ion L=13 and 3.70 MB at
-        # Heisenberg L=20, where A with every bond that touches the low half
-        # made them 11.45 MB and 8.89 MB
+        # diag + A + B + C: 5.08 MB at single-ion L=13 and 3.15 MB at
+        # Heisenberg L=20 with A in coordinate form; in CSR form, with its
+        # int32 row offsets, they made 5.53 MB and 3.70 MB, and with every
+        # bond that touches the low half 11.45 MB and 8.89 MB
         ham = hamiltonian(SpinModelSpec(model, Twist.PBC), L)
-        arrays = (ham.diag, ham.indptr, ham.indices, ham.data, ham.twist_entries)
+        arrays = (ham.diag, ham.rows, ham.cols, ham.data)
         arrays += (ham.high_indptr, ham.high_indices, ham.high_data)
         arrays += (ham.low_indptr, ham.low_indices, ham.low_data)
         stored = sum(a.nbytes for a in arrays)
@@ -554,7 +552,7 @@ class TestHamiltonian:
         for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
             monkeypatch.delitem(sys.modules, name)
         with pytest.raises(ImportError, match=re.escape(str(tmp_path / "scipy" / "sparse"))):
-            spinchain._csr_kernels.__wrapped__()  # past the kernels an earlier solve cached
+            spinchain._sparse_kernels.__wrapped__()  # past the kernels an earlier solve cached
         assert [m for m in sys.modules if m.split(".")[0] == "scipy"] == []
 
     @pytest.mark.parametrize("L", [4, 6, 8])
@@ -743,6 +741,23 @@ class TestLanczosSolver:
         A = np.diag(np.arange(10.0))
         with pytest.raises(NumericalError, match="tridiagonal matrix"):
             lowest_eigenpair(lambda x: A @ x, 10, 0, unit(10))
+
+    @pytest.mark.parametrize("bad_step", [1, 3])
+    def test_overflow_is_named_at_its_step(self, bad_step):
+        # step 1 of a 1e200-wide diagonal overflows beta's sum of squares;
+        # a product that turns infinite at step 3 gives a NaN alpha.  The
+        # solve stops there, not in LAPACK with NaNs steps later
+        diag = 1e200 * np.arange(1.0, 11.0) if bad_step == 1 else np.arange(10.0)
+        calls = []
+
+        def matvec(x):
+            calls.append(None)
+            return diag * x if len(calls) < bad_step else np.inf * x
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=f"step {bad_step} overflowed") as excinfo:
+                lowest_eigenpair(matvec, diag.size, 0, unit(diag.size))
+        assert "tridiagonal" not in str(excinfo.value) and len(calls) == bad_step
 
     def test_early_stop_on_a_wide_spectrum_is_not_accepted(self):
         # beta is judged against the widest Ritz value (1e14), and the
@@ -952,6 +967,30 @@ class TestEnergySeries:
         monkeypatch.setattr(spinchain.SectorBasis, "build", build)
         with pytest.raises(ValidationError, match="sizes must be >= 2, got 1"):
             energy_series(model, sizes)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [[4.7], [4, 6.0], [True], [np.float64(4.0)], [np.True_], ["4"]],
+        ids=["4.7", "beside-a-good-size", "True", "float64(4.0)", "bool_(True)", "str"],
+    )
+    def test_non_integer_sizes_are_refused_before_any_build(self, sizes, monkeypatch):
+        # int() once turned 4.7 into an L=4 entry
+        def build(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(spinchain.SectorBasis, "build", build)
+        with pytest.raises(ValidationError, match="sizes must be integers"):
+            energy_series(SpinChain("heisenberg"), sizes)
+
+    def test_integer_sizes_of_any_integer_type_give_the_same_bytes(self):
+        model, twists = SpinChain("single-ion", D=7.4), (Twist.PBC, Twist.ABC)
+        ref = energy_series(model, [2, 3, 4], twists)
+        series = energy_series(model, np.arange(2, 5), twists)
+        for twist in twists:
+            assert series.sizes(twist) == ref.sizes(twist) == (2, 3, 4)
+            assert all(type(L) is int for L in series.sizes(twist))
+            for L in (2, 3, 4):
+                assert series.E(L, twist).hex() == ref.E(L, twist).hex()
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     def test_each_build_gets_a_sector_of_its_size_and_local_dimension(self, model, monkeypatch):
@@ -1261,7 +1300,7 @@ class TestSharedAssembly:
             assert dim == ham.diag.size
             assert np.array_equal(start_weights(), ham.start_weights())
             solved.append(
-                (ham.diag.copy(), ham.indptr.copy(), ham.indices.copy(), ham.data.copy())
+                (ham.diag.copy(), ham.rows.copy(), ham.cols.copy(), ham.data.copy())
             )
             return lanczos.LanczosResult(0.0, 0.0, 1), None
 
@@ -1274,11 +1313,11 @@ class TestSharedAssembly:
             for twist in twists
         ]
         assert len(solved) == len(expected)
-        for (diag, indptr, indices, data), ham in zip(solved, expected):
+        for (diag, rows, cols, data), ham in zip(solved, expected):
             assert np.array_equal(diag, ham.diag)
             assert np.array_equal(np.signbit(diag), np.signbit(ham.diag))
-            assert np.array_equal(indptr, ham.indptr)
-            assert np.array_equal(indices, ham.indices)
+            assert np.array_equal(rows, ham.rows)
+            assert np.array_equal(cols, ham.cols)
             assert np.array_equal(data, ham.data)
             assert np.array_equal(np.signbit(data), np.signbit(ham.data))
 
