@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .bands import GRID_SIZE, FourierBand, cosine_series_on_grid, sample
-from .core import Twist, ValidationError
+from .core import Twist, ValidationError, sorted_sizes
 from .numtheory import b_coefficients
 from .riemann import residual_series
 
@@ -146,7 +146,7 @@ def convergence_curve(
     cutoff; each cutoff applies a prefix of the weights to a prefix of the
     residuals.
     """
-    cutoffs = sorted(set(int(L) for L in cutoffs))
+    cutoffs = sorted_sizes(cutoffs)
     if not cutoffs or cutoffs[0] < 1:
         raise ValidationError("cutoffs must be positive sizes")
     sizes = tuple(range(1, cutoffs[-1] + 1))

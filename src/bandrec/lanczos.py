@@ -2,19 +2,22 @@
 
 A solve keeps no Krylov rows.  The three-term recurrence reads only the two
 latest Lanczos vectors, and the ground energy comes from the tridiagonal
-matrix T of the coefficients (alpha, beta) alone, so the loop holds
-v_{j-1}, v_j, the current product and those coefficients, whatever the
-iteration count: three vectors and a scratch of 2^15 doubles for the scaled
-ones subtracted.  No name keeps the start: it is v_0, and goes once the
-recurrence has moved past it.  The vectors are not reorthogonalized: a
-solve stops as soon as its ground Ritz value settles, and Paige (J. Inst.
-Math. Appl. 18, 341, 1976) ties the loss of orthogonality to Ritz pairs
-that have converged, which leaves a solve that stops at convergence little
-room for ghost copies of its eigenvalue.  The stopping rule is fixed by
-module constants: the ground Ritz value must settle to TOL_ENERGY relative
-within MAX_ITER steps, and its Ritz estimate beta |y_last| of the residual,
-with y the ground eigenvector of T, must pass TOL_RESIDUAL of the widest
-Ritz value.  That estimate is the reported residual;
+matrix T of the coefficients (alpha, beta) alone.  The recurrence runs in
+Paige's two-vector form (J. Inst. Math. Appl. 10, 373, 1972): each step
+scales v_{j-1} by -beta in place, has the operator add H v_j into it and
+subtracts alpha v_j, so the next vector is formed over v_{j-1} and a solve
+holds two vectors and a scratch of 2^15 doubles, whatever the iteration
+count.  The operator is an accumulating matvec, matvec(v, out), that adds
+H v into `out`.  No name keeps the start: it is v_0, and its buffer is
+overwritten once the recurrence has moved past it.  The vectors are not
+reorthogonalized: a solve stops as soon as its ground Ritz value settles,
+and Paige (J. Inst. Math. Appl. 18, 341, 1976) ties the loss of
+orthogonality to Ritz pairs that have converged, which leaves a solve that
+stops at convergence little room for ghost copies of its eigenvalue.  The
+stopping rule is fixed by module constants: the ground Ritz value must
+settle to TOL_ENERGY relative within MAX_ITER steps, and its Ritz estimate
+beta |y_last| of the residual, with y the ground eigenvector of T, must pass
+TOL_RESIDUAL of the widest Ritz value.  That estimate is the reported residual;
 no vector of the full space is formed and no residual product is taken.
 A settled value is not yet a converged one: on a near-degenerate ground
 cluster the Ritz value can rest for a dozen steps on a mixture of the
@@ -35,10 +38,14 @@ coefficients, which forms pass one's vectors again bit for bit, adds y_j v_j
 into the Ritz vector and judges its explicit residual against
 0.5e-8 max(1, |theta|).
 
-The start vector is drawn from the seed's Gaussian stream, so runs are
-reproducible.  The start's Gaussian components are scaled by positive
+The start is hashed from the seed, so runs are reproducible: component i
+is uniform on (-1, 1), from output i of the SplitMix64 generator (Steele,
+Lea & Flood, OOPSLA 2014) seeded with the seed, the uniform(-1, 1) start
+of ARPACK (Lehoucq, Sorensen & Yang, SIAM 1998).  It is computed on uint64
+arrays, 2^15 components at a time, so `numpy.random` is never imported.
+The components are scaled by positive
 weights, passed as a zero-argument callable that returns them (all ones
-keep the plain Gaussian start bit for bit): `spinchain` passes the bound
+keep the plain start bit for bit): `spinchain` passes the bound
 method that weights each configuration by its diagonal energy, so a ground
 state near the diagonal minimum starts with most of the start vector's
 weight.  The solve calls it whenever it forms the start, once, or twice
@@ -70,6 +77,9 @@ TOL_RESIDUAL = 1e-10
 #: iterations before a solve that has not settled fails
 MAX_ITER = 500
 
+#: SplitMix64's increment and its two mixing multipliers
+_GAMMA, _MIX1, _MIX2 = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+
 
 @dataclass
 class LanczosResult:
@@ -79,21 +89,22 @@ class LanczosResult:
 
 
 def lowest_eigenpair(
-    matvec: Callable[[np.ndarray], np.ndarray],
+    matvec: Callable[[np.ndarray, np.ndarray], None],
     dim: int,
     seed: int,
     start_weights: Callable[[], np.ndarray],
 ) -> tuple[LanczosResult, np.ndarray]:
     """Ground eigenvalue of a real symmetric operator, and its Ritz pair's y.
 
-    y is the ground eigenvector of the tridiagonal matrix: the Ritz vector in
-    the coordinates of the Lanczos vectors, which the solve does not keep.
-    `dim` is at least 1, and `seed`, a non-negative integer, fixes the start
-    vector.
+    `matvec(v, out)` adds H v into `out` and returns nothing; `out` is never
+    `v`.  y is the ground eigenvector of the tridiagonal matrix: the Ritz
+    vector in the coordinates of the Lanczos vectors, which the solve does
+    not keep.  `dim` is at least 1, and `seed`, a non-negative integer,
+    fixes the start vector.
     `start_weights`, a zero-argument callable, returns weights that
-    multiply the start vector's Gaussian components: a float array of shape
+    multiply the start vector's uniform components: a float array of shape
     (dim,), finite and positive.  Only their ratios matter, and all ones
-    keep the plain Gaussian start bit for bit.  The start is formed
+    keep the plain start bit for bit.  The start is formed
     again for a replay, so the callable runs once or twice and must return
     the same weights each time.  None of this is checked: the caller,
     `spinchain.energy_series`, meets it.
@@ -108,7 +119,7 @@ def lowest_eigenpair(
     work = np.empty(min(dim, 2**15))  # the scratch of `_axpy`
     alphas: list[float] = []
     betas: list[float] = []
-    # no name keeps the start: it goes once v_prev moves past it
+    # no name keeps the start: its buffer takes v_2 once v_prev moves past it
     v_prev, v = None, _start(dim, seed, start_weights)
     prev_theta = np.inf
     stable = 0
@@ -116,9 +127,9 @@ def lowest_eigenpair(
     exhausted = False
 
     for j in range(max_steps):
-        w, alpha = _step(matvec, v, v_prev, betas[-1] if j else 0.0, work)
+        u, alpha = _step(matvec, v, v_prev, betas[-1] if j else 0.0, work)
         alphas.append(alpha)
-        beta = float(np.linalg.norm(w))
+        beta = float(np.linalg.norm(u))
         if not (np.isfinite(alpha) and np.isfinite(beta)):
             raise NumericalError(
                 f"Lanczos step {j + 1} overflowed: alpha = {alpha:.3g}, beta = {beta:.3g} "
@@ -145,12 +156,12 @@ def lowest_eigenpair(
                 converged = True
                 break
         if j + 1 < max_steps:
-            # beta > 0: the exhaustion stop came first
-            v_prev, v = v, np.divide(w, beta, out=w)
-            del w  # now v: the next matvec runs beside v_prev and v alone
+            # beta > 0: the exhaustion stop came first.  u is v_prev's buffer
+            v_prev, v = v, np.divide(u, beta, out=u)
+            del u
             betas.append(beta)
     steps = len(alphas)
-    del v_prev, v, w  # pass one's vectors go before any replay
+    del v_prev, v, u  # pass one's vectors go before any replay
 
     theta, y = _ground_ritz_pair(alphas, betas)
     residual = beta * abs(float(y[-1]))
@@ -173,8 +184,24 @@ def lowest_eigenpair(
 
 
 def _start(dim: int, seed: int, start_weights: Callable[[], np.ndarray]) -> np.ndarray:
-    """The normalized start: seed's Gaussian vector, scaled by the weights."""
-    start = np.random.default_rng(seed).standard_normal(dim)
+    """The normalized start: uniform(-1, 1) components hashed from the seed, scaled by the weights.
+
+    Component i is ((z >> 11) | 1) 2^-52 - 1, an odd multiple of 2^-52 and
+    so never 0, for z = mix(seed + (i + 1) gamma) mod 2^64: output i of the
+    SplitMix64 generator seeded with seed mod 2^64.  Both operations are
+    exact, and the uint64 arithmetic runs 2^15 components at a time.
+    """
+    start = np.empty(dim)
+    for lo in range(0, dim, 2**15):
+        z = np.arange(lo + 1, min(lo + 2**15, dim) + 1, dtype=np.uint64)
+        z *= _GAMMA
+        z += np.uint64(int(seed) % 2**64)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            z ^= z >> np.uint64(shift)
+            z *= mix
+        z ^= z >> np.uint64(31)
+        np.multiply(z >> np.uint64(11) | np.uint64(1), 2.0**-52, out=start[lo : lo + z.size])
+    start -= 1.0
     weights = start_weights()
     # scaled to a largest weight of 1, so the norm can neither overflow nor
     # underflow; in place, so no scaled copy of the weights is made
@@ -185,7 +212,7 @@ def _start(dim: int, seed: int, start_weights: Callable[[], np.ndarray]) -> np.n
 
 
 def _replayed_residual(
-    matvec: Callable[[np.ndarray], np.ndarray],
+    matvec: Callable[[np.ndarray, np.ndarray], None],
     dim: int,
     seed: int,
     start_weights: Callable[[], np.ndarray],
@@ -204,13 +231,14 @@ def _replayed_residual(
     v_prev, v = None, _start(dim, seed, start_weights)
     x = v * y[0]
     for j, beta in enumerate(betas):
-        w, _ = _step(matvec, v, v_prev, betas[j - 1] if j else 0.0, work, alphas[j])
-        v_prev, v = v, np.divide(w, beta, out=w)
-        del w
+        u, _ = _step(matvec, v, v_prev, betas[j - 1] if j else 0.0, work, alphas[j])
+        v_prev, v = v, np.divide(u, beta, out=u)
+        del u
         _axpy(np.add, x, v, y[j + 1], work)
     del v_prev, v  # and before the residual product
     x /= np.linalg.norm(x)
-    residual = matvec(x)
+    residual = np.zeros(dim)
+    matvec(x, residual)
     _axpy(np.subtract, residual, x, theta, work)
     return float(np.linalg.norm(residual))
 
@@ -223,19 +251,21 @@ def _axpy(op: np.ufunc, out: np.ndarray, v: np.ndarray, scale: float, work: np.n
 
 
 def _step(matvec: Callable, v: np.ndarray, v_prev, beta_prev: float, work, alpha=None):
-    """w = H v - alpha v - beta_prev v_prev, the unnormalized next Lanczos vector.
+    """u = H v - alpha v - beta_prev v_prev, the unnormalized next Lanczos vector.
 
-    alpha is v.w unless given: the replay passes pass one's, so both passes
-    run the same operations in the same order through `work`, and dividing
-    w by the stored beta in place gives the same v_{j+1} bit for bit.
+    u is formed over v_prev: it is scaled by -beta_prev in place and the
+    operator adds H v into it; the first step, with no v_prev, adds into a
+    new zero vector.  alpha is v.u unless given: the replay passes pass
+    one's, so both passes run the same operations in the same order through
+    `work`, and dividing u by the stored beta in place gives the same
+    v_{j+1} bit for bit.
     """
-    w = matvec(v)
+    u = np.zeros_like(v) if v_prev is None else np.multiply(v_prev, -beta_prev, out=v_prev)
+    matvec(v, u)
     if alpha is None:
-        alpha = float(v @ w)
-    _axpy(np.subtract, w, v, alpha, work)
-    if v_prev is not None:
-        _axpy(np.subtract, w, v_prev, beta_prev, work)
-    return w, alpha
+        alpha = float(v @ u)
+    _axpy(np.subtract, u, v, alpha, work)
+    return u, alpha
 
 
 def _tridiagonal_eig(eig: Callable, alphas: list[float], betas: list[float]):

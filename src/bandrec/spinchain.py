@@ -41,7 +41,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Twist, ValidationError, sorted_sizes
+from .core import NumericalError, Twist, ValidationError, sorted_sizes
 from .lanczos import lowest_eigenpair
 from .riemann import EnergySeries
 
@@ -219,10 +219,12 @@ class SectorHamiltonian:
     low_data: np.ndarray
     classes: tuple[tuple[int, int, int, int, int, int], ...]
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """H v as one new array: D v, then A v, A^T v, C_s X_s and X_s B_s added into it."""
+    def matvec(self, v: np.ndarray, out: np.ndarray) -> None:
+        """Add H v into `out`: D v, 2^15 states at a time, then A v, A^T v, C_s X_s and X_s B_s."""
         coo_matvec, csr_matvecs = _sparse_kernels()
-        out = self.diag * v
+        for lo in range(0, v.size, 2**15):
+            part = slice(lo, lo + 2**15)
+            out[part] += self.diag[part] * v[part]
         coo_matvec(self.data.size, self.rows, self.cols, self.data, v, out)
         coo_matvec(self.data.size, self.cols, self.rows, self.data, v, out)  # A^T
         for row, end, low, low_end, start, stop in self.classes:
@@ -237,7 +239,6 @@ class SectorHamiltonian:
                 yt = np.zeros_like(xt)
                 csr_matvecs(width, width, xt.shape[1], *low_csr, xt, yt)
                 y[r : r + step] += yt.T
-        return out
 
     def start_weights(self) -> np.ndarray:
         """Lanczos start weights exp(-(H_ii - min H_ii) / max|H_ij|), i != j.
@@ -276,7 +277,8 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
     diagonal, in the row of the source state.  Its column is
     first[hi + dh] + within[lo + dl], the shifted parts ranked by the
     basis's tables.  A site's 2 S^z is read from a table over one half's
-    codes, gathered by the state's part.  C and B hold both hops of each
+    codes.  On each class's block, D is the sum of the halves' energy
+    tables plus A's two bonds.  C and B hold both hops of each
     bond inside their half, from every part of a class to its target's row
     in that class (for B, its `within` rank).  A holds bond L-1's hops
     (raise site 0, lower site L-1) last; with the abc twist,
@@ -293,81 +295,75 @@ def build_hamiltonian(spec: SpinModelSpec, L: int, sector: SectorBasis) -> Secto
     amps = 0.5 * couplings * raise_amp * raise_amp
 
     # twice the S^z of each site of every low part and every high part, one int8 row per site
-    halves = []
-    for sites in (h, L - h):
-        codes = np.arange(d**sites)
-        halves.append(np.array([codes // d**k % d * 2 - s2 for k in range(sites)], dtype=np.int8))
-    low_m2, high_m2 = halves
+    low_m2, high_m2 = (
+        np.array([np.arange(d**n) // d**k % d * 2 - s2 for k in range(n)], dtype=np.int8)
+        for n in (h, L - h)
+    )
 
-    def half(site):  # the site's row over its half's codes, and each state's code in that half
-        return (low_m2[site], sector.low) if site < h else (high_m2[site - h], sector.high)
-
-    def per_state(f, i, j):  # f of the rows of sites i and j in every state
-        (row_i, part_i), (row_j, part_j) = half(i), half(j)
-        if part_i is part_j:  # one half: f over its codes, gathered once
-            return np.take(f(row_i, row_j), part_i)
-        return f(np.take(row_i, part_i), np.take(row_j, part_j))
-
-    def step(site):  # (high, low) code change of raising one site's level
-        return (0, d**site) if site < h else (d ** (site - h), 0)
-
-    # S^z is 0, +-1/2 or +-1, so (J/4) (2 S^z_b)(2 S^z_b+1) is J S^z_b S^z_b+1 exactly;
-    # the terms are added bond by bond, then site by site
-    diag = np.zeros(sector.dim)
-    for b in range(L):
-        diag += per_state(lambda m, n: (0.25 * couplings[b]) * (m * n), b, (b + 1) % L)
-    if onsite := model.J * model.D:
-        for i in range(L):
-            diag += per_state(lambda m, n: np.float64(0.25 * onsite) * (m * n), i, i)
+    # A: the bond across the split, then the twist bond, as (bond, raised site, lowered site):
+    # a low site, and a high one counted from site h
+    bonds = [(h - 1, h - 1, 0), (L - 1, 0, L - h - 1)]
 
     def can_hop(m, n):  # the level of 2 S^z = m can rise and that of n fall
         return (m < s2) & (n > -s2)
 
-    # A: the bond across the split, then the twist bond, as (bond, raised site, lowered site)
-    bonds = [(h - 1, h - 1, h), (L - 1, 0, L - 1)]
-    masks = [per_state(can_hop, up, down) for _, up, down in bonds]  # the states each hop leaves
+    # the states each hop leaves
+    masks = [can_hop(low_m2[up][sector.low], high_m2[down][sector.high]) for _, up, down in bonds]
     hops = [int(np.count_nonzero(mask)) for mask in masks]
     # int32 holds every state: `SectorBasis.build` refused a sector whose pairs it would not
-    rows = np.empty(sum(hops), dtype=np.int32)
-    cols = np.empty(sum(hops), dtype=np.int32)
+    rows, cols = np.empty((2, sum(hops)), dtype=np.int32)
     data = np.repeat(amps[[b for b, _, _ in bonds]], hops)
     at = 0
     for mask, (_, up, down) in zip(masks, bonds):
-        (high_up, low_up), (high_down, low_down) = step(up), step(down)
         for lo in range(0, sector.dim, 2**16):  # take reads its indices as intp: a chunk at a time
             src = np.flatnonzero(mask[lo : lo + 2**16]) + lo
-            target = np.take(sector.first, np.take(sector.high, src) + (high_up - high_down))
-            target += np.take(sector.within, np.take(sector.low, src) + (low_up - low_down))
+            target = np.take(sector.first, np.take(sector.high, src) - d**down)
+            target += np.take(sector.within, np.take(sector.low, src) + d**up)
             rows[at : at + src.size] = src
             cols[at : at + src.size] = target
             at += src.size
+    del masks  # before the diagonal's temporaries
 
-    def per_class(m2, parts, bond_amps):  # both hops of every bond inside one half
+    def per_class(m2, parts, first):  # both hops of every bond inside one half, and its energy
         sizes = [part.size for part in parts]
         first_row = np.cumsum([0] + sizes)  # each class's first row, then the row count
         rows = np.concatenate([np.zeros(0, dtype=np.int32), *parts])
         column = np.zeros(m2.shape[1], dtype=np.int32)  # a part's row within its class
         column[rows] = np.arange(rows.size) - np.repeat(first_row[:-1], sizes)
         found = [(np.zeros(0, dtype=np.int32),) * 3]  # no bond: no hop
-        for i in range(len(m2) - 1):  # the bond of the half's sites i, i + 1 has bond_amps[i]
+        energy = np.zeros(m2.shape[1])  # over the half's codes: its bonds, then its sites
+        for i in range(len(m2) - 1):  # the bond of the half's sites i, i + 1 is bond first + i
+            energy += (0.25 * couplings[first + i]) * (m2[i] * m2[i + 1])
             for up, down in ((i, i + 1), (i + 1, i)):
                 src = np.flatnonzero(can_hop(m2[up][rows], m2[down][rows]))
                 found.append((src, column[rows[src] + (d**up - d**down)], np.full(src.size, i)))
+        for row in m2:
+            energy += onsite * (row * row)
         hop_rows, hop_cols, hop_bonds = map(np.concatenate, zip(*found))
         by_row = np.argsort(hop_rows, kind="stable")  # bond by bond within a row
         indptr = np.concatenate(([0], np.bincount(hop_rows, minlength=rows.size).cumsum()))
-        csr = indptr.astype(np.int32), hop_cols[by_row], bond_amps[hop_bonds[by_row]]
-        return first_row.tolist(), csr
+        csr = indptr.astype(np.int32), hop_cols[by_row], amps[first:][hop_bonds[by_row]]
+        return first_row.tolist(), csr, energy
 
-    # C over the high part of each row of a class, B over the low parts of one of its rows
+    # C over the high part of each row of a class, B over the low parts of one of its rows.
+    # S^z is 0, +-1/2 or +-1, so (J/4) (2 S^z_b)(2 S^z_b+1) is J S^z_b S^z_b+1 exactly
     blocks = sector.blocks
-    c_rows, high = per_class(high_m2, [sector.high[a:z:w] for a, z, w in blocks], amps[h:])
-    b_rows, low = per_class(low_m2, [sector.low[a : a + w] for a, _, w in blocks], amps)
-    classes = tuple(
-        (row, end, low_row, low_end, start, stop)
-        for row, end, low_row, low_end, (start, stop, _)
-        in zip(c_rows, c_rows[1:], b_rows, b_rows[1:], blocks)
-    )
+    highs = [sector.high[a:z:w] for a, z, w in blocks]
+    lows = [sector.low[a : a + w] for a, _, w in blocks]
+    onsite = 0.25 * (model.J * model.D)
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        c_rows, high, high_e = per_class(high_m2, highs, h)
+        b_rows, low, low_e = per_class(low_m2, lows, 0)
+        diag = np.empty(sector.dim)
+        for (start, stop, width), hp, lp in zip(blocks, highs, lows):
+            block = diag[start:stop].reshape(-1, width)
+            np.add.outer(high_e[hp], low_e[lp], out=block)
+            for b, up, down in bonds:
+                block += np.multiply.outer((0.25 * couplings[b]) * high_m2[down][hp], low_m2[up][lp])
+    if not np.isfinite(diag).all():
+        raise NumericalError("the diagonal overflowed: J and D are too large for float64")
+    # each class's C rows, B rows, start and stop: the blocks' first two columns
+    classes = tuple(zip(c_rows, c_rows[1:], b_rows, b_rows[1:], *list(zip(*blocks))[:2]))
     ham = SectorHamiltonian(diag, rows, cols, data, hops[0], *high, *low, classes)
     if spec.boundary_twist is Twist.ABC:
         _negate_twist_bond(ham)
@@ -434,7 +430,7 @@ def energy_series(
     and the basis is freed before the solves; every further twist flips the
     twist-bond hops in place, so the energies equal those of separate
     `build_hamiltonian` calls bit for bit.  Every solve starts from `seed`'s
-    Gaussian vector, in the basis's order, scaled by the weights of the
+    uniform vector, in the basis's order, scaled by the weights of the
     bound method `SectorHamiltonian.start_weights`, which the solver calls
     when it forms the start, so no array of weights outlives the start.
     """

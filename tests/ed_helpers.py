@@ -1,6 +1,8 @@
 """Direct single-sector solves and dense matrices, the references the ED is checked against.
 
-Also `traced_peak`, the tracemalloc measurement the memory bounds of the tests read.
+Also `traced_peak`, the tracemalloc measurement the memory bounds of the tests read, and
+`adder` and `apply`, which turn a matrix into the accumulating matvec the solver takes and
+an accumulating matvec back into a product.
 """
 
 import tracemalloc
@@ -24,6 +26,29 @@ def ground_energy(spec, L):
     """
     ham = hamiltonian(spec, L)
     return lowest_eigenpair(ham.matvec, ham.diag.size, 0, ham.start_weights)[0]
+
+
+def adder(op):
+    """matvec(v, out), which adds op v into out: the operator form `lowest_eigenpair` takes.
+
+    `op` is a matrix or, as a 1-D array, the diagonal of one.  It is applied
+    2^12 rows at a time, so a product allocates no array of the operator's
+    dimension.
+    """
+
+    def matvec(v, out):
+        for lo in range(0, v.size, 2**12):
+            rows = slice(lo, lo + 2**12)
+            out[rows] += op[rows] * v[rows] if op.ndim == 1 else op[rows] @ v
+
+    return matvec
+
+
+def apply(matvec, v):
+    """The product that an accumulating matvec adds, as a new array."""
+    out = np.zeros_like(v)
+    matvec(v, out)
+    return out
 
 
 def traced_peak(fn):
@@ -82,7 +107,8 @@ def dense(ham):
 def reference_hamiltonian(spec, L, sector, bonds=None):
     """The sector matrix built the plain way, in code order: the reference of `build_hamiltonian`.
 
-    The states are the basis's codes sorted, and A holds one hop of each of
+    The states are the basis's codes sorted; the diagonal adds the same terms
+    in the build's grouping.  A holds one hop of each of
     `bonds`, bond by bond in coordinate form (every bond by default;
     (L // 2 - 1, L - 1) gives the two that cross the split, which
     `build_hamiltonian` keeps in its A), the last bond from `twist_start`
@@ -96,14 +122,25 @@ def reference_hamiltonian(spec, L, sector, bonds=None):
     couplings = model.bond_couplings(L)
     states = np.sort(codes(sector))
     digits = [(states // d**site % d).astype(np.int8) for site in range(L)]
-    m_of_level = np.arange(d) - s2 / 2.0
-    diag = np.zeros(sector.dim)
-    for b in range(L):
-        diag += couplings[b] * m_of_level[digits[b]] * m_of_level[digits[(b + 1) % L]]
-    onsite = model.J * model.D
-    if onsite:
-        for i in range(L):
-            diag += onsite * m_of_level[digits[i]] ** 2
+    m = [(np.arange(d) - s2 / 2.0)[level] for level in digits]
+    h = L // 2
+
+    def bond(b):
+        return couplings[b] * m[b] * m[(b + 1) % L]
+
+    def half(sites):  # its bonds, then its sites
+        energy = np.zeros(sector.dim)
+        for b in sites[:-1]:
+            energy += bond(b)
+        for i in sites if model.D else ():
+            energy += model.J * model.D * m[i] ** 2
+        return energy
+
+    # the build's grouping: the high half's energy plus the low half's, then the
+    # bond across the split and the twist bond
+    diag = half(range(h, L)) + half(range(h))
+    for b in (h - 1, L - 1):
+        diag += bond(b)
     raise_amp = np.sqrt(s2)
     rows, cols, data, twist_start = [], [], [], 0
     for b in range(L) if bonds is None else bonds:

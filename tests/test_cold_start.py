@@ -1,8 +1,8 @@
-"""The command line starts on numpy alone; ED loads only SciPy's CSR kernels.
+"""The command line starts on numpy alone; ED loads only SciPy's sparse kernels.
 
-ED loads the `scipy.sparse._sparsetools` extension, for the three products
-of its matvec (A v, A^T v and each class's C_s X_s), and no SciPy package:
-Lanczos runs on numpy alone.  The
+ED loads the `scipy.sparse._sparsetools` extension, for the products of its
+matvec (A v, A^T v and each class's C_s X_s and X_s B_s), and no SciPy
+package: Lanczos runs on numpy alone, and no `numpy.random` either.  The
 extension is held privately, so no `scipy` module is left in `sys.modules`
 and a later `import scipy.sparse` finds its own kernel module.
 
@@ -112,7 +112,9 @@ model = SpinChain("single-ion", 1.0, D=7.4)
 basis = SectorBasis.build(8, 3)
 hams = [build_hamiltonian(SpinModelSpec(model, twist), 8, basis) for twist in (Twist.PBC, Twist.ABC)]
 vs = [np.random.default_rng(seed).standard_normal(ham.diag.size) for seed, ham in enumerate(hams)]
-products = [ham.matvec(v) for ham, v in zip(hams, vs)]
+products = [np.zeros_like(v) for v in vs]
+for ham, v, product in zip(hams, vs, products):
+    ham.matvec(v, product)
 
 import scipy.sparse
 
@@ -155,7 +157,9 @@ for ham, v, product in zip(hams, vs, products):
         assert np.array_equal(Yt, B @ X.T)
         out[start:stop] += Yt.T.ravel()
         expected[start:stop] += (B @ X.T).T.ravel()
-    assert np.array_equal(ham.matvec(v), out) and np.array_equal(product, out)
+    again = np.zeros_like(v)
+    assert ham.matvec(v, again) is None
+    assert np.array_equal(again, out) and np.array_equal(product, out)
     assert np.abs(expected - out).max() <= 1e-12 * np.abs(out).max()
 print("ok")
 """
@@ -170,6 +174,21 @@ def test_scipy_sparse_imported_after_ed_finds_its_kernel_module(tmp_path):
     # the kernel module ED loaded was once left half-registered in sys.modules,
     # so scipy.sparse._sparsetools raised AttributeError after `import scipy.sparse`
     assert run_python(KERNEL_IDENTITY, "ed-first", str(tmp_path / "ed.csv")) == "ok"
+
+
+# runs the command line, then prints the numpy.random modules it loaded
+CLI_RANDOM = """
+import sys
+from bandrec.cli import main
+assert main(sys.argv[1:]) == 0
+print(",".join(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"])))
+"""
+
+
+def test_ed_loads_no_numpy_random(tmp_path):
+    # the Lanczos start is hashed from the seed with uint64 arithmetic
+    args = ["ed", "--model", "single-ion", "--D", "7.4", "--sizes", "2:6", "--twist", "both"]
+    assert run_python(CLI_RANDOM, *args, "--out", str(tmp_path / "ed.csv")) == ""
 
 
 def test_ed_bytes_do_not_depend_on_the_thread_variables(tmp_path):

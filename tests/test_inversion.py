@@ -261,3 +261,15 @@ class TestConvergenceCurve:
     def test_bad_cutoffs(self):
         with pytest.raises(ValidationError):
             convergence_curve(MassiveSineBand(1.0, 0.1), [0, 4])
+
+    @pytest.mark.parametrize("cutoffs", [[4.7], [4, 6.0], [True, 4], ["4"]], ids=repr)
+    def test_non_integral_cutoffs_are_refused(self, cutoffs):
+        # as `energy_series` refuses such sizes: 4.7 was once truncated to 4
+        with pytest.raises(ValidationError, match="sizes must be integers"):
+            convergence_curve(MassiveSineBand(), cutoffs)
+
+    def test_cutoffs_of_any_integer_type_give_the_same_curve(self):
+        band = MassiveSineBand(1.0, 0.1)
+        plain = convergence_curve(band, [4, 9])
+        typed = convergence_curve(band, [np.int64(9), np.int32(4)])
+        assert repr(typed) == repr(plain) and all(type(L) is int for L, _ in typed)

@@ -20,7 +20,7 @@ from bandrec.seriesio import (
 )
 
 from band_reference import cosine_series, evaluate
-from ed_helpers import traced_peak
+from ed_helpers import adder, traced_peak
 
 
 class TestEnergyCsv:
@@ -205,29 +205,41 @@ class TestCli:
             spinchain,
             "lowest_eigenpair",
             lambda matvec, dim, seed, start_weights: lanczos.lowest_eigenpair(
-                lambda x: diag * x, diag.size, seed, lambda: np.ones(diag.size)
+                adder(diag), diag.size, seed, lambda: np.ones(diag.size)
             ),
         )
         assert main(["ed", "--model", "heisenberg", "--sizes", "4"]) == 3
         assert "did not converge" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "args",
-        [["--model", "heisenberg", "--J", "1e200", "--sizes", "10"],
-         ["--model", "single-ion", "--D", "1e308", "--sizes", "4"]],
-        ids=["J-1e200", "D-1e308"],
-    )
-    def test_ed_names_an_overflow_with_exit_3(self, args, tmp_path, capsys):
+    def test_ed_names_an_overflow_with_exit_3(self, tmp_path, capsys):
         # the first Lanczos step overflows; LAPACK never sees the NaNs
+        args = ["--model", "heisenberg", "--J", "1e200", "--sizes", "10"]
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["ed", *args, "--out", str(tmp_path / "ed.csv")]) == 3
         err = capsys.readouterr().err
         assert "Lanczos step 1 overflowed" in err and "LAPACK" not in err
 
+    def test_ed_refuses_an_overflowed_diagonal_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        # J D = 1e308 overflows the diagonal to inf: the build refuses it
+        # with exit 3, no solve runs and numpy warns of nothing (a
+        # RuntimeWarning fails the suite)
+        from bandrec import spinchain
+
+        def solve(*args):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(spinchain, "lowest_eigenpair", solve)
+        args = ["--model", "single-ion", "--D", "1e308", "--sizes", "4"]
+        assert main(["ed", *args, "--out", str(tmp_path / "ed.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "the diagonal overflowed" in err and "Lanczos" not in err
+        assert not (tmp_path / "ed.csv").exists()
+
     def test_ed_stops_at_the_largest_failing_size(self, monkeypatch, capsys):
         # L=4 and L=8 (dims 6 and 70) are replaced by wide spectra on which
-        # the solve runs the full basis and refuses the Ritz pair; sizes are
-        # solved largest first, so the message is L=8's and L=4 never runs
+        # the solve refuses its Ritz pair (L=8's after 33 steps, its replayed
+        # residual 0.125); sizes are solved largest first, so the message is
+        # L=8's and L=4 never runs
         from bandrec import lanczos, spinchain
 
         dims = []
@@ -235,11 +247,11 @@ class TestCli:
         def solve(matvec, dim, seed, start_weights):
             dims.append(dim)
             diag = np.concatenate(([-1.0], np.linspace(0.0, 1.0, dim - 2), [1e14]))
-            return lanczos.lowest_eigenpair(lambda x: diag * x, dim, seed, lambda: np.ones(dim))
+            return lanczos.lowest_eigenpair(adder(diag), dim, seed, lambda: np.ones(dim))
 
         monkeypatch.setattr(spinchain, "lowest_eigenpair", solve)
         assert main(["ed", "--model", "heisenberg", "--sizes", "4,8"]) == 3
-        assert "did not converge in 70 iterations" in capsys.readouterr().err
+        assert "did not converge in 33 iterations" in capsys.readouterr().err
         assert dims == [70]
 
     def test_ed_builds_the_largest_size_first_with_the_bytes_of_single_size_runs(
